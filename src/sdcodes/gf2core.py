@@ -240,16 +240,20 @@ class RrefResult:
 # Raw-int helpers shared by the sibling modules; these skip BitVector wrapping
 # so the hot paths stay allocation-free.
 
-def rref_raw(rows: Sequence[int], ncols: int) -> Tuple[List[int], int, List[int]]:
+def rref_raw(
+    rows: Sequence[int], ncols: int, col_order: Optional[Sequence[int]] = None
+) -> Tuple[List[int], int, List[int]]:
     """Reduced row echelon form; returns (rows, rank, 0-indexed pivot columns).
 
-    Pivot selection is deterministic: lowest column index first.  Zero rows
-    sink to the bottom; row count is preserved.
+    Pivot selection is deterministic: lowest column index first, or the
+    first usable column of col_order when one is given (columns missing
+    from col_order never become pivots).  Zero rows sink to the bottom;
+    row count is preserved.
     """
     work = list(rows)
     rank = 0
     pivots: List[int] = []
-    for col in range(ncols):
+    for col in range(ncols) if col_order is None else col_order:
         bit = 1 << col
         piv = None
         for r in range(rank, len(work)):

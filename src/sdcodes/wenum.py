@@ -1,11 +1,22 @@
 """Exact weight and shadow distributions, minimum weight, and the
 weight-enumerator family arithmetic for lengths 58 and 60.
 
-Enumerating a [60,30] code means 2^30 codewords; the engine splits the
-generator rows into an inner block, materialized once as a packed-word
-numpy array, and an outer block walked in Gray order, so each outer step
-is one vectorized xor + popcount + histogram pass.  All published counts
-come out as exact Python ints.
+Weight distributions come from one of two engines.  A self-dual code of
+length n <= 64 and dimension above 22 is never enumerated in full: by
+Gleason's theorem its enumerator is an integer combination of
+(x^2+y^2)^(n/2-4j) * (x^2 y^2 (x^2-y^2)^2)^j, j = 0..n//8, and the
+combination is unit-triangular in A_0, A_2, ..., A_{2(n//8)}.  So only the
+words of weight <= 2(n//8) (14 at n = 58 and 60) are counted, by level
+walks over two complementary information sets, and the rest is solved for
+exactly.  Every other code is enumerated: the generator rows split into an
+inner block, materialized once as a packed-word numpy array, and an outer
+block walked in Gray order, so each outer step is one vectorized xor +
+popcount + histogram pass.
+
+The shadow distribution of a singly even self-dual code is the transform
+S(x, y) = W(x+y, i(x-y)) / 2^(n/2) of its weight distribution.  Every
+count is an exact Python int, and derived counts are re-checked (integral,
+non-negative, symmetric, summing to 2^k) before they are returned.
 """
 
 from __future__ import annotations
@@ -19,9 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .codes import LinearCode, shadow_parts
-from .errors import DomainError, ParseError, ResourceLimitError
-from .gf2core import pivots_of_rref_raw
+from .codes import LinearCode, ParityClass, is_self_dual, parity_class
+from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
+from .gf2core import pivots_of_rref_raw, rref_raw
 
 __all__ = [
     "WeightDistribution",
@@ -44,6 +55,8 @@ __all__ = [
 
 ENUM_DIMENSION_LIMIT = 34
 _INNER_LOG = 16
+# up to this dimension a whole-span Gray walk is cheaper than level walks
+_FULL_SPAN_MAX_K = 22
 
 # largest minimum weight a singly even self-dual code of these lengths can have
 EXTREMAL_MIN_WEIGHT = {58: 10, 60: 12}
@@ -218,7 +231,12 @@ _WORDS_CACHE: Dict[Tuple[LinearCode, int], List[int]] = {}
 
 
 def weight_distribution(c: LinearCode) -> WeightDistribution:
-    """Exact A_0..A_n over all 2^k codewords; budget k <= 34."""
+    """Exact A_0..A_n; budget k <= 34.
+
+    Self-dual codes with n <= 64 and k > 22 count their words of weight
+    <= 2(n//8) and take the rest from Gleason's theorem; every other code
+    is enumerated in full.
+    """
     cached = _DIST_CACHE.get(c)
     if cached is not None:
         return cached
@@ -226,7 +244,14 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
         raise ResourceLimitError(
             f"weight distribution is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
         )
-    dist = WeightDistribution(c.n, tuple(_histogram_words(c.row_ints(), c.n)))
+    counts = None
+    if c.k > _FULL_SPAN_MAX_K and c.n <= 64 and is_self_dual(c):
+        bases = _disjoint_information_bases(c)
+        if len(bases) == 2:
+            counts = _gleason_distribution(c.n, c.k, _low_weight_counts(c.n, bases))
+    if counts is None:
+        counts = tuple(_histogram_words(c.row_ints(), c.n))
+    dist = WeightDistribution(c.n, counts)
     _DIST_CACHE[c] = dist
     if c.k >= 1:
         mw = dist.min_weight
@@ -236,7 +261,12 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
 
 
 def shadow_distribution(c: LinearCode) -> ShadowDistribution:
-    """Exact B_0..B_n by streaming the two shadow cosets of C_0."""
+    """Exact B_0..B_n of a singly even self-dual code.
+
+    S(x, y) = W(x+y, i(x-y)) / 2^(n/2), so B_j = 2^(-n/2) sum_w
+    (-1)^(w/2) A_w K_j(w) with K_j the Krawtchouk polynomials
+    (Conway and Sloane, IEEE Trans. Inform. Theory 36 (1990)).
+    """
     cached = _SHADOW_CACHE.get(c)
     if cached is not None:
         return cached
@@ -244,43 +274,115 @@ def shadow_distribution(c: LinearCode) -> ShadowDistribution:
         raise ResourceLimitError(
             f"shadow distribution is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
         )
-    parts = shadow_parts(c)
-    rows = parts.c0.row_ints()
-    counts = [0] * (c.n + 1)
-    for rep in parts.coset_reps:
-        for i, x in enumerate(_histogram_words(rows, c.n, offset=rep.bits)):
-            counts[i] += x
-    dist = ShadowDistribution(c.n, tuple(counts))
+    if not is_self_dual(c) or parity_class(c) is not ParityClass.SINGLY_EVEN:
+        raise DomainError("the shadow needs a singly even self-dual code")
+    dist = ShadowDistribution(c.n, _shadow_counts(c.n, weight_distribution(c).counts))
     _SHADOW_CACHE[c] = dist
     return dist
 
 
+def _shadow_counts(n: int, counts: Sequence[int]) -> Tuple[int, ...]:
+    """B_0..B_n from the weight distribution of a self-dual code.
+
+    For a doubly even code the transform returns the distribution itself.
+    """
+    scale = 1 << (n // 2)
+    out = []
+    for j in range(n + 1):
+        t = sum(
+            (-1) ** (i // 2) * a * _krawtchouk(j, i, n)
+            for i, a in enumerate(counts)
+            if a
+        )
+        q, r = divmod(t, scale)
+        if r or q < 0:
+            raise IntegrityError(
+                f"shadow coefficient B_{j} = {t}/2^{n // 2} is not a non-negative integer"
+            )
+        out.append(q)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Gleason's theorem: low-weight counts fix the whole distribution
+
+@lru_cache(maxsize=None)
+def _gleason_basis(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Coefficients in u = y^2 of (1+u)^(n/2-4j) * (u (1-u)^2)^j, j = 0..n//8.
+
+    Polynomial j starts at u^j with coefficient 1, which makes the system
+    for the combination unit-triangular.
+    """
+    m = n // 2
+    out = []
+    for j in range(n // 8 + 1):
+        poly = [0] * (m + 1)
+        for a in range(m - 4 * j + 1):
+            ca = math.comb(m - 4 * j, a)
+            for b in range(2 * j + 1):
+                poly[j + a + b] += (-1) ** b * ca * math.comb(2 * j, b)
+        out.append(tuple(poly))
+    return tuple(out)
+
+
+def _gleason_distribution(n: int, k: int, low: Sequence[int]) -> Tuple[int, ...]:
+    """A_0..A_n of a self-dual [n, k] code from its counts A_0..A_{2(n//8)}.
+
+    Raises IntegrityError unless the result is non-negative, zero at odd
+    weights, symmetric, sums to 2^k, reproduces every counted entry and
+    has a shadow transform of non-negative integers.
+    """
+    t = n // 8
+    if 2 * k != n or len(low) != 2 * t + 1:
+        raise DomainError(f"need A_0..A_{2 * t} of a self-dual [{n},{n // 2}] code")
+    basis = _gleason_basis(n)
+    coef: List[int] = []
+    for i in range(t + 1):
+        coef.append(low[2 * i] - sum(a * basis[j][i] for j, a in enumerate(coef)))
+    counts = [0] * (n + 1)
+    for i in range(n // 2 + 1):
+        counts[2 * i] = sum(a * basis[j][i] for j, a in enumerate(coef))
+    problems = []
+    if any(x < 0 for x in counts):
+        problems.append("a negative coefficient")
+    if any(counts[1::2]):
+        problems.append("an odd-weight coefficient")
+    if counts != counts[::-1]:
+        problems.append("an asymmetric distribution")
+    if sum(counts) != 1 << k:
+        problems.append(f"total {sum(counts)} instead of 2^{k}")
+    if counts[: len(low)] != list(low):
+        problems.append("counted coefficients it does not reproduce")
+    if problems:
+        raise IntegrityError(
+            f"Gleason reconstruction for length {n} gave " + ", ".join(problems)
+        )
+    _shadow_counts(n, counts)
+    return tuple(counts)
+
+
+def _low_weight_counts(n: int, bases: Sequence[Sequence[int]]) -> List[int]:
+    """A_0..A_{2t}, t = n//8, of a self-dual code from two complementary
+    systematic bases.
+
+    A word with at most t ones on the first basis's pivot set combines at
+    most t rows of that basis.  A word of weight <= 2t with more than t
+    ones there has at most t-1 ones on the complement, so it combines at
+    most t-1 rows of the second basis; there it is kept only if it has
+    more than t ones on the first pivot set.  Every word of weight <= 2t
+    is counted exactly once.
+    """
+    t = n // 8
+    first, second = bases
+    pivot_mask = sum(1 << p for p in pivots_of_rref_raw(first))
+    hist = _level_histogram(first, n, t) + _level_histogram(second, n, t - 1, pivot_mask, t)
+    low = [int(x) for x in hist[: 2 * t + 1]]
+    low[0] += 1  # the zero word, level 0 of the first basis
+    return low
+
+
 # ---------------------------------------------------------------------------
 # minimum weight
-
-def _rref_prefer_columns(rows: Sequence[int], col_order: Sequence[int]) -> Tuple[List[int], int, List[int]]:
-    work = list(rows)
-    rank = 0
-    pivots: List[int] = []
-    for col in col_order:
-        bit = 1 << col
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r] & bit:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r] & bit:
-                work[r] ^= work[rank]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return work, rank, pivots
-
 
 def _disjoint_information_bases(c: LinearCode) -> List[List[int]]:
     """Systematic generator bases over disjoint coordinate sets (1 or 2).
@@ -292,9 +394,9 @@ def _disjoint_information_bases(c: LinearCode) -> List[List[int]]:
     bases = [rows]
     pivots = set(pivots_of_rref_raw(rows))
     comp = [j for j in range(c.n) if j not in pivots]
-    red, rank, piv2 = _rref_prefer_columns(rows, comp + sorted(pivots))
-    if rank == c.k and set(piv2) <= set(comp):
-        bases.append(red[: c.k])
+    red, rank, _ = rref_raw(rows, c.n, comp)
+    if rank == c.k:
+        bases.append(red)
     return bases
 
 
@@ -307,23 +409,70 @@ class _LevelState:
         self.vals = self.rows_np.copy()
         self.last = np.arange(self.k, dtype=np.int32)
 
+    def _prefix_sizes(self) -> np.ndarray:
+        """For j = 1..k-1, how many current combinations use only rows
+        below j; those are the ones row j extends."""
+        return np.searchsorted(self.last, np.arange(1, self.k))
+
+    def chunks(self):
+        """The size-(w+1) combinations without storing them: one
+        (j, array) pair per largest row index j."""
+        for j, p in enumerate(self._prefix_sizes().tolist(), start=1):
+            if p:
+                yield j, self.vals[:p] ^ self.rows_np[j]
+
     def extend(self) -> bool:
-        chunks_v = []
-        chunks_l = []
-        for j in range(1, self.k):
-            p = int(np.searchsorted(self.last, j))
-            if p == 0:
-                continue
-            chunks_v.append(self.vals[:p] ^ self.rows_np[j])
-            chunks_l.append(np.full(p, j, dtype=np.int32))
-        if not chunks_v:
+        """Replace the combinations by the next level's, in chunks() order."""
+        sizes = self._prefix_sizes()
+        total = int(sizes.sum())
+        if not total:
             return False
-        self.vals = np.concatenate(chunks_v)
-        self.last = np.concatenate(chunks_l)
+        last = np.repeat(np.arange(1, self.k, dtype=np.int32), sizes)
+        # in place where possible: a level near 2^20 words is megabytes
+        pos = np.arange(total)
+        pos -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+        vals = self.vals[pos]
+        del pos
+        vals ^= self.rows_np[last]
+        self.vals, self.last = vals, last
         return True
 
     def level_min(self) -> int:
         return int(np.bitwise_count(self.vals).min())
+
+
+def _level_histogram(
+    rows: Sequence[int], n: int, top: int, mask: int = 0, above: int = 0
+) -> np.ndarray:
+    """Weight histogram of the XOR combinations of 1..top rows.
+
+    With a mask, only words with more than `above` ones inside it count.
+    Levels up to top-2 are materialized; the last two are streamed one
+    largest index j1 at a time, so level top is never held whole.
+    """
+    hist = np.zeros(n + 1, dtype=np.int64)
+
+    def add(vals: np.ndarray) -> None:
+        if mask:
+            vals = vals[np.bitwise_count(vals & np.uint64(mask)) > above]
+        hist[:] += np.bincount(np.bitwise_count(vals), minlength=n + 1)
+
+    if top < 1 or not rows:
+        return hist
+    st = _LevelState(rows)
+    add(st.vals)
+    level = 1
+    while level < top - 2:
+        if not st.extend():
+            return hist
+        level += 1
+        add(st.vals)
+    if level < top:
+        for j1, vals in st.chunks():
+            add(vals)
+            if level + 2 == top:
+                add((vals[:, None] ^ st.rows_np[None, j1 + 1 :]).ravel())
+    return hist
 
 
 def _min_weight_staged(c: LinearCode, target: Optional[int]) -> int:
@@ -368,7 +517,7 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
     if cached is not None:
         return cached
     dist = _DIST_CACHE.get(c)
-    if dist is None and c.k <= 22:
+    if dist is None and c.k <= _FULL_SPAN_MAX_K:
         dist = weight_distribution(c)
     if dist is not None:
         mw = dist.min_weight
@@ -412,7 +561,7 @@ def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
 
 
 def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
-    if c.k <= 22:
+    if c.k <= _FULL_SPAN_MAX_K:
         if c.n <= 64:
             arr = _span_lane([], 0)
             for r in c.row_ints():

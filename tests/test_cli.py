@@ -1,12 +1,15 @@
 """CLI behavior: exit codes, manifests, determinism, command output."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sdcodes
 from sdcodes import LinearCode, load_pairs, save_code
 from sdcodes.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, _RowPrinter, main
 from sdcodes.tables import named_code
@@ -195,10 +198,14 @@ def test_row_printer_failure_exit():
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(sdcodes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sdcodes", "solve-shadow-balance", "165", "-2", "0", "1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "55"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sdcodes.errors import DomainError, ParseError
-from sdcodes.gf2core import BitMatrix, BitVector, in_span, intersect, kernel, rref
+from sdcodes.gf2core import BitMatrix, BitVector, in_span, intersect, kernel, rref, rref_raw
 
 from oracles import random_matrix_rows, span_set
 
@@ -125,6 +125,24 @@ class TestRref:
             for p in res.pivots:
                 col = sum(row.bit(p) for row in res.matrix.rows)
                 assert col == 1
+
+    def test_column_order_picks_pivots_in_that_order(self):
+        rng = random.Random(3)
+        for _ in range(25):
+            rows = random_matrix_rows(rng, 5, 12)
+            order = list(range(12))
+            rng.shuffle(order)
+            allowed = order[:8]
+            red, rank, pivots = rref_raw(rows, 12, allowed)
+            assert pivots == sorted(pivots, key=order.index)
+            assert set(pivots) <= set(allowed)
+            # rows past the rank reduce to zero on every allowed column
+            allowed_mask = sum(1 << c for c in allowed)
+            assert all(r & allowed_mask == 0 for r in red[rank:])
+            assert span_set(red) == span_set(rows)
+            for row, p in zip(red, pivots):
+                assert [(r >> p) & 1 for r in red] == [int(r == row) for r in red]
+        assert rref_raw([0b0110, 0b0011], 4, [2, 1]) == ([0b0101, 0b0011], 2, [2, 1])
 
 
 class TestKernel:

@@ -1,4 +1,7 @@
 import random
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import pytest
 
@@ -7,6 +10,7 @@ from sdcodes import (
     DomainError,
     FamilyTag,
     LinearCode,
+    ParityClass,
     ParseError,
     ResourceLimitError,
     ShadowDistribution,
@@ -16,11 +20,26 @@ from sdcodes import (
     extremal_min_weight,
     macwilliams_check,
     min_weight,
+    parity_class,
     shadow_distribution,
     solve_shadow_balance,
     weight_distribution,
 )
-from sdcodes.wenum import _histogram_words, _min_weight_staged
+from sdcodes import wenum
+from sdcodes.codes import shadow_parts
+from sdcodes.errors import IntegrityError
+from sdcodes.gf2core import BitVector
+from sdcodes.neighbors import neighbor
+from sdcodes.tables import named_code
+from sdcodes.wenum import (
+    _disjoint_information_bases,
+    _gleason_distribution,
+    _histogram_words,
+    _LevelState,
+    _low_weight_counts,
+    _min_weight_staged,
+    _shadow_counts,
+)
 
 from oracles import (
     gray_weight_histogram,
@@ -168,6 +187,152 @@ def test_shadow_distribution_rejects_doubly_even():
         shadow_distribution(c)
 
 
+def test_shadow_distribution_rejects_non_self_dual():
+    with pytest.raises(DomainError):
+        shadow_distribution(LinearCode.from_strings(["1100", "0011", "1010"]))
+
+
+def test_shadow_distribution_budget():
+    c = LinearCode.from_int_rows([0b11 << i for i in range(0, 70, 2)], 70)
+    assert c.k == 35
+    with pytest.raises(ResourceLimitError):
+        shadow_distribution(c)
+
+
+# ---------------------------------------------------------------------------
+# Gleason's theorem and the shadow transform
+
+def random_self_dual_code(rng, n, steps=12):
+    """A self-dual code reached by neighbor steps from {11}^(n/2)."""
+    c = LinearCode.from_int_rows([0b11 << i for i in range(0, n, 2)], n)
+    for _ in range(steps):
+        while True:
+            x = rng.getrandbits(n)
+            if x.bit_count() % 2 == 0 and not c.contains(BitVector(n, x)):
+                break
+        c = neighbor(c, BitVector(n, x))
+    return c
+
+
+def extended_hamming_sum(blocks):
+    """Direct sum of extended Hamming [8,4,4] codes: doubly even, d = 4."""
+    e8 = LinearCode.from_strings(["11110000", "00111100", "00001111", "01010101"])
+    rows = [r << (8 * b) for b in range(blocks) for r in e8.row_ints()]
+    return LinearCode.from_int_rows(rows, 8 * blocks)
+
+
+def gleason(c):
+    return _gleason_distribution(c.n, c.k, _low_weight_counts(c.n, _disjoint_information_bases(c)))
+
+
+def coset_streamed_shadow(c):
+    """B_0..B_n by walking both shadow cosets of C_0 in full."""
+    parts = shadow_parts(c)
+    rows = parts.c0.row_ints()
+    counts = [0] * (c.n + 1)
+    for rep in parts.coset_reps:
+        for i, x in enumerate(_histogram_words(rows, c.n, offset=rep.bits)):
+            counts[i] += x
+    return counts
+
+
+def test_gleason_matches_enumeration_on_random_self_dual_codes():
+    rng = random.Random(413)
+    codes = [random_self_dual_code(rng, n) for n in range(8, 50, 2)]
+    codes += [extended_hamming_sum(b) for b in (1, 3, 6)]
+    for c in codes:
+        assert len(_disjoint_information_bases(c)) == 2
+        got = list(gleason(c))
+        assert got == _histogram_words(c.row_ints(), c.n), c.n
+        if c.n <= 24:
+            assert got == weight_histogram_direct(c.row_ints(), c.n), c.n
+
+
+def test_gleason_matches_full_enumeration_on_registry_codes():
+    """The Gleason path against a full 2^k Gray walk at lengths 58 and 60.
+
+    On Gleason output the MacWilliams identity holds by construction
+    (every Gleason polynomial is MacWilliams-invariant), so the
+    macwilliams_check of acceptance criterion 9 no longer tests the
+    enumeration of length-58/60 codes; this comparison does.
+    """
+    for name in ("C58_4", "C60_9"):
+        c = named_code(name)
+        assert c.k > 22
+        assert list(gleason(c)) == _histogram_words(c.row_ints(), c.n), name
+
+
+def test_weight_distribution_takes_gleason_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full enumeration of a large self-dual code")
+
+    monkeypatch.setattr(wenum, "_histogram_words", refuse)
+    monkeypatch.setattr(wenum, "_DIST_CACHE", {})
+    c = extended_hamming_sum(6)
+    w = weight_distribution(c)
+    assert w.total == 2**24 and w.min_weight == 4
+    assert w.counts[4] == 6 * 14
+
+
+def test_shadow_transform_matches_coset_streaming():
+    rng = random.Random(414)
+    codes = [random_self_dual_code(rng, n) for n in range(10, 50, 6)]
+    codes.append(named_code("C58_2"))
+    checked = 0
+    for c in codes:
+        if parity_class(c) is not ParityClass.SINGLY_EVEN:
+            continue
+        assert list(shadow_distribution(c).counts) == coset_streamed_shadow(c), c.n
+        checked += 1
+    assert checked >= 6
+
+
+def test_shadow_transform_of_doubly_even_code_is_itself():
+    c = extended_hamming_sum(2)
+    w = weight_distribution(c)
+    assert _shadow_counts(c.n, w.counts) == w.counts
+
+
+def corrupted(low, idx, delta):
+    bad = list(low)
+    bad[idx] += delta
+    return bad
+
+
+@pytest.mark.parametrize(
+    "idx, delta, reason",
+    [
+        (0, 1, "total"),
+        (3, 1, "does not reproduce"),
+        (14, 10**6, "negative"),
+        (10, 1, "shadow"),
+        (12, -1, "shadow"),
+        (2, 2, "negative"),
+    ],
+)
+def test_gleason_rejects_corrupted_low_counts(idx, delta, reason):
+    c = named_code("C58_1")
+    low = _low_weight_counts(c.n, _disjoint_information_bases(c))
+    assert low[10] == 63 and low[12] == 3644
+    with pytest.raises(IntegrityError, match=reason):
+        _gleason_distribution(c.n, c.k, corrupted(low, idx, delta))
+
+
+def test_gleason_needs_self_dual_shape():
+    with pytest.raises(DomainError):
+        _gleason_distribution(58, 28, [1] + [0] * 14)
+    with pytest.raises(DomainError):
+        _gleason_distribution(58, 29, [1] + [0] * 13)
+
+
+def test_shadow_transform_rejects_inconsistent_distributions():
+    # 1 + 2y^2 gives B = (-1, 6, -1)/2; 1 + 3y^2 gives B = (-1, 4, -1)
+    for counts in ((1, 0, 2), (1, 0, 3)):
+        with pytest.raises(IntegrityError):
+            _shadow_counts(2, counts)
+    assert _shadow_counts(2, (1, 0, 1)) == (0, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # min_weight
 
@@ -195,6 +360,22 @@ def test_staged_min_weight_matches_histogram():
             continue
         expect = weight_distribution(c).min_weight
         assert _min_weight_staged(c, None) == expect
+
+
+def test_level_state_walks_every_combination_once():
+    rng = random.Random(415)
+    rows = [rng.getrandbits(40) for _ in range(9)]
+    st = _LevelState(rows)
+    for w in range(1, 10):
+        if w > 1:
+            streamed = list(st.chunks())
+            assert st.extend()
+            # extend() stores exactly what chunks() streams, in that order
+            assert [int(v) for _, vals in streamed for v in vals] == st.vals.tolist()
+            assert [j for j, vals in streamed for _ in vals] == st.last.tolist()
+        expect = sorted(reduce(xor, combo) for combo in combinations(rows, w))
+        assert sorted(st.vals.tolist()) == expect
+    assert not st.extend()
 
 
 def test_staged_min_weight_on_self_dual_direct_sum():
