@@ -1,9 +1,12 @@
 """Binary linear codes and their self-duality structure.
 
 A LinearCode stores a canonical reduced-echelon generator matrix, so equal
-codes compare equal.  On top of that sit the dual, the parity classes of
-self-dual codes, the doubly-even subcode with its shadow cosets, and the
-two-coordinate subtraction construction.
+codes compare equal.  Facts computed about a code (weight and shadow
+distributions, minimum weight, codewords of a weight, the invariant
+signature) are memoised on the code itself and freed with it.  On top of
+that sit the dual, the parity classes of self-dual codes, the doubly-even
+subcode with its shadow cosets, and the two-coordinate subtraction
+construction.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
 from .gf2core import (
@@ -65,12 +68,17 @@ def _is_rref(rows: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class LinearCode:
-    """An [n, k] binary code held as a reduced-echelon generator matrix."""
+    """An [n, k] binary code held as a reduced-echelon generator matrix.
+
+    `memo` holds facts derived from the code, keyed by what they are; it
+    takes no part in equality, hashing or JSON.
+    """
 
     n: int
     k: int
     gen: BitMatrix
     name: Optional[str] = field(default=None, compare=False)
+    memo: Dict[Any, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.gen.ncols != self.n:
@@ -89,20 +97,16 @@ class LinearCode:
     ) -> "LinearCode":
         """Canonicalize arbitrary spanning rows; k becomes the rank."""
         if isinstance(rows, BitMatrix):
-            ints, n = rows.row_ints(), rows.ncols
-        else:
-            vecs = list(rows)
-            if n is None:
-                if not vecs:
-                    raise DomainError("need an explicit length for an empty row list")
-                n = vecs[0].n
-            for v in vecs:
-                if v.n != n:
-                    raise DomainError(f"row length {v.n} does not match n={n}")
-            ints = [v.bits for v in vecs]
-        red, rank, _ = rref_raw(ints, n)
-        gen = BitMatrix(n, tuple(BitVector(n, r) for r in red[:rank]))
-        return cls(n, rank, gen, name)
+            return cls.from_int_rows(rows.row_ints(), rows.ncols, name)
+        vecs = list(rows)
+        if n is None:
+            if not vecs:
+                raise DomainError("need an explicit length for an empty row list")
+            n = vecs[0].n
+        for v in vecs:
+            if v.n != n:
+                raise DomainError(f"row length {v.n} does not match n={n}")
+        return cls.from_int_rows([v.bits for v in vecs], n, name)
 
     @classmethod
     def from_int_rows(cls, ints: Sequence[int], n: int, name: Optional[str] = None) -> "LinearCode":
@@ -141,7 +145,7 @@ class LinearCode:
             yield BitVector(self.n, word)
 
     def with_name(self, name: Optional[str]) -> "LinearCode":
-        return LinearCode(self.n, self.k, self.gen, name)
+        return LinearCode(self.n, self.k, self.gen, name, self.memo)
 
     def label(self) -> str:
         return self.name if self.name is not None else f"[{self.n},{self.k}] code"

@@ -57,11 +57,8 @@ class InvariantSignature:
     cooccurrence_counts: Tuple[int, ...]
 
 
-_SIG_CACHE: Dict[LinearCode, InvariantSignature] = {}
-
-
 def signature(c: LinearCode) -> InvariantSignature:
-    cached = _SIG_CACHE.get(c)
+    cached = c.memo.get("signature")
     if cached is not None:
         return cached
     if c.k > ENUM_DIMENSION_LIMIT:
@@ -72,7 +69,7 @@ def signature(c: LinearCode) -> InvariantSignature:
     d = w.min_weight
     if d is None:
         sig = InvariantSignature(c.n, 0, None, (), None, None, (), ())
-        _SIG_CACHE[c] = sig
+        c.memo["signature"] = sig
         return sig
     dist_prefix = tuple(w.counts[d : min(d + 9, c.n + 1)])
     shadow_min = None
@@ -103,7 +100,7 @@ def signature(c: LinearCode) -> InvariantSignature:
         tuple(sorted(per_coord)),
         tuple([0] * zero_pairs + co),
     )
-    _SIG_CACHE[c] = sig
+    c.memo["signature"] = sig
     return sig
 
 

@@ -176,6 +176,17 @@ def neighbor_count(c: LinearCode) -> int:
     return 2 * (2 ** (c.k - 1) - 1)
 
 
+def _neighbors_in_range(
+    rows: Sequence[int], n: int, start: int, stop: int
+) -> Iterator[LinearCode]:
+    """Both neighbors over each hyperplane through 1 whose functional lies
+    in start..stop-1, in functional order."""
+    pivots = pivots_of_rref_raw(rows)
+    for w in range(start, stop):
+        if w.bit_count() % 2 == 0:
+            yield from _hyperplane_pair(rows, pivots, n, w)
+
+
 def enumerate_self_dual_neighbors(
     c: LinearCode, accept: Optional[Callable[[LinearCode], bool]] = None
 ) -> Iterator[LinearCode]:
@@ -185,31 +196,22 @@ def enumerate_self_dual_neighbors(
     its hyperplane as N meet c), so no dedup pass is needed.
     """
     _all_one_check(c)
-    rows = c.row_ints()
-    pivots = pivots_of_rref_raw(rows)
-    for w in range(1, 1 << c.k):
-        if w.bit_count() % 2:
-            continue
-        for nb in _hyperplane_pair(rows, pivots, c.n, w):
-            if accept is None or accept(nb):
-                yield nb
+    for nb in _neighbors_in_range(c.row_ints(), c.n, 1, 1 << c.k):
+        if accept is None or accept(nb):
+            yield nb
 
 
 def _survey_range(
     rows: Sequence[int], n: int, d_min: int, start: int, stop: int
-) -> List[Tuple[int, ...]]:
-    pivots = pivots_of_rref_raw(rows)
-    found = []
-    for w in range(start, stop):
-        if w.bit_count() % 2:
-            continue
-        for nb in _hyperplane_pair(rows, pivots, n, w):
-            if min_weight(nb, target=d_min) >= d_min:
-                found.append(tuple(nb.row_ints()))
-    return found
+) -> List[LinearCode]:
+    return [
+        nb
+        for nb in _neighbors_in_range(rows, n, start, stop)
+        if min_weight(nb, target=d_min) >= d_min
+    ]
 
 
-def _survey_worker(args) -> List[Tuple[int, ...]]:
+def _survey_worker(args) -> List[LinearCode]:
     return _survey_range(*args)
 
 
@@ -240,14 +242,13 @@ def extremal_neighbor_survey(
             (rows, c.n, d_min, max(1, bounds[i]), bounds[i + 1])
             for i in range(threads)
         ]
-        found: List[Tuple[int, ...]] = []
+        found: List[LinearCode] = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for chunk in pool.map(_survey_worker, jobs):
                 found.extend(chunk)
     else:
         found = _survey_range(rows, c.n, d_min, 1, top)
-    codes = [LinearCode.from_int_rows(list(t), c.n) for t in found]
-    classes = classify(codes)
+    classes = classify(found)
     fresh = []
     for cl in classes:
         if any(are_equivalent(cl.representative, k) for k in known):

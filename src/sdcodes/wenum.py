@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -224,12 +224,6 @@ def _histogram_words(rows: Sequence[int], n: int, offset: int = 0) -> List[int]:
     return [int(x) for x in counts]
 
 
-_DIST_CACHE: Dict[LinearCode, WeightDistribution] = {}
-_SHADOW_CACHE: Dict[LinearCode, ShadowDistribution] = {}
-_MINW_CACHE: Dict[LinearCode, int] = {}
-_WORDS_CACHE: Dict[Tuple[LinearCode, int], List[int]] = {}
-
-
 def weight_distribution(c: LinearCode) -> WeightDistribution:
     """Exact A_0..A_n; budget k <= 34.
 
@@ -237,7 +231,7 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     <= 2(n//8) and take the rest from Gleason's theorem; every other code
     is enumerated in full.
     """
-    cached = _DIST_CACHE.get(c)
+    cached = c.memo.get("weights")
     if cached is not None:
         return cached
     if c.k > ENUM_DIMENSION_LIMIT:
@@ -251,12 +245,7 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
             counts = _gleason_distribution(c.n, c.k, _low_weight_counts(c.n, bases))
     if counts is None:
         counts = tuple(_histogram_words(c.row_ints(), c.n))
-    dist = WeightDistribution(c.n, counts)
-    _DIST_CACHE[c] = dist
-    if c.k >= 1:
-        mw = dist.min_weight
-        if mw is not None:
-            _MINW_CACHE.setdefault(c, mw)
+    dist = c.memo["weights"] = WeightDistribution(c.n, counts)
     return dist
 
 
@@ -267,7 +256,7 @@ def shadow_distribution(c: LinearCode) -> ShadowDistribution:
     (-1)^(w/2) A_w K_j(w) with K_j the Krawtchouk polynomials
     (Conway and Sloane, IEEE Trans. Inform. Theory 36 (1990)).
     """
-    cached = _SHADOW_CACHE.get(c)
+    cached = c.memo.get("shadow")
     if cached is not None:
         return cached
     if c.k > ENUM_DIMENSION_LIMIT:
@@ -276,8 +265,8 @@ def shadow_distribution(c: LinearCode) -> ShadowDistribution:
         )
     if not is_self_dual(c) or parity_class(c) is not ParityClass.SINGLY_EVEN:
         raise DomainError("the shadow needs a singly even self-dual code")
-    dist = ShadowDistribution(c.n, _shadow_counts(c.n, weight_distribution(c).counts))
-    _SHADOW_CACHE[c] = dist
+    counts = _shadow_counts(c.n, weight_distribution(c).counts)
+    dist = c.memo["shadow"] = ShadowDistribution(c.n, counts)
     return dist
 
 
@@ -513,29 +502,18 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
     """
     if c.k == 0:
         raise DomainError("the zero code has no nonzero codeword")
-    cached = _MINW_CACHE.get(c)
+    cached = c.memo.get("min_weight")
     if cached is not None:
         return cached
-    dist = _DIST_CACHE.get(c)
-    if dist is None and c.k <= _FULL_SPAN_MAX_K:
-        dist = weight_distribution(c)
-    if dist is not None:
-        mw = dist.min_weight
-        if mw is None:
-            raise DomainError("the zero code has no nonzero codeword")
-        _MINW_CACHE[c] = mw
-        return mw
     if c.k > ENUM_DIMENSION_LIMIT:
         raise ResourceLimitError(
             f"minimum weight is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
         )
-    if c.n > 64:
-        mw = weight_distribution(c).min_weight
-        _MINW_CACHE[c] = mw
-        return mw
+    if "weights" in c.memo or c.k <= _FULL_SPAN_MAX_K or c.n > 64:
+        return weight_distribution(c).min_weight
     got = _min_weight_staged(c, target)
     if target is None or got >= target:
-        _MINW_CACHE[c] = got
+        c.memo["min_weight"] = got
     return got
 
 
@@ -552,20 +530,16 @@ def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
         return [0]
     if c.k == 0:
         return []
-    cached = _WORDS_CACHE.get((c, w))
-    if cached is not None:
-        return list(cached)
-    got = _codewords_of_weight(c, w)
-    _WORDS_CACHE[(c, w)] = got
+    got = c.memo.get(("words", w))
+    if got is None:
+        got = c.memo[("words", w)] = _codewords_of_weight(c, w)
     return list(got)
 
 
 def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
     if c.k <= _FULL_SPAN_MAX_K:
         if c.n <= 64:
-            arr = _span_lane([], 0)
-            for r in c.row_ints():
-                arr = np.concatenate([arr, arr ^ np.uint64(r)])
+            arr = _span_lane(c.row_ints(), 0)
             sel = arr[np.bitwise_count(arr) == w]
             return sorted(int(x) for x in sel)
         return sorted(

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -16,8 +18,15 @@ from sdcodes.codes import (
     shadow_parts,
     subtract_coordinates,
 )
+from sdcodes.equivalence import signature
 from sdcodes.errors import DomainError, ParseError, ResourceLimitError
 from sdcodes.gf2core import BitMatrix, BitVector
+from sdcodes.wenum import (
+    codewords_of_weight,
+    min_weight,
+    shadow_distribution,
+    weight_distribution,
+)
 
 from oracles import (
     permute_bits,
@@ -299,3 +308,28 @@ class TestPermutedCode:
         moved = permuted_code(c, images)
         assert is_self_dual(moved)
         assert words_of(moved) == {permute_bits(w, 10, images) for w in words}
+
+
+def test_memoised_facts_are_freed_with_the_code():
+    c = code_from_words(singly_even_self_dual_words(random.Random(17), 16), 16)
+    assert parity_class(c) is ParityClass.SINGLY_EVEN
+    ref = weakref.ref(c)
+    weight_distribution(c)
+    shadow_distribution(c)
+    codewords_of_weight(c, min_weight(c))
+    signature(c)
+    assert {"weights", "shadow", "signature"} <= set(c.memo)
+    del c
+    gc.collect()
+    assert ref() is None
+
+
+def test_memo_stays_out_of_equality_and_json():
+    words = random_self_dual_words(random.Random(18), 12)
+    a = code_from_words(words, 12)
+    b = code_from_words(words, 12)
+    weight_distribution(a)
+    assert a.memo and not b.memo
+    assert a == b and hash(a) == hash(b)
+    assert a.to_json() == b.to_json()
+    assert "memo" not in repr(a)

@@ -267,7 +267,6 @@ def test_weight_distribution_takes_gleason_path(monkeypatch):
         raise AssertionError("full enumeration of a large self-dual code")
 
     monkeypatch.setattr(wenum, "_histogram_words", refuse)
-    monkeypatch.setattr(wenum, "_DIST_CACHE", {})
     c = extended_hamming_sum(6)
     w = weight_distribution(c)
     assert w.total == 2**24 and w.min_weight == 4
@@ -394,8 +393,22 @@ def test_min_weight_target_early_exit():
     c = code_from_words(random_self_dual_words(random.Random(3), 14), 14)
     got = min_weight(c, target=5)
     assert got < 5
-    # an early exit must not pollute the exact cache
+    # an early exit must not be memoised as the exact minimum weight
     assert min_weight(c) == weight_distribution(c).min_weight
+
+
+def test_staged_min_weight_bound_is_not_memoised():
+    # k = 24 takes the staged scan; every generator row of both information
+    # sets weighs more than d, so a high target stops it at level 1 with a
+    # bound above d
+    c = random_self_dual_code(random.Random(1), 48, steps=30)
+    assert c.k > 22
+    level_one = min(r.bit_count() for rows in _disjoint_information_bases(c) for r in rows)
+    got = min_weight(c, target=c.n)
+    assert got == level_one
+    exact = min_weight(c)
+    assert exact == weight_distribution(c).min_weight
+    assert got > exact
 
 
 def test_min_weight_budget():
