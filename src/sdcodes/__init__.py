@@ -1,7 +1,7 @@
 """Binary self-dual codes: construction, shadows, neighbors, and equivalence."""
 
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
-from .gf2core import BitMatrix, BitVector, intersect, kernel, rref
+from .gf2core import BitMatrix, BitVector, kernel, rref
 from .codes import (
     LinearCode,
     ParityClass,
@@ -58,7 +58,6 @@ from .neighbors import (
     extremal_neighbor_survey,
     load_descriptors,
     neighbor,
-    neighbor_count,
     neighbor_from_support,
     save_descriptors,
 )

@@ -19,8 +19,6 @@ __all__ = [
     "RrefResult",
     "rref",
     "kernel",
-    "intersect",
-    "in_span",
 ]
 
 MAX_LEN = 128
@@ -298,19 +296,6 @@ def kernel_raw(rows: Sequence[int], ncols: int) -> List[int]:
         basis.append(v)
     return basis
 
-def intersect_raw(a_rows: Sequence[int], b_rows: Sequence[int], ncols: int) -> List[int]:
-    """Rowspace intersection by the Zassenhaus stacked-block reduction."""
-    stacked = [r | (r << ncols) for r in a_rows] + list(b_rows)
-    red, rank, _ = rref_raw(stacked, 2 * ncols)
-    low = _mask(ncols)
-    out = [r >> ncols for r in red[:rank] if (r & low) == 0]
-    red2, rank2, _ = rref_raw(out, ncols)
-    return red2[:rank2]
-
-def in_span_raw(v: int, rows: Sequence[int], ncols: int) -> bool:
-    red, rank, pivots = rref_raw(rows, ncols)
-    return reduce_raw(v, red[:rank], pivots) == 0
-
 
 def rref(m: BitMatrix) -> RrefResult:
     """Reduced row echelon form with deterministic lowest-column pivots."""
@@ -324,17 +309,3 @@ def kernel(m: BitMatrix) -> BitMatrix:
     basis = kernel_raw(m.row_ints(), m.ncols)
     red, rank, _ = rref_raw(basis, m.ncols)
     return BitMatrix(m.ncols, tuple(BitVector(m.ncols, r) for r in red[:rank]))
-
-
-def intersect(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Canonical basis of rowspace(a) intersected with rowspace(b)."""
-    if a.ncols != b.ncols:
-        raise DomainError(f"column count mismatch: {a.ncols} vs {b.ncols}")
-    rows = intersect_raw(a.row_ints(), b.row_ints(), a.ncols)
-    return BitMatrix(a.ncols, tuple(BitVector(a.ncols, r) for r in rows))
-
-
-def in_span(v: BitVector, m: BitMatrix) -> bool:
-    if v.n != m.ncols:
-        raise DomainError(f"length mismatch: vector {v.n} vs matrix {m.ncols}")
-    return in_span_raw(v.bits, m.row_ints(), m.ncols)

@@ -25,7 +25,6 @@ __all__ = [
     "neighbor",
     "neighbor_from_support",
     "enumerate_self_dual_neighbors",
-    "neighbor_count",
     "extremal_neighbor_survey",
     "load_descriptors",
     "save_descriptors",
@@ -168,12 +167,6 @@ def _hyperplane_pair(
     first = LinearCode.from_int_rows(sub + [y], n)
     second = LinearCode.from_int_rows(sub + [y ^ rows[t]], n)
     return first, second
-
-
-def neighbor_count(c: LinearCode) -> int:
-    """2 * (2^(n/2 - 1) - 1): two neighbors per hyperplane through 1."""
-    _all_one_check(c)
-    return 2 * (2 ** (c.k - 1) - 1)
 
 
 def _neighbors_in_range(

@@ -6,12 +6,17 @@ length n <= 64 and dimension above 22 is never enumerated in full: by
 Gleason's theorem its enumerator is an integer combination of
 (x^2+y^2)^(n/2-4j) * (x^2 y^2 (x^2-y^2)^2)^j, j = 0..n//8, and the
 combination is unit-triangular in A_0, A_2, ..., A_{2(n//8)}.  So only the
-words of weight <= 2(n//8) (14 at n = 58 and 60) are counted, by level
-walks over two complementary information sets, and the rest is solved for
-exactly.  Every other code is enumerated: the generator rows split into an
-inner block, materialized once as a packed-word numpy array, and an outer
-block walked in Gray order, so each outer step is one vectorized xor +
-popcount + histogram pass.
+words of weight <= 2(n//8) (14 at n = 58 and 60) are counted, and the rest
+is solved for exactly.  Every other code is enumerated: the generator rows
+split into an inner block, materialized once as packed-word numpy arrays,
+and an outer block walked in Gray order, so each outer step is one
+vectorized xor + popcount + histogram pass.
+
+Low-weight words come from one walk, `_low_weight_words`: XOR
+combinations of a systematic basis level by level, or of two bases on
+disjoint information sets, each word of weight <= top seen exactly once.
+The Gleason counts and the words of a given weight are read off it; the
+minimum weight uses the same level walk with a stopping bound.
 
 The shadow distribution of a singly even self-dual code is the transform
 S(x, y) = W(x+y, i(x-y)) / 2^(n/2) of its weight distribution.  Every
@@ -55,7 +60,7 @@ __all__ = [
 
 ENUM_DIMENSION_LIMIT = 34
 _INNER_LOG = 16
-# up to this dimension a whole-span Gray walk is cheaper than level walks
+# up to this dimension walking the whole span (2^22 words) is cheap
 _FULL_SPAN_MAX_K = 22
 
 # largest minimum weight a singly even self-dual code of these lengths can have
@@ -183,44 +188,32 @@ def _histogram_words(rows: Sequence[int], n: int, offset: int = 0) -> List[int]:
     """Weight histogram of {offset ^ v : v in span(rows)} as exact ints.
 
     Rows must be linearly independent; dependent rows would count words
-    with multiplicity.
+    with multiplicity.  Words are split into 64-bit lanes (two at most,
+    since n <= 128) whose popcounts are summed.
     """
     k = len(rows)
-    counts = np.zeros(n + 1, dtype=np.int64)
     inner_k = min(k, _INNER_LOG)
-    if n <= 64:
-        inner = _span_lane(list(rows[:inner_k]), offset)
-        outer = [np.uint64(r) for r in rows[inner_k:]]
-        buf = np.empty_like(inner)
-        wbuf = np.empty(inner.shape, dtype=np.uint8)
-        word = np.uint64(0)
-        for idx in range(1 << (k - inner_k)):
-            if idx:
-                word = word ^ outer[(idx & -idx).bit_length() - 1]
-            np.bitwise_xor(inner, word, out=buf)
-            np.bitwise_count(buf, out=wbuf)
-            counts += np.bincount(wbuf, minlength=n + 1)
-    else:
-        mask64 = (1 << 64) - 1
-        lo = _span_lane([r & mask64 for r in rows[:inner_k]], offset & mask64)
-        hi = _span_lane([r >> 64 for r in rows[:inner_k]], offset >> 64)
-        outer = [(np.uint64(r & mask64), np.uint64(r >> 64)) for r in rows[inner_k:]]
-        blo = np.empty_like(lo)
-        bhi = np.empty_like(hi)
-        wlo = np.empty(lo.shape, dtype=np.uint8)
-        whi = np.empty(hi.shape, dtype=np.uint8)
-        word_lo = np.uint64(0)
-        word_hi = np.uint64(0)
-        for idx in range(1 << (k - inner_k)):
-            if idx:
-                flip_lo, flip_hi = outer[(idx & -idx).bit_length() - 1]
-                word_lo = word_lo ^ flip_lo
-                word_hi = word_hi ^ flip_hi
-            np.bitwise_xor(lo, word_lo, out=blo)
-            np.bitwise_xor(hi, word_hi, out=bhi)
-            np.bitwise_count(blo, out=wlo)
-            np.bitwise_count(bhi, out=whi)
-            counts += np.bincount(wlo.astype(np.int16) + whi, minlength=n + 1)
+    mask = (1 << 64) - 1
+    shifts = range(0, n, 64)
+    inner = [
+        _span_lane([(r >> s) & mask for r in rows[:inner_k]], (offset >> s) & mask)
+        for s in shifts
+    ]
+    outer = [[np.uint64((r >> s) & mask) for s in shifts] for r in rows[inner_k:]]
+    word = [np.uint64(0)] * len(inner)
+    buf = np.empty_like(inner[0])
+    lane_w = np.empty(buf.shape, dtype=np.uint8)
+    weights = np.empty(buf.shape, dtype=np.uint8)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for idx in range(1 << (k - inner_k)):
+        if idx:
+            flip = outer[(idx & -idx).bit_length() - 1]
+            word = [a ^ b for a, b in zip(word, flip)]
+        weights.fill(0)
+        for lane, w in zip(inner, word):
+            np.bitwise_xor(lane, w, out=buf)
+            weights += np.bitwise_count(buf, out=lane_w)
+        counts += np.bincount(weights, minlength=n + 1)
     return [int(x) for x in counts]
 
 
@@ -351,22 +344,14 @@ def _gleason_distribution(n: int, k: int, low: Sequence[int]) -> Tuple[int, ...]
 
 
 def _low_weight_counts(n: int, bases: Sequence[Sequence[int]]) -> List[int]:
-    """A_0..A_{2t}, t = n//8, of a self-dual code from two complementary
-    systematic bases.
-
-    A word with at most t ones on the first basis's pivot set combines at
-    most t rows of that basis.  A word of weight <= 2t with more than t
-    ones there has at most t-1 ones on the complement, so it combines at
-    most t-1 rows of the second basis; there it is kept only if it has
-    more than t ones on the first pivot set.  Every word of weight <= 2t
-    is counted exactly once.
-    """
-    t = n // 8
-    first, second = bases
-    pivot_mask = sum(1 << p for p in pivots_of_rref_raw(first))
-    hist = _level_histogram(first, n, t) + _level_histogram(second, n, t - 1, pivot_mask, t)
-    low = [int(x) for x in hist[: 2 * t + 1]]
-    low[0] += 1  # the zero word, level 0 of the first basis
+    """A_0..A_{2(n//8)} of a self-dual code from two complementary
+    systematic bases."""
+    top = 2 * (n // 8)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for vals in _low_weight_words(bases, top):
+        hist += np.bincount(np.bitwise_count(vals), minlength=n + 1)
+    low = [int(x) for x in hist[: top + 1]]
+    low[0] = 1  # the zero word
     return low
 
 
@@ -430,38 +415,50 @@ class _LevelState:
         return int(np.bitwise_count(self.vals).min())
 
 
-def _level_histogram(
-    rows: Sequence[int], n: int, top: int, mask: int = 0, above: int = 0
-) -> np.ndarray:
-    """Weight histogram of the XOR combinations of 1..top rows.
+def _level_words(rows: Sequence[int], top: int):
+    """The XOR combinations of 1..top rows, each once, as uint64 arrays.
 
-    With a mask, only words with more than `above` ones inside it count.
     Levels up to top-2 are materialized; the last two are streamed one
     largest index j1 at a time, so level top is never held whole.
     """
-    hist = np.zeros(n + 1, dtype=np.int64)
-
-    def add(vals: np.ndarray) -> None:
-        if mask:
-            vals = vals[np.bitwise_count(vals & np.uint64(mask)) > above]
-        hist[:] += np.bincount(np.bitwise_count(vals), minlength=n + 1)
-
     if top < 1 or not rows:
-        return hist
+        return
     st = _LevelState(rows)
-    add(st.vals)
+    yield st.vals
     level = 1
     while level < top - 2:
         if not st.extend():
-            return hist
+            return
         level += 1
-        add(st.vals)
+        yield st.vals
     if level < top:
         for j1, vals in st.chunks():
-            add(vals)
+            yield vals
             if level + 2 == top:
-                add((vals[:, None] ^ st.rows_np[None, j1 + 1 :]).ravel())
-    return hist
+                yield (vals[:, None] ^ st.rows_np[None, j1 + 1 :]).ravel()
+
+
+def _low_weight_words(bases: Sequence[Sequence[int]], top: int):
+    """Every nonzero codeword of weight <= top exactly once, as uint64
+    arrays that may also hold some heavier words (none twice).
+
+    One systematic basis is walked to level top.  With two bases on
+    disjoint pivot sets and t = top//2, a word with at most t ones on the
+    first pivot set combines at most t rows of the first basis; a word of
+    weight <= top with more than t ones there has at most top-t-1 ones on
+    the second pivot set, so it combines at most top-t-1 rows of the
+    second basis, and there it is kept only if it has more than t ones on
+    the first pivot set.
+    """
+    if len(bases) == 1:
+        yield from _level_words(bases[0], top)
+        return
+    first, second = bases
+    t = top // 2
+    pivot_mask = np.uint64(sum(1 << p for p in pivots_of_rref_raw(first)))
+    yield from _level_words(first, t)
+    for vals in _level_words(second, top - t - 1):
+        yield vals[np.bitwise_count(vals & pivot_mask) > t]
 
 
 def _min_weight_staged(c: LinearCode, target: Optional[int]) -> int:
@@ -499,6 +496,10 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
     below the target is seen; the return value is then that codeword's
     weight, an upper bound witnessing min_weight < target.  Whenever the
     returned value is >= target (or no target was given) it is exact.
+
+    The weight distribution is read when it is memoised or n > 64;
+    otherwise words are scanned level by level over one or two
+    information sets, whatever the dimension.
     """
     if c.k == 0:
         raise DomainError("the zero code has no nonzero codeword")
@@ -509,7 +510,7 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
         raise ResourceLimitError(
             f"minimum weight is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
         )
-    if "weights" in c.memo or c.k <= _FULL_SPAN_MAX_K or c.n > 64:
+    if "weights" in c.memo or c.n > 64:
         return weight_distribution(c).min_weight
     got = _min_weight_staged(c, target)
     if target is None or got >= target:
@@ -520,9 +521,9 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
 def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
     """All codewords of exactly weight w, as sorted packed ints.
 
-    Small dimensions enumerate the whole span; larger ones walk XOR
-    combinations over two disjoint information sets, which see every
-    word of weight w by level floor(w/2).
+    For n <= 64 they are filtered from the low-weight walk over one
+    systematic basis, or two on disjoint information sets, which yields
+    every word of weight <= w once; longer codes walk the whole span.
     """
     if not 0 <= w <= c.n:
         raise DomainError(f"weight {w} outside 0..{c.n}")
@@ -537,32 +538,25 @@ def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
 
 
 def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
-    if c.k <= _FULL_SPAN_MAX_K:
-        if c.n <= 64:
-            arr = _span_lane(c.row_ints(), 0)
-            sel = arr[np.bitwise_count(arr) == w]
-            return sorted(int(x) for x in sel)
-        return sorted(
-            v for v in _span_iter(c.row_ints()) if v.bit_count() == w
-        )
+    if c.n > 64:
+        if c.k > _FULL_SPAN_MAX_K:
+            raise ResourceLimitError(
+                f"codeword collection past length 64 walks the whole span and is "
+                f"limited to k <= {_FULL_SPAN_MAX_K}, got k={c.k}"
+            )
+        return sorted(v for v in _span_iter(c.row_ints()) if v.bit_count() == w)
     if c.k > ENUM_DIMENSION_LIMIT:
         raise ResourceLimitError(
             f"codeword collection is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
         )
     bases = _disjoint_information_bases(c)
-    if len(bases) < 2 or c.n > 64:
+    if len(bases) < 2 and c.k > _FULL_SPAN_MAX_K:
         raise ResourceLimitError(
-            "codeword collection needs two disjoint information sets for k > 22"
+            f"codeword collection needs two disjoint information sets for k > {_FULL_SPAN_MAX_K}"
         )
-    out = set()
-    for rows in bases:
-        st = _LevelState(rows)
-        for level in range(1, w // 2 + 1):
-            if level > 1 and not st.extend():
-                break
-            hit = st.vals[np.bitwise_count(st.vals) == w]
-            out.update(int(x) for x in hit)
-    return sorted(out)
+    hits = [np.zeros(0, dtype=np.uint64)]
+    hits += [vals[np.bitwise_count(vals) == w] for vals in _low_weight_words(bases, w)]
+    return np.sort(np.concatenate(hits)).tolist()
 
 
 def _span_iter(rows: Sequence[int]):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sdcodes.errors import DomainError, ParseError
-from sdcodes.gf2core import BitMatrix, BitVector, in_span, intersect, kernel, rref, rref_raw
+from sdcodes.gf2core import BitMatrix, BitVector, kernel, rref, rref_raw
 
 from oracles import random_matrix_rows, span_set
 
@@ -177,41 +177,6 @@ class TestKernel:
             assert rref(m).rank + kernel(m).nrows == ncols
 
 
-class TestIntersect:
-    def test_self_intersection(self):
-        m = mat("1010", "0110")
-        got = intersect(m, m)
-        assert span_set([r.bits for r in got.rows]) == span_set([r.bits for r in m.rows])
-
-    def test_disjoint_spans(self):
-        assert intersect(mat("1000"), mat("0100")).nrows == 0
-
-    def test_column_mismatch(self):
-        with pytest.raises(DomainError):
-            intersect(mat("10"), mat("100"))
-
-    def test_random_subspaces_against_exhaustive_spans(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            a_rows = random_matrix_rows(rng, 5, 10)
-            b_rows = random_matrix_rows(rng, 5, 10)
-            a = BitMatrix.from_rows([BitVector(10, r) for r in a_rows])
-            b = BitMatrix.from_rows([BitVector(10, r) for r in b_rows])
-            got = span_set([r.bits for r in intersect(a, b).rows])
-            assert got == span_set(a_rows) & span_set(b_rows)
-
-    def test_symmetric_row_space(self):
-        rng = random.Random(6)
-        for _ in range(20):
-            a_rows = random_matrix_rows(rng, 4, 9)
-            b_rows = random_matrix_rows(rng, 4, 9)
-            a = BitMatrix.from_rows([BitVector(9, r) for r in a_rows])
-            b = BitMatrix.from_rows([BitVector(9, r) for r in b_rows])
-            ab = span_set([r.bits for r in intersect(a, b).rows])
-            ba = span_set([r.bits for r in intersect(b, a).rows])
-            assert ab == ba
-
-
 class TestMatrixOps:
     def test_matmul_against_direct_dot_products(self):
         rng = random.Random(8)
@@ -229,8 +194,3 @@ class TestMatrixOps:
     def test_transpose_involution(self):
         m = mat("101", "010", "110", "001")
         assert m.transpose().transpose() == m
-
-    def test_in_span(self):
-        m = mat("1100", "0011")
-        assert in_span(bv("1111"), m)
-        assert not in_span(bv("1000"), m)

@@ -17,7 +17,9 @@ from sdcodes import (
     WeightDistribution,
     check_shadow_balance,
     classify_enumerator,
+    codewords_of_weight,
     extremal_min_weight,
+    is_self_dual,
     macwilliams_check,
     min_weight,
     parity_class,
@@ -37,6 +39,7 @@ from sdcodes.wenum import (
     _histogram_words,
     _LevelState,
     _low_weight_counts,
+    _low_weight_words,
     _min_weight_staged,
     _shadow_counts,
 )
@@ -87,11 +90,16 @@ def test_histogram_matches_gray_oracle_midsize():
 
 
 def test_histogram_wide_lane():
-    """Lengths past one machine word go through the split-word path."""
+    """Lengths past one machine word sum the popcounts of two lanes."""
     rng = random.Random(403)
     for n in (65, 80, 100, 128):
         rows = independent_rows(rng, 9, n)
         assert _histogram_words(rows, n) == weight_histogram_direct(rows, n)
+    # k = 18 is past the inner block, so the outer Gray walk flips both lanes
+    for n in (100, 128):
+        rows = independent_rows(rng, 18, n)
+        assert len(rows) == 18
+        assert _histogram_words(rows, n) == gray_weight_histogram(rows, n)
 
 
 def test_histogram_offset_translates():
@@ -262,6 +270,46 @@ def test_gleason_matches_full_enumeration_on_registry_codes():
         assert list(gleason(c)) == _histogram_words(c.row_ints(), c.n), name
 
 
+def assert_light_words_once(c, bases):
+    span = span_set(c.row_ints())
+    for top in range(1, c.n + 1):
+        got = [int(v) for vals in _low_weight_words(bases, top) for v in vals]
+        assert len(got) == len(set(got)), (c.n, top)
+        assert set(got) <= span
+        light = {v for v in span if 0 < v.bit_count() <= top}
+        assert {v for v in got if v.bit_count() <= top} == light, (c.n, top)
+
+
+def test_low_weight_words_over_two_bases():
+    rng = random.Random(416)
+    for n in range(8, 26, 2):
+        c = random_self_dual_code(rng, n)
+        bases = _disjoint_information_bases(c)
+        assert len(bases) == 2
+        assert_light_words_once(c, bases)
+
+
+def test_low_weight_words_over_one_basis():
+    rng = random.Random(419)
+    for _ in range(8):
+        n = rng.randrange(6, 17)
+        c = LinearCode.from_int_rows(random_matrix_rows(rng, rng.randrange(n // 2 + 1, n), n), n)
+        assert not is_self_dual(c)
+        bases = _disjoint_information_bases(c)
+        assert len(bases) == 1
+        assert_light_words_once(c, bases)
+
+
+def test_words_of_weight_match_the_distribution():
+    codes = [named_code("C58_2"), named_code("D60_3")]
+    codes.append(random_self_dual_code(random.Random(417), 48, steps=30))
+    for c in codes:
+        w = weight_distribution(c)
+        d = w.min_weight
+        for x in (d, d + 2):
+            assert len(codewords_of_weight(c, x)) == w.counts[x], (c.n, x)
+
+
 def test_weight_distribution_takes_gleason_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("full enumeration of a large self-dual code")
@@ -340,8 +388,8 @@ def test_min_weight_agrees_with_distribution():
     for _ in range(30):
         n = rng.randrange(2, 20)
         c = LinearCode.from_int_rows(random_matrix_rows(rng, rng.randrange(1, 8), n), n)
-        w = weight_distribution(c)
-        assert min_weight(c) == w.min_weight
+        d = min_weight(c)  # first, so the scan runs rather than a read of W
+        assert d == weight_distribution(c).min_weight
 
 
 def test_min_weight_zero_code():
@@ -411,6 +459,35 @@ def test_staged_min_weight_bound_is_not_memoised():
     assert got > exact
 
 
+def test_min_weight_target_scans_small_dimensions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full enumeration for a minimum weight")
+
+    rng = random.Random(418)
+    c = random_self_dual_code(rng, 30, steps=20)
+    assert c.k <= 22
+    words = span_set(c.row_ints())
+    d = min(v.bit_count() for v in words if v)
+    monkeypatch.setattr(wenum, "_histogram_words", refuse)
+    assert min_weight(c, target=d + 2) < d + 2
+    assert min_weight(c, target=d) == d
+    assert min_weight(c) == d
+
+
+def test_min_weight_target_bounds_on_fresh_codes():
+    rng = random.Random(420)
+    for _ in range(20):
+        n = rng.randrange(4, 18)
+        rows = random_matrix_rows(rng, rng.randrange(1, n), n)
+        words = span_set(rows)
+        if len(words) == 1:
+            continue
+        d = min(v.bit_count() for v in words if v)
+        for target in range(1, n + 2):
+            got = min_weight(LinearCode.from_int_rows(rows, n), target)
+            assert got == d if got >= target else d <= got < target
+
+
 def test_min_weight_budget():
     rows = [1 << i for i in range(35)]
     c = LinearCode.from_int_rows(rows, 70)
@@ -420,8 +497,6 @@ def test_min_weight_budget():
 
 def test_codewords_of_weight_small():
     rng = random.Random(412)
-    from sdcodes.wenum import codewords_of_weight
-
     for _ in range(15):
         n = rng.randrange(2, 16)
         c = LinearCode.from_int_rows(random_matrix_rows(rng, rng.randrange(1, 6), n), n)
@@ -432,8 +507,6 @@ def test_codewords_of_weight_small():
 
 
 def test_codewords_of_weight_two_basis_path():
-    from sdcodes.wenum import codewords_of_weight
-
     e8 = LinearCode.from_strings(["11110000", "00111100", "00001111", "01010101"])
     rows = []
     for b in range(6):
@@ -445,6 +518,18 @@ def test_codewords_of_weight_two_basis_path():
     per_block = sorted(v for v in span_set(e8.row_ints()) if bin(v).count("1") == 4)
     expect = sorted(v << (8 * b) for b in range(6) for v in per_block)
     assert got == expect
+
+
+def test_codewords_of_weight_past_length_64():
+    rng = random.Random(421)
+    c = LinearCode.from_int_rows(independent_rows(rng, 8, 70), 70)
+    words = span_set(c.row_ints())
+    for w in (1, 30, 35):
+        assert codewords_of_weight(c, w) == sorted(v for v in words if v.bit_count() == w)
+    big = LinearCode.from_int_rows([0b11 << i for i in range(0, 69, 3)], 70)
+    assert big.k > 22
+    with pytest.raises(ResourceLimitError, match="length 64"):
+        codewords_of_weight(big, 4)
 
 
 # ---------------------------------------------------------------------------
