@@ -324,7 +324,7 @@ def search_four_circulant(
                 raw.extend(part)
                 done += 1
                 if progress is not None:
-                    progress(done, threads)
+                    progress(bounds[done] - lo, hi - lo)
     pairs = [
         CirculantPair(block, BitVector(block, ra), BitVector(block, rb))
         for ra, rb in raw

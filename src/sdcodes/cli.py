@@ -89,10 +89,6 @@ def _digest_file(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _code_digest(c: LinearCode) -> str:
-    return hashlib.sha256("\n".join(c.gen.to_strings()).encode()).hexdigest()
-
-
 def _resolve_code(spec: str) -> Tuple[LinearCode, str]:
     """A code argument is a registry name or a code file path."""
     if spec in tables.known_code_names():

@@ -1,12 +1,13 @@
 """Binary linear codes and their self-duality structure.
 
-A LinearCode stores a canonical reduced-echelon generator matrix, so equal
-codes compare equal.  Facts computed about a code (weight and shadow
-distributions, minimum weight, codewords of a weight, the invariant
-signature) are memoised on the code itself and freed with it.  On top of
-that sit the dual, the parity classes of self-dual codes, the doubly-even
-subcode with its shadow cosets, and the two-coordinate subtraction
-construction.
+A LinearCode is its canonical int rows: the reduced-echelon basis, with
+coordinate i in bit i-1.  Every constructor reduces the rows it is given,
+so equal codes compare equal; `gen` is a derived BitMatrix view of the same
+basis.  Facts computed about a code (weight and shadow distributions,
+minimum weight, codewords of a weight, the invariant signature) are
+memoised on the code itself and freed with it.  On top of that sit the
+dual, the parity classes of self-dual codes, the doubly-even subcode with
+its shadow cosets, and the two-coordinate subtraction construction.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
 from .gf2core import (
+    MAX_LEN,
     BitMatrix,
     BitVector,
     kernel_raw,
@@ -50,43 +52,40 @@ class ParityClass(enum.Enum):
     DOUBLY_EVEN = "doubly-even"
 
 
-def _is_rref(rows: Sequence[int]) -> bool:
-    prev = -1
-    for r in rows:
-        if r == 0:
-            return False
-        p = (r & -r).bit_length() - 1
-        if p <= prev:
-            return False
-        prev = p
-    for r in rows:
-        p = (r & -r).bit_length() - 1
-        if sum((other >> p) & 1 for other in rows) != 1:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class LinearCode:
-    """An [n, k] binary code held as a reduced-echelon generator matrix.
+    """An [n, k] binary code held as its canonical int rows.
 
-    `memo` holds facts derived from the code, keyed by what they are; it
-    takes no part in equality, hashing or JSON.
+    `rows` may be any spanning ints of at most n bits; the constructor
+    replaces them with their reduced-echelon basis, so k is the rank and
+    equality and hashing are those of the code.  `memo` holds facts derived
+    from the code, keyed by what they are; it takes no part in equality,
+    hashing or JSON.
     """
 
     n: int
-    k: int
-    gen: BitMatrix
+    rows: Tuple[int, ...]
     name: Optional[str] = field(default=None, compare=False)
     memo: Dict[Any, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.gen.ncols != self.n:
-            raise DomainError(f"generator has {self.gen.ncols} columns, expected {self.n}")
-        if self.gen.nrows != self.k:
-            raise DomainError(f"generator has {self.gen.nrows} rows, expected k={self.k}")
-        if not _is_rref(self.gen.row_ints()) and self.k > 0:
-            raise DomainError("generator rows are not in reduced echelon form")
+        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_LEN:
+            raise DomainError(f"code length must be in 1..{MAX_LEN}, got {self.n!r}")
+        rows = tuple(self.rows)
+        for r in rows:
+            if not isinstance(r, int) or r < 0 or r >> self.n:
+                raise DomainError(f"row {r!r} does not fit in {self.n} bits")
+        red, rank, _ = rref_raw(rows, self.n)
+        object.__setattr__(self, "rows", tuple(red[:rank]))
+
+    @property
+    def k(self) -> int:
+        return len(self.rows)
+
+    @property
+    def gen(self) -> BitMatrix:
+        """The canonical rows as a BitMatrix."""
+        return BitMatrix(self.n, tuple(BitVector(self.n, r) for r in self.rows))
 
     @classmethod
     def from_rows(
@@ -110,26 +109,23 @@ class LinearCode:
 
     @classmethod
     def from_int_rows(cls, ints: Sequence[int], n: int, name: Optional[str] = None) -> "LinearCode":
-        red, rank, _ = rref_raw(ints, n)
-        gen = BitMatrix(n, tuple(BitVector(n, r) for r in red[:rank]))
-        return cls(n, rank, gen, name)
+        return cls(n, tuple(ints), name)
 
     @classmethod
     def from_strings(cls, rows: Sequence[str], name: Optional[str] = None) -> "LinearCode":
         return cls.from_rows([BitVector.from01(s) for s in rows], name=name)
 
     def row_ints(self) -> List[int]:
-        return self.gen.row_ints()
+        return list(self.rows)
 
     def pivot_columns(self) -> Tuple[int, ...]:
         """1-indexed pivot columns of the canonical generator."""
-        return tuple(p + 1 for p in pivots_of_rref_raw(self.row_ints()))
+        return tuple(p + 1 for p in pivots_of_rref_raw(self.rows))
 
     def contains(self, v: BitVector) -> bool:
         if v.n != self.n:
             raise DomainError(f"vector length {v.n} does not match n={self.n}")
-        rows = self.row_ints()
-        return reduce_raw(v.bits, rows, pivots_of_rref_raw(rows)) == 0
+        return reduce_raw(v.bits, self.rows, pivots_of_rref_raw(self.rows)) == 0
 
     def codewords(self) -> Iterator[BitVector]:
         """Every codeword; guarded so nobody walks 2^30 words by accident."""
@@ -137,7 +133,7 @@ class LinearCode:
             raise ResourceLimitError(
                 f"codeword enumeration is limited to k <= {CODEWORD_ENUM_LIMIT}, got k={self.k}"
             )
-        rows = self.row_ints()
+        rows = self.rows
         word = 0
         yield BitVector(self.n, 0)
         for i in range(1, 1 << self.k):
@@ -145,7 +141,7 @@ class LinearCode:
             yield BitVector(self.n, word)
 
     def with_name(self, name: Optional[str]) -> "LinearCode":
-        return LinearCode(self.n, self.k, self.gen, name, self.memo)
+        return LinearCode(self.n, self.rows, name, self.memo)
 
     def label(self) -> str:
         return self.name if self.name is not None else f"[{self.n},{self.k}] code"
@@ -196,14 +192,14 @@ def save_code(code: LinearCode, path: Union[str, Path]) -> None:
 
 def dual(c: LinearCode) -> LinearCode:
     """The [n, n-k] dual code under the standard inner product."""
-    basis = kernel_raw(c.row_ints(), c.n)
+    basis = kernel_raw(c.rows, c.n)
     return LinearCode.from_int_rows(basis, c.n)
 
 
 def is_self_dual(c: LinearCode) -> bool:
     if 2 * c.k != c.n:
         return False
-    rows = c.row_ints()
+    rows = c.rows
     for i, a in enumerate(rows):
         for b in rows[i:]:
             if (a & b).bit_count() & 1:
@@ -213,7 +209,7 @@ def is_self_dual(c: LinearCode) -> bool:
 
 def parity_class(c: LinearCode) -> ParityClass:
     """Weight class from the generators plus the mod-4 closure rule."""
-    rows = c.row_ints()
+    rows = c.rows
     if any(r.bit_count() & 1 for r in rows):
         return ParityClass.ODD_CONTAINING
     doubly = all(r.bit_count() % 4 == 0 for r in rows) and all(
@@ -237,7 +233,7 @@ def shadow_parts(c: LinearCode) -> ShadowParts:
     """Split a singly even self-dual code into C_0 and the shadow cosets."""
     if not is_self_dual(c) or parity_class(c) is not ParityClass.SINGLY_EVEN:
         raise DomainError("shadow decomposition needs a singly even self-dual code")
-    rows = c.row_ints()
+    rows = c.rows
     psi = [(r.bit_count() % 4) // 2 for r in rows]
     t_idx = psi.index(1)
     t = rows[t_idx]
@@ -246,19 +242,18 @@ def shadow_parts(c: LinearCode) -> ShadowParts:
 
     code_pivots = pivots_of_rref_raw(rows)
     s = 0
-    for v in kernel_raw(c0.row_ints(), c.n):
+    for v in kernel_raw(c0.rows, c.n):
         if reduce_raw(v, rows, code_pivots) != 0:
             s = v
             break
     else:
         raise IntegrityError("no shadow representative found; not a proper C_0")
 
-    c0_rows = c0.row_ints()
-    c0_pivots = pivots_of_rref_raw(c0_rows)
+    c0_pivots = pivots_of_rref_raw(c0.rows)
     reps = sorted(
         (
-            BitVector(c.n, reduce_raw(s, c0_rows, c0_pivots)),
-            BitVector(c.n, reduce_raw(s ^ t, c0_rows, c0_pivots)),
+            BitVector(c.n, reduce_raw(s, c0.rows, c0_pivots)),
+            BitVector(c.n, reduce_raw(s ^ t, c0.rows, c0_pivots)),
         ),
         key=BitVector.to01,
     )
@@ -280,7 +275,7 @@ def subtract_coordinates(c: LinearCode, i: int, j: int) -> LinearCode:
         raise DomainError("subtraction is defined on self-dual codes")
     if c.n < 4:
         raise DomainError("code too short to subtract two coordinates")
-    rows = c.row_ints()
+    rows = c.rows
     i0, j0 = i - 1, j - 1
     differs = [((r >> i0) ^ (r >> j0)) & 1 for r in rows]
     if any(differs):

@@ -160,7 +160,7 @@ def _permute_word(v: int, images: Sequence[int]) -> int:
 
 
 def _maps_into(a: LinearCode, images: Sequence[int], b_rows: Sequence[int], b_piv: Sequence[int]) -> bool:
-    for r in a.row_ints():
+    for r in a.rows:
         if reduce_raw(_permute_word(r, images), b_rows, b_piv) != 0:
             return False
     return True
@@ -170,7 +170,7 @@ def verify_certificate(a: LinearCode, b: LinearCode, cert: EquivalenceCertificat
     """Membership check: permuted generator rows of a all land in b."""
     if cert.perm is None or len(cert.perm) != a.n or a.n != b.n or a.k != b.k:
         return False
-    return _maps_into(a, cert.perm, b.row_ints(), pivots_of_rref_raw(b.row_ints()))
+    return _maps_into(a, cert.perm, b.rows, pivots_of_rref_raw(b.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +314,14 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
     ):
         if getattr(sig_a, field) != getattr(sig_b, field):
             return EquivalenceCertificate(None, distinct_reason=field)
-    if a.gen == b.gen:
+    if a.rows == b.rows:
         return identity_certificate(a.n)
     levels = _word_levels(a)
     inc_a = _Incidence(a, levels)
     inc_b = _Incidence(b, levels)
     if inc_a.class_sizes != inc_b.class_sizes:
         return EquivalenceCertificate(None, distinct_reason="weight class sizes")
-    b_rows = b.row_ints()
+    b_rows = b.rows
     b_piv = pivots_of_rref_raw(b_rows)
     images = _match(a, inc_a, inc_b, [0] * a.n, [0] * b.n, b_rows, b_piv)
     if images is None:

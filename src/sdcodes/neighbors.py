@@ -108,7 +108,7 @@ def neighbor(c: LinearCode, x: BitVector, name: Optional[str] = None) -> LinearC
         raise DomainError(
             f"weight {x.weight} is odd; x cannot lie in a self-orthogonal code"
         )
-    rows = c.row_ints()
+    rows = c.rows
     if reduce_raw(x.bits, rows, pivots_of_rref_raw(rows)) == 0:
         raise DomainError("not a proper neighbor")
     odd = [r for r in rows if (r & x.bits).bit_count() % 2]
@@ -134,7 +134,7 @@ def neighbor_from_support(
 def _all_one_check(c: LinearCode) -> None:
     if not is_self_dual(c):
         raise DomainError(f"{c.label()} is not self-dual")
-    rows = c.row_ints()
+    rows = c.rows
     ones = (1 << c.n) - 1
     if c.k and reduce_raw(ones, rows, pivots_of_rref_raw(rows)) != 0:
         raise IntegrityError(
@@ -189,7 +189,7 @@ def enumerate_self_dual_neighbors(
     its hyperplane as N meet c), so no dedup pass is needed.
     """
     _all_one_check(c)
-    for nb in _neighbors_in_range(c.row_ints(), c.n, 1, 1 << c.k):
+    for nb in _neighbors_in_range(c.rows, c.n, 1, 1 << c.k):
         if accept is None or accept(nb):
             yield nb
 
@@ -227,7 +227,7 @@ def extremal_neighbor_survey(
         raise ResourceLimitError(
             f"surveying 2^{c.k - 1} hyperplanes needs the extended budget"
         )
-    rows = c.row_ints()
+    rows = c.rows
     top = 1 << c.k
     if threads > 1 and top >= 2 * threads:
         bounds = [top * i // threads for i in range(threads + 1)]

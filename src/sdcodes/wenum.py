@@ -231,13 +231,11 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
         raise ResourceLimitError(
             f"weight distribution is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
         )
-    counts = None
     if c.k > _FULL_SPAN_MAX_K and c.n <= 64 and is_self_dual(c):
-        bases = _disjoint_information_bases(c)
-        if len(bases) == 2:
-            counts = _gleason_distribution(c.n, c.k, _low_weight_counts(c.n, bases))
-    if counts is None:
-        counts = tuple(_histogram_words(c.row_ints(), c.n))
+        low = _low_weight_counts(c.n, _disjoint_information_bases(c))
+        counts = _gleason_distribution(c.n, c.k, low)
+    else:
+        counts = tuple(_histogram_words(c.rows, c.n))
     dist = c.memo["weights"] = WeightDistribution(c.n, counts)
     return dist
 
@@ -358,13 +356,13 @@ def _low_weight_counts(n: int, bases: Sequence[Sequence[int]]) -> List[int]:
 # ---------------------------------------------------------------------------
 # minimum weight
 
-def _disjoint_information_bases(c: LinearCode) -> List[List[int]]:
+def _disjoint_information_bases(c: LinearCode) -> List[Sequence[int]]:
     """Systematic generator bases over disjoint coordinate sets (1 or 2).
 
     For self-dual codes the complement of the pivot set is always an
     information set again, which is what makes the level bound 2(w+1) work.
     """
-    rows = c.row_ints()
+    rows = c.rows
     bases = [rows]
     pivots = set(pivots_of_rref_raw(rows))
     comp = [j for j in range(c.n) if j not in pivots]
@@ -544,7 +542,7 @@ def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
                 f"codeword collection past length 64 walks the whole span and is "
                 f"limited to k <= {_FULL_SPAN_MAX_K}, got k={c.k}"
             )
-        return sorted(v for v in _span_iter(c.row_ints()) if v.bit_count() == w)
+        return sorted(v for v in _span_iter(c.rows) if v.bit_count() == w)
     if c.k > ENUM_DIMENSION_LIMIT:
         raise ResourceLimitError(
             f"codeword collection is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"

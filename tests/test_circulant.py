@@ -295,6 +295,14 @@ def test_search_progress_reports_completion():
     assert seen[-1] == (8, 8)
 
 
+def test_threaded_search_progress_counts_rows():
+    seen = []
+    search_four_circulant(5, 4, threads=2, progress=lambda done, total: seen.append((done, total)))
+    assert [done for done, _ in seen] == sorted(done for done, _ in seen)
+    assert {total for _, total in seen} == {32}
+    assert seen[-1] == (32, 32)
+
+
 # ---------------------------------------------------------------------------
 # shift equivalence
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import pickle
 import random
 import weakref
 
@@ -71,6 +72,50 @@ class TestConstruction:
             rng.shuffle(shuffled)
             extra = shuffled + [shuffled[0] ^ shuffled[-1]]
             assert LinearCode.from_rows(extra) == a
+
+    def test_constructor_reduces_any_spanning_rows(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            n = rng.randrange(1, 20)
+            rows = [rng.getrandbits(n) for _ in range(rng.randrange(0, 8))]
+            rows += [0, *rows[:2]]
+            rng.shuffle(rows)
+            c = LinearCode(n, rows)
+            assert c == LinearCode.from_int_rows(rows, n)
+            assert hash(c) == hash(LinearCode.from_int_rows(rows, n))
+            assert isinstance(c.rows, tuple)
+            assert c.k == len(c.rows)
+            assert span_set(c.rows) == span_set(rows)
+            assert len(span_set(c.rows)) == 2 ** c.k
+            pivots = [(r & -r).bit_length() - 1 for r in c.rows]
+            assert pivots == sorted(set(pivots))
+            for p in pivots:
+                assert sum((r >> p) & 1 for r in c.rows) == 1
+            assert c.gen.row_ints() == list(c.rows)
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [(4, [0b10000]), (4, [0b0011, 1 << 70]), (4, [-1]), (0, []), (129, []), (-3, [1]),
+         (4, [BitVector.from01("1100")]), (4, ["1100"])],
+    )
+    def test_constructor_rejects_bad_input(self, n, rows):
+        with pytest.raises(DomainError):
+            LinearCode(n, rows)
+
+    def test_with_name_keeps_equality_and_memo(self):
+        c = code_from_words(standard_self_dual_words(10), 10, name="first")
+        dist = weight_distribution(c)
+        d = c.with_name("second")
+        assert d == c and hash(d) == hash(c)
+        assert (c.name, d.name) == ("first", "second")
+        assert d.memo is c.memo
+        assert weight_distribution(d) is dist
+
+    def test_pickle_round_trip(self):
+        c = code_from_words(standard_self_dual_words(12), 12, name="sd12")
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and hash(back) == hash(c)
+        assert (back.n, back.k, back.rows, back.name) == (c.n, c.k, c.rows, c.name)
 
     def test_codeword_enumeration_guard(self):
         c = code_from_words(standard_self_dual_words(16), 16)
