@@ -6,6 +6,10 @@ written gets a RunManifest sidecar recording parameters, input and
 output digests, thread count, and wall time (the only field allowed to
 differ between identical reruns).  Progress goes to stderr, stdout
 stays machine-parseable.
+
+`reproduce` checks every row of a published code table the same way:
+the named code is singly even and self-dual, and its minimum weight and
+enumerator family equal the ones the registry records for it.
 """
 
 from __future__ import annotations
@@ -17,18 +21,18 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import tables
 from .circulant import SearchRules, build_four_circulant, save_pairs, search_four_circulant
-from .codes import LinearCode, ParityClass, is_self_dual, load_code, parity_class, save_code, subtract_coordinates
-from .equivalence import are_equivalent, classification_report, classify
+from .codes import LinearCode, ParityClass, is_self_dual, load_code, parity_class, subtract_coordinates
+from .equivalence import classification_report, classify
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
 from .neighbors import extremal_neighbor_survey, neighbor_from_support
 from .wenum import (
     FamilyParams,
-    FamilyTag,
     ShadowDistribution,
     WeightDistribution,
     check_shadow_balance,
@@ -93,7 +97,7 @@ def _resolve_code(spec: str) -> Tuple[LinearCode, str]:
     """A code argument is a registry name or a code file path."""
     if spec in tables.known_code_names():
         return tables.named_code(spec), "registry:" + spec
-    if os.path.exists(spec):
+    if os.path.isfile(spec):
         return load_code(spec), _digest_file(Path(spec))
     raise DomainError(f"{spec!r} is neither a known code name nor an existing file")
 
@@ -133,6 +137,14 @@ def _family_json(fp: Optional[FamilyParams]) -> Optional[dict]:
     }
 
 
+def _family_of(w: WeightDistribution, s: ShadowDistribution) -> Optional[FamilyParams]:
+    """The catalogued family of a distribution, or None where (n, d) has none."""
+    try:
+        return classify_enumerator(w, s)
+    except DomainError:
+        return None
+
+
 def cmd_analyze(args) -> int:
     started = time.monotonic()
     code, digest = _resolve_code(args.code)
@@ -143,10 +155,7 @@ def cmd_analyze(args) -> int:
     fp = None
     if sd and pc is ParityClass.SINGLY_EVEN:
         shadow = shadow_distribution(code)
-        try:
-            fp = classify_enumerator(w, shadow)
-        except DomainError:
-            fp = None
+        fp = _family_of(w, shadow)
     report = {
         "name": code.label(),
         "n": code.n,
@@ -192,7 +201,12 @@ def cmd_search(args) -> int:
         elif args.congruence == "none":
             congruence = None
         else:
-            congruence = int(args.congruence)
+            try:
+                congruence = int(args.congruence)
+            except ValueError:
+                raise DomainError(
+                    f"--congruence must be 1, 3 or 'none', got {args.congruence!r}"
+                ) from None
         rules = SearchRules(weight_bound=args.weight_bound, congruence=congruence)
     else:
         rules = SearchRules.for_target(args.dmin)
@@ -371,72 +385,50 @@ class _RowPrinter:
         return EXIT_OK if self.passed == self.total else EXIT_MISMATCH
 
 
-def _check_family(code: LinearCode, want_d: int, want: Optional[FamilyParams]) -> Tuple[bool, str]:
+def _check_row(name: str) -> Tuple[bool, str]:
+    """One published row: a singly even self-dual code with its d and family."""
+    code = tables.named_code(name)
+    if not is_self_dual(code) or parity_class(code) is not ParityClass.SINGLY_EVEN:
+        return False, "not a singly even self-dual code"
     w = weight_distribution(code)
+    want_d = tables.expected_min_weight(name)
     if w.min_weight != want_d:
         return False, f"min weight {w.min_weight}, expected {want_d}"
-    if want is None:
+    fp, want = _family_of(w, shadow_distribution(code)), tables.expected_family(name)
+    if fp != want:
+        return False, f"family {_family_json(fp)}, expected {_family_json(want)}"
+    if fp is None:
         return True, f"d={want_d}"
-    fp = classify_enumerator(w, shadow_distribution(code))
-    if fp.family is not want.family:
-        return False, f"family {fp.family.value}, expected {want.family.value}"
-    if fp.beta != want.beta or (want.gamma is not None and fp.gamma != want.gamma):
-        return False, (
-            f"(beta,gamma)=({fp.beta},{fp.gamma}), "
-            f"expected ({want.beta},{want.gamma})"
+    return True, f"beta={fp.beta}" if fp.gamma is None else f"beta={fp.beta} gamma={fp.gamma}"
+
+
+# published table -> (its registry rows, the name prefixes it lists)
+_ROW_TABLES = {
+    "T1": (partial(tables.circulant_table, 12), ("",)),
+    "Td10": (partial(tables.circulant_table, 10), ("",)),
+    "T2": (partial(tables.chain_table, 60), ("D",)),
+    "Tnei2": (partial(tables.chain_table, 60), ("E", "F")),
+    "T4": (partial(tables.chain_table, 60), ("H", "J", "K", "L")),
+    "T5": (lambda: tables.subtraction_table()["codes"], ("",)),
+    "T6": (partial(tables.chain_table, 58), ("D", "E", "F", "G", "H")),
+}
+
+
+def _reproduce_rows(table: str) -> int:
+    rows, prefixes = _ROW_TABLES[table]
+    names = [row["name"] for row in rows() if row["name"].startswith(prefixes)]
+    printer = _RowPrinter(table)
+    for name in names:
+        printer.row(name, *_check_row(name))
+    if table == "T5":
+        classes = classify([tables.named_code(name) for name in names])
+        got = sorted(sorted(m.label() for m in cl.members) for cl in classes)
+        want = sorted(sorted(cl) for cl in tables.subtraction_table()["classes"])
+        printer.row(
+            "classes",
+            got == want,
+            f"{[len(cl) for cl in got]} classes" if got == want else f"got {got}",
         )
-    detail = f"beta={fp.beta}" if want.gamma is None else f"beta={fp.beta} gamma={fp.gamma}"
-    return True, detail
-
-
-def _reproduce_circulant(table: str, dmin: int) -> int:
-    printer = _RowPrinter(table)
-    for row in tables.circulant_table(dmin):
-        name = row["name"]
-        code = tables.named_code(name)
-        if not is_self_dual(code) or parity_class(code) is not ParityClass.SINGLY_EVEN:
-            printer.row(name, False, "not a singly even self-dual code")
-            continue
-        if dmin == 12:
-            ok, detail = _check_family(code, 12, tables.expected_family(name))
-        else:
-            d = min_weight(code)
-            ok, detail = d == dmin, f"d={d}"
-        printer.row(name, ok, detail)
-    return printer.finish()
-
-
-def _reproduce_chain(table: str, n: int, prefixes: Tuple[str, ...]) -> int:
-    printer = _RowPrinter(table)
-    want_d = 12 if n == 60 else 10
-    for step in tables.chain_table(n):
-        name = step["name"]
-        if not name.startswith(prefixes):
-            continue
-        code = tables.named_code(name)
-        ok, detail = _check_family(code, want_d, tables.expected_family(name))
-        printer.row(name, ok, detail)
-    return printer.finish()
-
-
-def _reproduce_subtraction() -> int:
-    printer = _RowPrinter("T5")
-    sub = tables.subtraction_table()
-    members = []
-    for row in sub["codes"]:
-        name = row["name"]
-        code = tables.named_code(name)
-        members.append(code)
-        ok, detail = _check_family(code, 10, tables.expected_family(name))
-        printer.row(name, ok, detail)
-    classes = classify(members)
-    got = sorted(sorted(m.label() for m in cl.members) for cl in classes)
-    want = sorted(sorted(cl) for cl in sub["classes"])
-    printer.row(
-        "classes",
-        got == want,
-        f"{[len(cl) for cl in got]} classes" if got == want else f"got {got}",
-    )
     return printer.finish()
 
 
@@ -501,29 +493,19 @@ def _reproduce_search_classes(table: str, dmin: int, want_classes: int, threads:
     return printer.finish()
 
 
+# block-15 search table -> (d, published number of classes)
+_SEARCH_TABLES = {"P3": (12, 13), "P5": (10, 113)}
+
+
 def cmd_reproduce(args) -> int:
     table = args.table
-    if table in ("P3", "P5") and not args.extended:
-        raise ResourceLimitError(f"{table} is an extended-scale run; pass --extended")
-    if table == "T1":
-        return _reproduce_circulant("T1", 12)
-    if table == "Td10":
-        return _reproduce_circulant("Td10", 10)
-    if table == "T2":
-        return _reproduce_chain("T2", 60, ("D",))
-    if table == "Tnei2":
-        return _reproduce_chain("Tnei2", 60, ("E", "F"))
-    if table == "T4":
-        return _reproduce_chain("T4", 60, ("H", "J", "K", "L"))
-    if table == "T5":
-        return _reproduce_subtraction()
-    if table == "T6":
-        return _reproduce_chain("T6", 58, ("D", "E", "F", "G", "H"))
-    if table == "P3":
-        return _reproduce_search_classes("P3", 12, 13, args.threads)
-    if table == "P5":
-        return _reproduce_search_classes("P5", 10, 113, args.threads)
-    return _reproduce_balance()
+    if table in _SEARCH_TABLES:
+        if not args.extended:
+            raise ResourceLimitError(f"{table} is an extended-scale run; pass --extended")
+        return _reproduce_search_classes(table, *_SEARCH_TABLES[table], args.threads)
+    if table == "C7":
+        return _reproduce_balance()
+    return _reproduce_rows(table)
 
 
 # ---------------------------------------------------------------------------

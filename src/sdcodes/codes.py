@@ -178,7 +178,9 @@ class LinearCode:
 
 def load_code(path: Union[str, Path]) -> LinearCode:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from None
     if not isinstance(obj, dict):

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode, ParityClass, is_self_dual, parity_class
-from .errors import DomainError, IntegrityError, ResourceLimitError
+from .errors import DomainError, IntegrityError
 from .gf2core import pivots_of_rref_raw, reduce_raw
 from .wenum import (
-    ENUM_DIMENSION_LIMIT,
+    _check_dimension,
     codewords_of_weight,
     shadow_distribution,
     weight_distribution,
@@ -61,10 +61,7 @@ def signature(c: LinearCode) -> InvariantSignature:
     cached = c.memo.get("signature")
     if cached is not None:
         return cached
-    if c.k > ENUM_DIMENSION_LIMIT:
-        raise ResourceLimitError(
-            f"signatures are limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
-        )
+    _check_dimension(c, "signature")
     w = weight_distribution(c)
     d = w.min_weight
     if d is None:

@@ -1,19 +1,22 @@
 """Named-code registry backed by the versioned data files shipped in
 sdcodes/data.
 
-Every published code is reachable by name: block-15 circulant pairs
-build the C/G codes directly, neighbor steps and coordinate
-subtractions are resolved recursively through their base codes.  Data
-files are checksummed; a mismatch is a corrupted installation, not a
-recoverable condition.
+Every published code is one record, read once from its data file: the
+recipe (a block-15 circulant pair for the C/G codes, or a neighbor step
+or coordinate subtraction from a named base code), the minimum weight
+from the file's `dmin` field, and the published enumerator family.  A
+record is built into a code only on its first `named_code` call, base
+codes first.  Data files are checksummed; a mismatch is a corrupted
+installation, not a recoverable condition.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .circulant import CirculantPair, build_four_circulant
 from .codes import LinearCode, subtract_coordinates
@@ -51,8 +54,7 @@ DATA_FILES = (
 _DATA_CACHE: Dict[str, dict] = {}
 _CHECKSUMS: Dict[str, str] = {}
 _CODE_CACHE: Dict[str, LinearCode] = {}
-_REGISTRY: Dict[str, tuple] = {}
-_NAME_ORDER: List[str] = []
+_REGISTRY: Dict[str, _Record] = {}
 
 
 def _data_dir():
@@ -94,117 +96,105 @@ def load_data(filename: str) -> dict:
     return body
 
 
-def _registry() -> Dict[str, tuple]:
+@dataclass(frozen=True)
+class _Record:
+    """One published code: how it is built, its d and its family.
+
+    A code is a four-circulant code of `pair`, or comes from the code
+    named `base`: as its neighbour on `supp`, or with the two `coords`
+    deleted.  Nothing is built until `named_code` asks for it.
+    """
+
+    dmin: int
+    family: Optional[FamilyParams]
+    pair: Optional[CirculantPair] = None
+    base: Optional[str] = None
+    supp: Optional[Tuple[int, ...]] = None
+    coords: Optional[Tuple[int, int]] = None
+
+    def build(self, name: str) -> LinearCode:
+        if self.pair is not None:
+            return build_four_circulant(self.pair, name=name)
+        if self.supp is not None:
+            return neighbor_from_support(named_code(self.base), self.supp, name=name)
+        return subtract_coordinates(named_code(self.base), *self.coords).with_name(name)
+
+
+def _registry() -> Dict[str, _Record]:
     if _REGISTRY:
         return _REGISTRY
 
-    def add(name: str, entry: tuple) -> None:
+    def add(name: str, record: _Record) -> None:
         if name in _REGISTRY:
             raise IntegrityError(f"duplicate code name {name} in data files")
-        _REGISTRY[name] = entry
-        _NAME_ORDER.append(name)
+        _REGISTRY[name] = record
 
-    for filename, dmin in (("pairs60_d12.json", 12), ("pairs60_d10.json", 10)):
+    for filename in ("pairs60_d12.json", "pairs60_d10.json"):
         body = load_data(filename)
         for row in body["codes"]:
+            beta = row.get("beta")
             pair = CirculantPair(
-                body["block"],
-                BitVector.from01(row["ra"]),
-                BitVector.from01(row["rb"]),
+                body["block"], BitVector.from01(row["ra"]), BitVector.from01(row["rb"])
             )
-            add(row["name"], ("circulant", pair, row.get("beta"), None, dmin))
+            family = None if beta is None else FamilyParams(FamilyTag.W60_1, beta=beta)
+            add(row["name"], _Record(body["dmin"], family, pair=pair))
 
     body = load_data("neighbor_chains60.json")
     for step in body["steps"]:
-        add(
-            step["name"],
-            ("chain", step["base"], tuple(step["supp"]), step["beta"], None, 12),
-        )
+        family = FamilyParams(FamilyTag.W60_1, beta=step["beta"])
+        supp = tuple(step["supp"])
+        add(step["name"], _Record(body["dmin"], family, base=step["base"], supp=supp))
 
     body = load_data("subtract58.json")
+    family = FamilyParams(FamilyTag.W58_2, beta=body["beta"], gamma=body["gamma"])
     for row in body["codes"]:
-        i, j = row["coords"]
-        add(
-            row["name"],
-            ("subtract", body["base"], i, j, body["beta"], body["gamma"], 10),
-        )
+        coords = tuple(row["coords"])
+        add(row["name"], _Record(body["dmin"], family, base=body["base"], coords=coords))
 
     body = load_data("neighbor_chains58.json")
     for step in body["steps"]:
-        add(
-            step["name"],
-            ("chain", step["base"], tuple(step["supp"]), step["beta"], step["gamma"], 10),
-        )
+        family = FamilyParams(FamilyTag.W58_2, beta=step["beta"], gamma=step["gamma"])
+        supp = tuple(step["supp"])
+        add(step["name"], _Record(body["dmin"], family, base=step["base"], supp=supp))
     return _REGISTRY
 
 
+def _record(name: str) -> _Record:
+    record = _registry().get(name)
+    if record is None:
+        raise DomainError(f"unknown code name {name!r}")
+    return record
+
+
 def known_code_names() -> List[str]:
-    _registry()
-    return list(_NAME_ORDER)
+    return list(_registry())
 
 
 def named_code(name: str) -> LinearCode:
     """Resolve a published code name, building through its chain."""
     cached = _CODE_CACHE.get(name)
-    if cached is not None:
-        return cached
-    entry = _registry().get(name)
-    if entry is None:
-        raise DomainError(f"unknown code name {name!r}")
-    kind = entry[0]
-    if kind == "circulant":
-        out = build_four_circulant(entry[1], name=name)
-    elif kind == "chain":
-        out = neighbor_from_support(named_code(entry[1]), entry[2], name=name)
-    else:
-        out = subtract_coordinates(named_code(entry[1]), entry[2], entry[3]).with_name(name)
-    _CODE_CACHE[name] = out
-    return out
+    if cached is None:
+        cached = _CODE_CACHE[name] = _record(name).build(name)
+    return cached
 
 
 def expected_min_weight(name: str) -> int:
-    entry = _registry().get(name)
-    if entry is None:
-        raise DomainError(f"unknown code name {name!r}")
-    return entry[-1]
+    return _record(name).dmin
 
 
 def expected_family(name: str) -> Optional[FamilyParams]:
     """The published enumerator family, or None where none is claimed."""
-    entry = _registry().get(name)
-    if entry is None:
-        raise DomainError(f"unknown code name {name!r}")
-    kind = entry[0]
-    if kind == "circulant":
-        if entry[2] is None:
-            return None
-        return FamilyParams(FamilyTag.W60_1, beta=entry[2])
-    if kind == "subtract":
-        return FamilyParams(FamilyTag.W58_2, beta=entry[4], gamma=entry[5])
-    beta, gamma = entry[3], entry[4]
-    if gamma is None:
-        return FamilyParams(FamilyTag.W60_1, beta=beta)
-    return FamilyParams(FamilyTag.W58_2, beta=beta, gamma=gamma)
+    return _record(name).family
 
 
 def circulant_table(dmin: int) -> List[dict]:
-    filename = {12: "pairs60_d12.json", 10: "pairs60_d10.json"}.get(dmin)
-    if filename is None:
+    out = [
+        {"name": name, "pair": r.pair, "beta": r.family.beta if r.family else None}
+        for name, r in _registry().items()
+        if r.pair is not None and r.dmin == dmin
+    ]
+    if not out:
         raise DomainError(f"no circulant table for minimum weight {dmin}")
-    body = load_data(filename)
-    out = []
-    for row in body["codes"]:
-        out.append(
-            {
-                "name": row["name"],
-                "pair": CirculantPair(
-                    body["block"],
-                    BitVector.from01(row["ra"]),
-                    BitVector.from01(row["rb"]),
-                ),
-                "beta": row.get("beta"),
-            }
-        )
     return out
 
 

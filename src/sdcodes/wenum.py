@@ -79,42 +79,9 @@ def extremal_min_weight(n: int) -> int:
 # ---------------------------------------------------------------------------
 # distributions
 
-def _format_csv(counts: Sequence[int]) -> str:
-    lines = ["weight,count"]
-    lines += [f"{i},{c}" for i, c in enumerate(counts) if c]
-    return "\n".join(lines) + "\n"
-
-
-def _parse_csv(text: str, n: Optional[int]) -> Tuple[int, Tuple[int, ...]]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "weight,count":
-        raise ParseError("expected header 'weight,count'", line=1)
-    pairs = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 'weight,count', got {ln!r}", line=lineno)
-        try:
-            i, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer entry in {ln!r}", line=lineno) from None
-        if i < 0 or c < 0:
-            raise ParseError(f"negative entry in {ln!r}", line=lineno)
-        pairs.append((i, c))
-    top = max((i for i, _ in pairs), default=0)
-    if n is None:
-        n = top
-    elif top > n:
-        raise ParseError(f"weight {top} exceeds declared length {n}")
-    counts = [0] * (n + 1)
-    for i, c in pairs:
-        counts[i] += c
-    return n, tuple(counts)
-
-
 @dataclass(frozen=True)
-class WeightDistribution:
-    """Exact codeword counts A_0..A_n."""
+class _Distribution:
+    """Exact counts at weights 0..n, validated, with a CSV round trip."""
 
     n: int
     counts: Tuple[int, ...]
@@ -125,53 +92,68 @@ class WeightDistribution:
         if any(c < 0 for c in self.counts):
             raise DomainError("negative count")
 
+    def _first_weight(self, start: int) -> Optional[int]:
+        return next((i for i in range(start, self.n + 1) if self.counts[i]), None)
+
+    def to_csv(self) -> str:
+        lines = ["weight,count"]
+        lines += [f"{i},{c}" for i, c in enumerate(self.counts) if c]
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_csv(cls, text: str, n: Optional[int] = None):
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        if not lines or lines[0] != "weight,count":
+            raise ParseError("expected header 'weight,count'", line=1)
+        pairs = []
+        for lineno, ln in enumerate(lines[1:], start=2):
+            parts = ln.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"expected 'weight,count', got {ln!r}", line=lineno)
+            try:
+                i, c = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"non-integer entry in {ln!r}", line=lineno) from None
+            if i < 0 or c < 0:
+                raise ParseError(f"negative entry in {ln!r}", line=lineno)
+            pairs.append((i, c))
+        top = max((i for i, _ in pairs), default=0)
+        if n is None:
+            n = top
+        elif top > n:
+            raise ParseError(f"weight {top} exceeds declared length {n}")
+        counts = [0] * (n + 1)
+        for i, c in pairs:
+            counts[i] += c
+        return cls(n, tuple(counts))
+
+
+class WeightDistribution(_Distribution):
+    """Exact codeword counts A_0..A_n."""
+
     @property
     def min_weight(self) -> Optional[int]:
-        for i in range(1, self.n + 1):
-            if self.counts[i]:
-                return i
-        return None
+        return self._first_weight(1)
 
     @property
     def total(self) -> int:
         return sum(self.counts)
 
-    def to_csv(self) -> str:
-        return _format_csv(self.counts)
 
-    @classmethod
-    def from_csv(cls, text: str, n: Optional[int] = None) -> "WeightDistribution":
-        n, counts = _parse_csv(text, n)
-        return cls(n, counts)
-
-
-@dataclass(frozen=True)
-class ShadowDistribution:
+class ShadowDistribution(_Distribution):
     """Exact shadow-vector counts B_0..B_n."""
-
-    n: int
-    counts: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.n + 1:
-            raise DomainError(f"need {self.n + 1} counts, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
-            raise DomainError("negative count")
 
     @property
     def min_weight(self) -> Optional[int]:
-        for i in range(self.n + 1):
-            if self.counts[i]:
-                return i
-        return None
+        return self._first_weight(0)
 
-    def to_csv(self) -> str:
-        return _format_csv(self.counts)
 
-    @classmethod
-    def from_csv(cls, text: str, n: Optional[int] = None) -> "ShadowDistribution":
-        n, counts = _parse_csv(text, n)
-        return cls(n, counts)
+def _check_dimension(c: LinearCode, what: str) -> None:
+    """Refuse a code whose span is past the enumeration budget."""
+    if c.k > ENUM_DIMENSION_LIMIT:
+        raise ResourceLimitError(
+            f"{what} is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +209,7 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     cached = c.memo.get("weights")
     if cached is not None:
         return cached
-    if c.k > ENUM_DIMENSION_LIMIT:
-        raise ResourceLimitError(
-            f"weight distribution is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
-        )
+    _check_dimension(c, "weight distribution")
     if c.k > _FULL_SPAN_MAX_K and c.n <= 64 and is_self_dual(c):
         low = _low_weight_counts(c.n, _disjoint_information_bases(c))
         counts = _gleason_distribution(c.n, c.k, low)
@@ -250,10 +229,7 @@ def shadow_distribution(c: LinearCode) -> ShadowDistribution:
     cached = c.memo.get("shadow")
     if cached is not None:
         return cached
-    if c.k > ENUM_DIMENSION_LIMIT:
-        raise ResourceLimitError(
-            f"shadow distribution is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
-        )
+    _check_dimension(c, "shadow distribution")
     if not is_self_dual(c) or parity_class(c) is not ParityClass.SINGLY_EVEN:
         raise DomainError("the shadow needs a singly even self-dual code")
     counts = _shadow_counts(c.n, weight_distribution(c).counts)
@@ -504,10 +480,7 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
     cached = c.memo.get("min_weight")
     if cached is not None:
         return cached
-    if c.k > ENUM_DIMENSION_LIMIT:
-        raise ResourceLimitError(
-            f"minimum weight is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
-        )
+    _check_dimension(c, "minimum weight")
     if "weights" in c.memo or c.n > 64:
         return weight_distribution(c).min_weight
     got = _min_weight_staged(c, target)
@@ -543,10 +516,7 @@ def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
                 f"limited to k <= {_FULL_SPAN_MAX_K}, got k={c.k}"
             )
         return sorted(v for v in _span_iter(c.rows) if v.bit_count() == w)
-    if c.k > ENUM_DIMENSION_LIMIT:
-        raise ResourceLimitError(
-            f"codeword collection is limited to k <= {ENUM_DIMENSION_LIMIT}, got k={c.k}"
-        )
+    _check_dimension(c, "codeword collection")
     bases = _disjoint_information_bases(c)
     if len(bases) < 2 and c.k > _FULL_SPAN_MAX_K:
         raise ResourceLimitError(

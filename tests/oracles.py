@@ -2,7 +2,9 @@
 
 Everything here trades speed for obviousness: spans are materialized as
 sets of ints, membership is tested by exhaustive enumeration, and no code
-under test is reused on the oracle side of a comparison.
+under test is reused on the oracle side of a comparison.  The neighbor
+and permutation scans run in numpy blocks, but still visit every vector
+and every permutation.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+import numpy as np
 
 
 def span_set(rows: Sequence[int]) -> Set[int]:
@@ -57,16 +61,26 @@ def shadow_set(code_words: Set[int], n: int) -> Set[int]:
 def all_neighbor_codes(code_words: Set[int], n: int) -> Set[Tuple[int, ...]]:
     """Every self-dual code built as <(C meet x-perp), x> over even-weight x outside C.
 
-    Codes are returned as canonical tuples (sorted codeword sets).
+    Codes are returned as canonical tuples (sorted codeword sets).  All 2^n
+    vectors x are scanned, a block of them per numpy pass: the parities
+    x . w for every word w pick the words of C meet x-perp, and each
+    neighbor is those words together with their translates by x.
     """
-    out = set()
-    for x in range(1, 1 << n):
-        if x.bit_count() % 2 or x in code_words:
-            continue
-        sub = {w for w in code_words if (w & x).bit_count() % 2 == 0}
-        neighbor = sub | {w ^ x for w in sub}
-        out.add(tuple(sorted(neighbor)))
-    return out
+    words = np.array(sorted(code_words), dtype=np.uint64)
+    xs = np.arange(1, 1 << n, dtype=np.uint64)
+    xs = xs[(np.bitwise_count(xs) % 2 == 0) & ~np.isin(xs, words)]
+    found = set()
+    for lo in range(0, xs.size, 4096):
+        block = xs[lo : lo + 4096, None]
+        even = np.bitwise_count(block & words) % 2 == 0
+        sizes = even.sum(axis=1)
+        # rows keep different numbers of words only when C is not self-dual
+        for size in np.unique(sizes):
+            rows = sizes == size
+            sub = np.broadcast_to(words, even.shape)[rows][even[rows]].reshape(-1, size)
+            neighbor = np.sort(np.concatenate([sub, sub ^ block[rows]], axis=1), axis=1)
+            found.update(row.tobytes() for row in neighbor)
+    return {tuple(np.frombuffer(b, dtype=np.uint64).tolist()) for b in found}
 
 
 def permute_bits(v: int, n: int, images: Sequence[int]) -> int:
@@ -79,12 +93,31 @@ def permute_bits(v: int, n: int, images: Sequence[int]) -> int:
 
 
 def equivalent_by_all_permutations(words_a: Set[int], words_b: Set[int], n: int):
-    """Search every coordinate permutation; returns an image tuple or None."""
+    """Search every coordinate permutation; returns an image tuple or None.
+
+    Permutations are tried in lexicographic order, one fixed prefix at a
+    time with every ordering of the remaining (at most 7) coordinates in one
+    numpy pass, so the first image tuple mapping every word of A into B is
+    returned.
+    """
     if len(words_a) != len(words_b):
         return None
-    for images in permutations(range(1, n + 1)):
-        if all(permute_bits(w, n, images) in words_b for w in words_a):
-            return images
+    in_b = np.zeros(1 << n, dtype=bool)
+    in_b[sorted(words_b)] = True
+    a = np.array(sorted(words_a), dtype=np.int64)
+    a_bits = ((a[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    tail = min(n, 7)
+    orders = np.array(list(permutations(range(tail))), dtype=np.int64)
+    for prefix in permutations(range(n), n - tail):
+        rest = np.array(sorted(set(range(n)) - set(prefix)), dtype=np.int64)
+        block = np.empty((len(orders), n), dtype=np.int64)
+        block[:, : n - tail] = prefix
+        block[:, n - tail :] = rest[orders]
+        # a word's image is the sum of 2^image[i] over its bits i, exact in float64
+        images = (a_bits @ np.exp2(block).T).astype(np.int64)
+        hits = np.flatnonzero(in_b[images].all(axis=0))
+        if hits.size:
+            return tuple(int(i) + 1 for i in block[hits[0]])
     return None
 
 

@@ -5,6 +5,7 @@ Criterion 6 drives extended-scale searches and only runs when the
 SDCODES_EXTENDED environment variable is set; everything else is default.
 """
 
+import hashlib
 import os
 import random
 from fractions import Fraction
@@ -62,9 +63,24 @@ def verdict(num, note=""):
     print(f"criterion {num}: PASS{tail}")
 
 
+# sha256 of the whole stdout of `sdcodes reproduce <table>`, every row and
+# detail included; the extended-scale P3/P5 runs are not pinned
+STDOUT_SHA256 = {
+    "T1": "6d42082b85038f0f4ccebe27d3836482debbf9284611bfee159a0bebf95ddf2a",
+    "Td10": "7d66e151ee14843b2bbc84c13bb8170822c6fc88a060650127e99bb28f2a9a89",
+    "T2": "414c98af401efe0081bd18962b50abbd17b996f7a8fcb26cc1598c77f4ea724a",
+    "Tnei2": "7b39b81e8372639dd17973fd97d5544ca3f7a93f8b3711d396851e11ec20a9a3",
+    "T4": "756e7440e2e5f281f37dbcfa4103b02eeffde68902d0c105b2ca100cd478c596",
+    "T5": "df50c99dc889ec7c0aaaf8e86b6ab0d0d04a721e612ca98c88f701e5dc34cd86",
+    "T6": "bc06a87b9ef1290d9fbf7d2cc2efe087b7c12f28929b6dd73c161719470d200e",
+}
+
+
 def run_table(table, capsys, *extra):
     code = cli_main(["reproduce", table, *extra])
     out = capsys.readouterr().out
+    if table in STDOUT_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[table], out
     summary = [ln for ln in out.strip().splitlines() if "\tsummary\t" in ln]
     return code, summary[-1] if summary else ""
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, manifests, determinism, command output."""
 
+import hashlib
 import json
 import os
 import random
@@ -12,7 +13,9 @@ import pytest
 import sdcodes
 from sdcodes import LinearCode, load_pairs, save_code
 from sdcodes.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, _RowPrinter, main
+from sdcodes import tables
 from sdcodes.tables import named_code
+from sdcodes.wenum import FamilyParams, FamilyTag
 from oracles import random_self_dual_words
 
 E8_ROWS = ["11110000", "11001100", "10101010", "11111111"]
@@ -68,6 +71,29 @@ def test_analyze_unknown_spec():
 def test_bad_usage_is_input_error(capsys):
     assert main(["reproduce", "T9"]) == EXIT_INPUT
     assert main(["frobnicate"]) == EXIT_INPUT
+
+
+def test_search_bad_congruence_is_input_error(tmp_path):
+    out = tmp_path / "p.txt"
+    argv = ["search", "--block", "3", "--dmin", "2", "--congruence", "foo", "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert not out.exists()
+
+
+def test_analyze_directory_is_input_error(tmp_path):
+    assert main(["analyze", "--code", str(tmp_path)]) == EXIT_INPUT
+
+
+def test_analyze_non_utf8_file_is_input_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 2, "rows": ["11"], "name": "caf\xe9"}')
+    assert main(["analyze", "--code", str(path)]) == EXIT_INPUT
+
+
+def test_classify_non_utf8_file_is_input_error(tmp_path):
+    write_code(tmp_path, "good", ["1100", "0011"])
+    (tmp_path / "latin1.json").write_bytes(b'{"n": 2, "rows": ["11"], "name": "caf\xe9"}')
+    assert main(["classify", "--in", str(tmp_path)]) == EXIT_INPUT
 
 
 def test_search_block_two_and_rerun_determinism(tmp_path):
@@ -178,6 +204,13 @@ def test_neighbors_survey_budget(tmp_path):
     assert main(["neighbors", "--code", str(path), "--dmin", "8"]) == EXIT_RESOURCE
 
 
+def test_analyze_dimension_budget(tmp_path, capsys):
+    path = tmp_path / "k35.json"
+    save_code(LinearCode.from_int_rows([1 << i for i in range(35)], 64), path)
+    assert main(["analyze", "--code", str(path)]) == EXIT_RESOURCE
+    assert "weight distribution is limited to k <= 34" in capsys.readouterr().err
+
+
 def test_reproduce_extended_gate():
     assert main(["reproduce", "P3"]) == EXIT_RESOURCE
     assert main(["reproduce", "P5"]) == EXIT_RESOURCE
@@ -185,9 +218,31 @@ def test_reproduce_extended_gate():
 
 def test_reproduce_balance_rows(capsys):
     assert main(["reproduce", "C7"]) == EXIT_OK
-    lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "92ced96775489575a6f5dec3ce73a137dadd368ab41b1f42f8775265fe1464b7"
+    ), out
+    lines = out.strip().splitlines()
     assert lines[0].split("\t")[:3] == ["C7", "solver", "pass"]
     assert lines[-1] == "C7\tsummary\t4/4"
+
+
+@pytest.mark.parametrize(
+    "attr, wrong",
+    [
+        ("expected_min_weight", 10),
+        ("expected_family", FamilyParams(FamilyTag.W60_1, beta=99)),
+        ("expected_family", None),
+    ],
+)
+def test_reproduce_row_mismatch_fails_the_row(monkeypatch, capsys, attr, wrong):
+    right = getattr(tables, attr)
+    monkeypatch.setattr(tables, attr, lambda name: wrong if name == "F60" else right(name))
+    assert main(["reproduce", "Tnei2"]) == EXIT_MISMATCH
+    lines = capsys.readouterr().out.strip().splitlines()
+    failed = [ln.split("\t")[1] for ln in lines if ln.split("\t")[2] == "fail"]
+    assert failed == ["F60"]
+    assert lines[-1] == "Tnei2\tsummary\t4/5"
 
 
 def test_row_printer_failure_exit():

@@ -29,6 +29,7 @@ from sdcodes import (
 )
 from sdcodes import wenum
 from sdcodes.codes import shadow_parts
+from sdcodes.equivalence import signature
 from sdcodes.errors import IntegrityError
 from sdcodes.gf2core import BitVector
 from sdcodes.neighbors import neighbor
@@ -493,6 +494,22 @@ def test_min_weight_budget():
     c = LinearCode.from_int_rows(rows, 70)
     with pytest.raises(ResourceLimitError):
         min_weight(c)
+
+
+@pytest.mark.parametrize(
+    "compute, what",
+    [
+        (weight_distribution, "weight distribution"),
+        (shadow_distribution, "shadow distribution"),
+        (min_weight, "minimum weight"),
+        (lambda c: codewords_of_weight(c, 2), "codeword collection"),
+        (signature, "signature"),
+    ],
+)
+def test_dimension_budget_names_operation_and_limit(compute, what):
+    c = LinearCode.from_int_rows([1 << i for i in range(35)], 64)
+    with pytest.raises(ResourceLimitError, match=f"^{what} is limited to k <= 34, got k=35$"):
+        compute(c)
 
 
 def test_codewords_of_weight_small():
