@@ -2,17 +2,24 @@
 circulants of two first rows ra, rb as [[A, B], [B^T, A^T]].
 
 Self-duality reduces to an autocorrelation identity on (ra, rb), so the
-exhaustive search never materializes a matrix until a pair has survived
-the cheap filters: signature bucketing pairs ra with compatible rb in one
-lookup, row-sum and two-row weight filters run vectorized over each
-bucket, and only then is a code built for an exact minimum-weight check.
+exhaustive search never materializes a matrix.  The affine maps
+i -> u*i + s (mod n), u a unit, applied to both rows permute the code's
+coordinates, and every search filter is invariant under them, so the
+search walks one ra per orbit: signature bucketing pairs it with
+compatible rb in one lookup, and row-sum and two-row weight filters run
+vectorized over each bucket.  A survivor is self-dual, so (I | M) and
+(M^T | I) are systematic bases on disjoint information sets, both in
+closed form; the staged minimum-weight scan runs on them without
+building a code.  Each hit is then expanded over its orbit.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +36,7 @@ __all__ = [
     "build_four_circulant",
     "self_dual_condition",
     "search_four_circulant",
+    "orbit_key",
     "parse_pairs",
     "format_pairs",
     "load_pairs",
@@ -141,6 +149,21 @@ def _generator_ints(block: int, ra: int, rb: int) -> List[int]:
     return rows
 
 
+def _transpose_basis_ints(block: int, ra: int, rb: int) -> List[int]:
+    """Rows of (M^T | I), M^T = [[A^T, B], [B^T, A]]: for a self-dual pair
+    M M^T = I, so this is the systematic basis of the same code on the
+    last 2n coordinates."""
+    n = block
+    rat = _reversed_row(ra, n)
+    rbt = _reversed_row(rb, n)
+    rows = []
+    for i in range(n):
+        rows.append(_rot(rat, i, n) | (_rot(rb, i, n) << n) | (1 << (2 * n + i)))
+    for i in range(n):
+        rows.append(_rot(rbt, i, n) | (_rot(ra, i, n) << n) | (1 << (3 * n + i)))
+    return rows
+
+
 def build_four_circulant(p: CirculantPair, name: Optional[str] = None) -> LinearCode:
     """The [4n, 2n] code generated by (I | [[A, B], [B^T, A^T]])."""
     return LinearCode.from_int_rows(
@@ -157,6 +180,57 @@ def self_dual_condition(p: CirculantPair) -> bool:
         if aa ^ bb != (1 if s == 0 else 0):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the affine group i -> u*i + s (mod n), u a unit, acting on both rows
+
+@lru_cache(maxsize=4)
+def _affine_positions(n: int) -> np.ndarray:
+    """Row g holds the image u*i + s (mod n) of every coordinate i."""
+    i = np.arange(n, dtype=np.int64)
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    return np.array([(u * i + s) % n for u in units for s in range(n)])
+
+
+def _images(vals: Sequence[int], n: int) -> np.ndarray:
+    """g.v for every group element g (rows) and every v in vals (columns)."""
+    vals = np.asarray(vals, dtype=np.int64)
+    pos = _affine_positions(n)
+    out = np.zeros((pos.shape[0], vals.size), dtype=np.int64)
+    for i in range(n):
+        out |= ((vals >> i) & 1)[None, :] << pos[:, i, None]
+    return out
+
+
+@lru_cache(maxsize=4)
+def _orbit_tables(n: int):
+    """Sorted orbit representatives (each its orbit's least row) and the
+    orbit sizes, from a running minimum over the group elements."""
+    v = np.arange(1 << n, dtype=np.int32)
+    bits = [(v >> i) & 1 for i in range(n)]
+    canon = v.copy()
+    img = np.empty_like(v)
+    for row in _affine_positions(n).tolist():
+        img.fill(0)
+        for b, p in zip(bits, row):
+            img |= b << p
+        np.minimum(canon, img, out=canon)
+    reps = np.flatnonzero(canon == v)
+    sizes = np.bincount(canon, minlength=1 << n)[reps]
+    return reps, sizes
+
+
+def orbit_key(p: CirculantPair) -> str:
+    """The least serialize() over the affine orbit of a pair; pairs with
+    the same key give equivalent codes."""
+    n = p.block
+    # to01() order is integer order with coordinate 1 as the top bit
+    weights = np.int64(1) << (n - 1 - _affine_positions(n))
+    i = np.arange(n)
+    a, b = (weights @ ((r.bits >> i) & 1) for r in (p.ra, p.rb))
+    best = int(((a << n) | b).min())
+    return f"{best >> n:0{n}b};{best & ((1 << n) - 1):0{n}b}"
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +296,22 @@ def _search_range(
     ra_hi: int,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[Tuple[int, int]]:
+    """Every hit (r, rb) whose ra = r is an orbit representative in
+    [ra_lo, ra_hi), with rb unrestricted by rb_last_one.
+
+    progress counts ra rows: each representative stands for its orbit.
+    """
     n = block
     mask = np.uint32((1 << n) - 1)
     v, wt, sig, w2, rev = _search_tables(n)
+    reps, sizes = _orbit_tables(n)
+    inside = (reps >= ra_lo) & (reps < ra_hi)
+    reps, sizes = reps[inside].tolist(), sizes[inside].tolist()
+    total = sum(sizes)
 
-    pool = v
-    if rules.rb_last_one:
-        pool = pool[(pool >> np.uint32(n - 1)) & 1 == 1]
-    order = np.argsort(sig[pool], kind="stable")
-    pool = pool[order]
+    # rb_last_one is not invariant under the group, so every rb is searched
+    order = np.argsort(sig, kind="stable")
+    pool = v[order]
     pool_sig = sig[pool]
 
     min_sum = max(d_target - 1, rules.weight_bound or 0)
@@ -238,12 +319,14 @@ def _search_range(
     cross_need = (d_target - 1) // 2  # ceil((d_target - 2) / 2)
 
     found: List[Tuple[int, int]] = []
-    for ra in range(ra_lo, ra_hi):
+    done = 0
+    for ra, size in zip(reps, sizes):
+        done += size
+        if progress is not None and done // 1024 != (done - size) // 1024:
+            progress(done, total)
         want = int(sig[ra]) ^ 1
         lo = int(np.searchsorted(pool_sig, want, side="left"))
         hi = int(np.searchsorted(pool_sig, want, side="right"))
-        if progress is not None and (ra - ra_lo) % 1024 == 1023:
-            progress(ra + 1 - ra_lo, ra_hi - ra_lo)
         if lo == hi:
             continue
         cand = pool[lo:hi]
@@ -269,12 +352,14 @@ def _search_range(
             ru = ((rbt << np.uint32(u)) | (rbt >> np.uint32(n - u))) & mask
             m &= np.bitwise_count(rau ^ ru) >= cross_need
         cand = cand[m]
+        # every candidate passed the signature bucket, so it is self-dual
+        # and (M^T | I) is its second systematic basis
         for rb in cand.tolist():
-            code = LinearCode.from_int_rows(_generator_ints(n, ra, rb), 4 * n)
-            if _min_weight_staged(code, d_target) >= d_target:
+            bases = [_generator_ints(n, ra, rb), _transpose_basis_ints(n, ra, rb)]
+            if _min_weight_staged(bases, 4 * n, d_target) >= d_target:
                 found.append((ra, rb))
     if progress is not None:
-        progress(ra_hi - ra_lo, ra_hi - ra_lo)
+        progress(total, total)
     return found
 
 
@@ -283,51 +368,68 @@ def _search_worker(args) -> List[Tuple[int, int]]:
     return _search_range(block, d_target, rules, lo, hi)
 
 
+def _expand_hits(
+    block: int, hits: Sequence[Tuple[int, int]], rules: SearchRules
+) -> List[Tuple[int, int]]:
+    """The orbits of the representative hits under the group, with
+    rb_last_one applied, each pair once."""
+    n = block
+    keys = set()
+    for ra, group in groupby(hits, key=lambda h: h[0]):
+        rbs = _images([rb for _, rb in group], n)
+        ras = np.broadcast_to(_images([ra], n), rbs.shape)
+        if rules.rb_last_one:
+            last = (rbs >> (n - 1)) & 1 == 1
+            ras, rbs = ras[last], rbs[last]
+        keys.update(((ras << n) | rbs).ravel().tolist())
+    return [(k >> n, k & ((1 << n) - 1)) for k in sorted(keys)]
+
+
 def search_four_circulant(
     block: int,
     d_target: int,
     rules: Optional[SearchRules] = None,
     threads: int = 1,
-    ra_range: Optional[Tuple[int, int]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[CirculantPair]:
     """All pairs whose code is self-dual with min weight >= d_target and
     which pass the normalization rules, in serialization order.
 
-    The ra interval is split into contiguous ranges across workers, so
-    the result is identical for every thread count.
+    Every filter, self-duality and the minimum weight are invariant under
+    the affine group acting on both rows, so one ra per orbit is searched
+    and its hits are expanded over the group.  The sorted representatives
+    are split into contiguous parts across workers, so the result is
+    identical for every thread count.
     """
     if block < 1:
         raise DomainError(f"block size must be positive, got {block}")
     if block > SEARCH_BLOCK_LIMIT:
         raise ResourceLimitError(
-            f"search budget is 2^(2*block-1) pair evaluations; "
+            f"search budget is 2^block rb rows for each affine orbit of ra rows; "
             f"block {block} exceeds the limit {SEARCH_BLOCK_LIMIT}"
         )
     if rules is None:
         rules = SearchRules.for_target(d_target)
-    lo, hi = ra_range if ra_range is not None else (0, 1 << block)
-    if not 0 <= lo <= hi <= 1 << block:
-        raise DomainError(f"ra range ({lo}, {hi}) outside [0, 2^{block}]")
+    reps, sizes = _orbit_tables(block)
+    end = 1 << block
     threads = max(1, threads)
-    if threads == 1 or hi - lo < 2 * threads:
-        raw = _search_range(block, d_target, rules, lo, hi, progress)
+    if threads == 1 or len(reps) < 2 * threads:
+        hits = _search_range(block, d_target, rules, 0, end, progress)
     else:
-        bounds = [lo + (hi - lo) * i // threads for i in range(threads + 1)]
+        cuts = [len(reps) * i // threads for i in range(threads + 1)]
+        bounds = [0] + [int(reps[c]) for c in cuts[1:-1]] + [end]
         jobs = [
             (block, d_target, rules, bounds[i], bounds[i + 1]) for i in range(threads)
         ]
-        raw = []
+        hits = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = 0
-            for part in pool.map(_search_worker, jobs):
-                raw.extend(part)
-                done += 1
+            for i, part in enumerate(pool.map(_search_worker, jobs)):
+                hits.extend(part)
                 if progress is not None:
-                    progress(bounds[done] - lo, hi - lo)
+                    progress(int(sizes[: cuts[i + 1]].sum()), end)
     pairs = [
         CirculantPair(block, BitVector(block, ra), BitVector(block, rb))
-        for ra, rb in raw
+        for ra, rb in _expand_hits(block, hits, rules)
     ]
     pairs.sort(key=lambda p: (p.ra.to01(), p.rb.to01()))
     return pairs

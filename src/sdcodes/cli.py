@@ -26,7 +26,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import tables
-from .circulant import SearchRules, build_four_circulant, save_pairs, search_four_circulant
+from .circulant import (
+    SearchRules,
+    build_four_circulant,
+    orbit_key,
+    save_pairs,
+    search_four_circulant,
+)
 from .codes import LinearCode, ParityClass, is_self_dual, load_code, parity_class, subtract_coordinates
 from .equivalence import classification_report, classify
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
@@ -460,10 +466,6 @@ def _reproduce_balance() -> int:
     return printer.finish()
 
 
-def _shift_orbit_key(pair) -> str:
-    return min(pair.shifted(s).serialize() for s in range(pair.block))
-
-
 def _reproduce_search_classes(table: str, dmin: int, want_classes: int, threads: int) -> int:
     printer = _RowPrinter(table)
     pairs = search_four_circulant(
@@ -476,8 +478,8 @@ def _reproduce_search_classes(table: str, dmin: int, want_classes: int, threads:
     printer.row("search", bool(pairs), f"{len(pairs)} pairs")
     reps = {}
     for pair in pairs:
-        reps.setdefault(_shift_orbit_key(pair), pair)
-    sys.stderr.write(f"{table}: {len(reps)} shift orbits\n")
+        reps.setdefault(orbit_key(pair), pair)
+    sys.stderr.write(f"{table}: {len(reps)} affine orbits\n")
     codes = []
     for key in sorted(reps):
         code = build_four_circulant(reps[key])

@@ -159,8 +159,11 @@ class LinearCode:
         try:
             n = int(obj["n"])
             rows = list(obj["rows"])
+            k = int(obj["k"]) if "k" in obj else None
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"code object needs integer 'n' and list 'rows': {exc}") from None
+            raise ParseError(
+                f"code object needs integer 'n', list 'rows' and, if given, integer 'k': {exc}"
+            ) from None
         vecs = []
         for idx, s in enumerate(rows):
             if not isinstance(s, str):
@@ -171,8 +174,8 @@ class LinearCode:
             vecs.append(v)
         name = obj.get("name") or None
         code = cls.from_rows(vecs, n, name)
-        if "k" in obj and int(obj["k"]) != code.k:
-            raise ParseError(f"declared k={obj['k']} but rows span dimension {code.k}")
+        if k is not None and k != code.k:
+            raise ParseError(f"declared k={k} but rows span dimension {code.k}")
         return code
 
 

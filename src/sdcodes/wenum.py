@@ -435,13 +435,17 @@ def _low_weight_words(bases: Sequence[Sequence[int]], top: int):
         yield vals[np.bitwise_count(vals & pivot_mask) > t]
 
 
-def _min_weight_staged(c: LinearCode, target: Optional[int]) -> int:
-    bases = _disjoint_information_bases(c)
+def _min_weight_staged(
+    bases: Sequence[Sequence[int]], n: int, target: Optional[int]
+) -> int:
+    """Minimum weight of the length-n code spanned by each of the bases:
+    one systematic basis, or two on disjoint information sets."""
     states = [_LevelState(b) for b in bases]
     nsets = len(states)
-    best = c.n + 1
+    k = len(bases[0])
+    best = n + 1
     w = 0
-    while w < c.k:
+    while w < k:
         w += 1
         if w > 1:
             live = [st for st in states if st.extend()]
@@ -457,7 +461,8 @@ def _min_weight_staged(c: LinearCode, target: Optional[int]) -> int:
             return best
         if states and states[0].vals.size > (1 << 23):
             # combination arrays are ballooning; finish with the full histogram
-            for i, x in enumerate(weight_distribution(c).counts):
+            code = LinearCode.from_int_rows(bases[0], n)
+            for i, x in enumerate(weight_distribution(code).counts):
                 if i and x:
                     return min(best, i)
     return best
@@ -483,7 +488,7 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
     _check_dimension(c, "minimum weight")
     if "weights" in c.memo or c.n > 64:
         return weight_distribution(c).min_weight
-    got = _min_weight_staged(c, target)
+    got = _min_weight_staged(_disjoint_information_bases(c), c.n, target)
     if target is None or got >= target:
         c.memo["min_weight"] = got
     return got

@@ -2,9 +2,9 @@
 
 Everything here trades speed for obviousness: spans are materialized as
 sets of ints, membership is tested by exhaustive enumeration, and no code
-under test is reused on the oracle side of a comparison.  The neighbor
-and permutation scans run in numpy blocks, but still visit every vector
-and every permutation.
+under test is reused on the oracle side of a comparison.  The dual,
+neighbor and permutation scans run in numpy blocks, but still visit every
+vector and every permutation.
 """
 
 from __future__ import annotations
@@ -44,11 +44,17 @@ def gray_weight_histogram(rows: Sequence[int], n: int) -> List[int]:
 
 
 def dual_set(words: Set[int], n: int) -> Set[int]:
-    """All vectors orthogonal to every word, by scanning 2^n candidates."""
-    out = set()
-    for v in range(1 << n):
-        if all((v & w).bit_count() % 2 == 0 for w in words):
-            out.add(v)
+    """All vectors orthogonal to every word, by scanning 2^n candidates.
+
+    A block of candidates is tested against every word in one numpy pass.
+    """
+    ws = np.array(sorted(words), dtype=np.uint64)
+    step = max(1, (1 << 20) // max(1, ws.size))
+    out: Set[int] = set()
+    for lo in range(0, 1 << n, step):
+        vs = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint64)
+        odd = np.bitwise_count(vs[:, None] & ws[None, :]) % 2 == 1
+        out.update(vs[~odd.any(axis=1)].tolist())
     return out
 
 

@@ -1,4 +1,9 @@
+import hashlib
+import importlib.util
+import math
 import random
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from sdcodes import (
     LinearCode,
     ParseError,
     ResourceLimitError,
+    classify,
     is_self_dual,
     min_weight,
 )
@@ -20,10 +26,16 @@ from sdcodes.circulant import (
     circulant_matrix,
     format_pairs,
     load_pairs,
+    orbit_key,
     parse_pairs,
     save_pairs,
     search_four_circulant,
     self_dual_condition,
+    _expand_hits,
+    _generator_ints,
+    _orbit_tables,
+    _search_range,
+    _transpose_basis_ints,
 )
 
 from oracles import span_set
@@ -208,22 +220,30 @@ def test_rules_reject_even_congruence():
 # ---------------------------------------------------------------------------
 # search
 
-def brute_force(block, d_target, rules):
+@lru_cache(maxsize=None)
+def self_dual_pairs(block):
+    """Every self-dual pair of the block with the min weight of its code."""
     out = []
     for ra in range(1 << block):
         for rb in range(1 << block):
             p = pair(block, ra, rb)
-            if not self_dual_condition(p):
-                continue
-            if rules.weight_bound is not None and p.weight_sum < rules.weight_bound:
-                continue
-            if rules.congruence is not None and p.weight_sum % 4 != rules.congruence % 4:
-                continue
-            if rules.rb_last_one and not p.rb.bit(block):
-                continue
-            if min_weight(build_four_circulant(p)) < d_target:
-                continue
-            out.append(p)
+            if self_dual_condition(p):
+                out.append((p, min_weight(build_four_circulant(p))))
+    return out
+
+
+def brute_force(block, d_target, rules):
+    out = []
+    for p, d in self_dual_pairs(block):
+        if rules.weight_bound is not None and p.weight_sum < rules.weight_bound:
+            continue
+        if rules.congruence is not None and p.weight_sum % 4 != rules.congruence % 4:
+            continue
+        if rules.rb_last_one and not p.rb.bit(block):
+            continue
+        if d < d_target:
+            continue
+        out.append(p)
     out.sort(key=lambda q: (q.ra.to01(), q.rb.to01()))
     return out
 
@@ -265,14 +285,64 @@ def test_search_results_verify():
         assert min_weight(c) >= 2
 
 
-def test_search_range_partition_reassembles():
-    rules = SearchRules.for_target(2)
-    whole = search_four_circulant(4, 2, rules)
+@pytest.mark.parametrize("block,d", [(5, 4), (6, 4), (7, 6)])
+def test_orbit_search_equals_brute_force(block, d):
+    bound = SearchRules.for_target(d).weight_bound
+    kept = 0
+    for rules in (
+        SearchRules.for_target(d),
+        SearchRules.for_target(d, congruence=3),
+        SearchRules(weight_bound=bound + 4),
+        SearchRules.unrestricted(),
+    ):
+        got = search_four_circulant(block, d, rules)
+        assert got == brute_force(block, d, rules)
+        kept += len(got)
+    assert kept
+
+
+# sha256 of format_pairs under default rules, recorded from the search
+# that walked every ra row; blocks 9 and 11 are the benchmark's digests
+FULL_WALK_DIGESTS = {
+    (8, 6): "97ef26e32347ef8c6dc6961bf2c9ea38e3e712f5759fd43f9f696e7947b3b618",
+    (9, 8): "ea1752f014271560b04a54dc19def4f384cd567aa0b3428703d28bbc3d2a16bd",
+    (10, 8): "10c1b0edda2aa6e943dcec83814790cf99af8cd8d54e5f391b119c03e1d43b0c",
+    (11, 10): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+@pytest.mark.parametrize("block,d", sorted(FULL_WALK_DIGESTS))
+def test_search_matches_the_full_walk_digest(block, d):
+    text = format_pairs(search_four_circulant(block, d))
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_WALK_DIGESTS[block, d]
+
+
+def test_full_walk_digests_match_the_benchmark():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for block, d, _, digest in workloads.SEARCHES:
+        assert FULL_WALK_DIGESTS[block, d] == digest
+
+
+def test_search_representative_partition_reassembles():
+    block, d = 7, 6
+    rules = SearchRules.for_target(d)
+    reps, _ = _orbit_tables(block)
+    whole = _search_range(block, d, rules, 0, 1 << block)
+    bounds = [0, int(reps[len(reps) // 3]), int(reps[2 * len(reps) // 3]), 1 << block]
     parts = []
-    for lo, hi in ((0, 5), (5, 11), (11, 16)):
-        parts += search_four_circulant(4, 2, rules, ra_range=(lo, hi))
-    parts.sort(key=lambda q: (q.ra.to01(), q.rb.to01()))
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = _search_range(block, d, rules, lo, hi)
+        assert all(lo <= ra < hi and ra in reps for ra, _ in part)
+        parts += part
     assert parts == whole
+    assert whole, "the block-7 representatives keep hits"
+    expect = search_four_circulant(block, d, rules)
+    assert [pair(block, ra, rb) for ra, rb in _expand_hits(block, parts, rules)] == sorted(
+        expect, key=lambda q: (q.ra.bits, q.rb.bits)
+    )
 
 
 def test_search_threads_do_not_change_output():
@@ -280,6 +350,10 @@ def test_search_threads_do_not_change_output():
     assert search_four_circulant(5, 2, rules, threads=3) == search_four_circulant(
         5, 2, rules
     )
+
+
+def test_search_two_threads_match_one_at_block_nine():
+    assert search_four_circulant(9, 8, threads=2) == search_four_circulant(9, 8)
 
 
 def test_search_budget():
@@ -323,3 +397,93 @@ def test_shifting_a_pair_permutes_the_code():
             for w in span_set(base.row_ints())
         }
         assert moved == span_set(shifted.row_ints())
+
+
+# ---------------------------------------------------------------------------
+# the affine group i -> u*i + s and its orbits
+
+def affine_image(v, n, u, s):
+    return sum(1 << ((u * i + s) % n) for i in range(n) if (v >> i) & 1)
+
+
+def affine_maps(n):
+    return [(u, s) for u in range(n) if math.gcd(u, n) == 1 for s in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 8, 9])
+def test_orbit_tables_match_explicit_orbits(n):
+    least = {}
+    for v in range(1 << n):
+        least[v] = min(affine_image(v, n, u, s) for u, s in affine_maps(n))
+    reps, sizes = _orbit_tables(n)
+    expect = sorted(set(least.values()))
+    assert reps.tolist() == expect
+    assert sizes.tolist() == [sum(1 for x in least.values() if x == r) for r in expect]
+
+
+def test_block_fifteen_has_368_orbits():
+    reps, sizes = _orbit_tables(15)
+    assert len(reps) == 368
+    assert int(sizes.sum()) == 1 << 15
+
+
+def test_orbit_key_is_constant_on_orbits_and_names_a_member():
+    rng = random.Random(425)
+    for _ in range(20):
+        n = rng.randrange(2, 10)
+        p = pair(n, rng.getrandbits(n), rng.getrandbits(n))
+        orbit = {
+            pair(n, affine_image(p.ra.bits, n, u, s), affine_image(p.rb.bits, n, u, s)).serialize()
+            for u, s in affine_maps(n)
+        }
+        key = orbit_key(p)
+        assert key == min(orbit)
+        for text in orbit:
+            assert orbit_key(CirculantPair.parse(text)) == key
+
+
+def test_multiplied_pair_gives_an_equivalent_code():
+    n, u = 7, 3
+    for p in search_four_circulant(n, 6)[:5]:
+        moved = pair(n, affine_image(p.ra.bits, n, u, 0), affine_image(p.rb.bits, n, u, 0))
+        images = [(u * (i % n)) % n + (i // n) * n + 1 for i in range(4 * n)]
+        base = build_four_circulant(p)
+        got = {BitVector(4 * n, w).permuted(images).bits for w in span_set(base.row_ints())}
+        assert got == span_set(build_four_circulant(moved).row_ints())
+
+
+@pytest.mark.parametrize("block,d", [(6, 4), (9, 8)])
+def test_affine_orbits_give_the_shift_orbit_class_count(block, d):
+    pairs = search_four_circulant(block, d)
+
+    def classes(key):
+        reps = {}
+        for p in pairs:
+            reps.setdefault(key(p), p)
+        codes = [build_four_circulant(reps[k]) for k in sorted(reps)]
+        return len(classify([c for c in codes if min_weight(c) == d])), len(reps)
+
+    by_shift = classes(lambda p: min(p.shifted(s).serialize() for s in range(block)))
+    by_affine = classes(orbit_key)
+    assert by_affine[0] == by_shift[0]
+    assert by_affine[1] < by_shift[1]
+
+
+@pytest.mark.parametrize("block,d", [(7, 6), (8, 6), (9, 8)])
+def test_transpose_basis_spans_the_code(block, d):
+    n = block
+    identity = [1 << (2 * n + i) for i in range(2 * n)]
+    for p in search_four_circulant(block, d):
+        ra, rb = p.ra.bits, p.rb.bits
+        rows = _transpose_basis_ints(n, ra, rb)
+        assert [r >> (2 * n) for r in rows] == [r >> (2 * n) for r in identity]
+        code = LinearCode.from_int_rows(_generator_ints(n, ra, rb), 4 * n)
+        assert LinearCode.from_int_rows(rows, 4 * n) == code
+
+
+def test_search_builds_no_code(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the search built a LinearCode")
+
+    monkeypatch.setattr(LinearCode, "__post_init__", refuse)
+    assert len(search_four_circulant(9, 8)) == 972

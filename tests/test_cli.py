@@ -90,6 +90,13 @@ def test_analyze_non_utf8_file_is_input_error(tmp_path):
     assert main(["analyze", "--code", str(path)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("k", ['"x"', "null", "[1]"])
+def test_analyze_non_integer_k_is_input_error(tmp_path, k):
+    path = tmp_path / "bad_k.json"
+    path.write_text('{"n": 2, "k": %s, "rows": ["11"]}' % k)
+    assert main(["analyze", "--code", str(path)]) == EXIT_INPUT
+
+
 def test_classify_non_utf8_file_is_input_error(tmp_path):
     write_code(tmp_path, "good", ["1100", "0011"])
     (tmp_path / "latin1.json").write_bytes(b'{"n": 2, "rows": ["11"], "name": "caf\xe9"}')

@@ -7,10 +7,17 @@ import pytest
 
 from oracles import (
     all_neighbor_codes,
+    dual_set,
     equivalent_by_all_permutations,
     permute_bits,
     random_self_dual_words,
 )
+
+
+def loop_dual_set(words, n):
+    return {
+        v for v in range(1 << n) if all((v & w).bit_count() % 2 == 0 for w in words)
+    }
 
 
 def loop_neighbor_codes(code_words, n):
@@ -44,6 +51,17 @@ def test_neighbor_codes_of_a_code_that_is_not_self_dual():
     # rows of C meet x-perp differ in size, so the numpy pass groups them
     words = {0, 0b0011, 0b0110, 0b0101}
     assert all_neighbor_codes(words, 4) == loop_neighbor_codes(words, 4)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 9])
+def test_dual_set_matches_the_loop(n):
+    rng = random.Random(720 + n)
+    cases = [set(), {0}, {(1 << n) - 1}]
+    cases += [{rng.getrandbits(n) for _ in range(rng.randrange(1, 6))} for _ in range(4)]
+    if n % 2 == 0:
+        cases.append(random_self_dual_words(rng, n))
+    for words in cases:
+        assert dual_set(words, n) == loop_dual_set(words, n)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])

@@ -407,7 +407,7 @@ def test_staged_min_weight_matches_histogram():
         if c.k < 20:
             continue
         expect = weight_distribution(c).min_weight
-        assert _min_weight_staged(c, None) == expect
+        assert _min_weight_staged(_disjoint_information_bases(c), c.n, None) == expect
 
 
 def test_level_state_walks_every_combination_once():
@@ -434,7 +434,7 @@ def test_staged_min_weight_on_self_dual_direct_sum():
         rows += [r << (8 * b) for r in e8.row_ints()]
     c = LinearCode.from_int_rows(rows, 48)
     assert c.k == 24
-    assert _min_weight_staged(c, None) == 4
+    assert _min_weight_staged(_disjoint_information_bases(c), c.n, None) == 4
     assert min_weight(c) == 4
 
 
