@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 SEARCH_BLOCK_LIMIT = 16
+# a threaded search reports progress as each of these parts per worker ends
+_PARTS_PER_WORKER = 8
 
 
 def _rot(bits: int, s: int, n: int) -> int:
@@ -398,8 +400,8 @@ def search_four_circulant(
     Every filter, self-duality and the minimum weight are invariant under
     the affine group acting on both rows, so one ra per orbit is searched
     and its hits are expanded over the group.  The sorted representatives
-    are split into contiguous parts across workers, so the result is
-    identical for every thread count.
+    are split into contiguous parts, a fixed number per worker, so the
+    result is identical for every thread count.
     """
     if block < 1:
         raise DomainError(f"block size must be positive, got {block}")
@@ -416,11 +418,10 @@ def search_four_circulant(
     if threads == 1 or len(reps) < 2 * threads:
         hits = _search_range(block, d_target, rules, 0, end, progress)
     else:
-        cuts = [len(reps) * i // threads for i in range(threads + 1)]
+        parts = min(len(reps), threads * _PARTS_PER_WORKER)
+        cuts = [len(reps) * i // parts for i in range(parts + 1)]
         bounds = [0] + [int(reps[c]) for c in cuts[1:-1]] + [end]
-        jobs = [
-            (block, d_target, rules, bounds[i], bounds[i + 1]) for i in range(threads)
-        ]
+        jobs = [(block, d_target, rules, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         hits = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for i, part in enumerate(pool.map(_search_worker, jobs)):

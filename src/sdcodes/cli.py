@@ -39,10 +39,13 @@ from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
 from .neighbors import extremal_neighbor_survey, neighbor_from_support
 from .wenum import (
     FamilyParams,
+    FamilyTag,
     ShadowDistribution,
     WeightDistribution,
     check_shadow_balance,
     classify_enumerator,
+    extremal_min_weight,
+    family_profile,
     min_weight,
     shadow_distribution,
     solve_shadow_balance,
@@ -438,25 +441,16 @@ def _reproduce_rows(table: str) -> int:
     return printer.finish()
 
 
-def _w58_1_profiles(gamma: int) -> Tuple[WeightDistribution, ShadowDistribution]:
-    counts = [0] * 59
-    counts[0] = 1
-    counts[10] = 165 - 2 * gamma
-    counts[12] = 5078 + 2 * gamma
-    shadow = [0] * 59
-    shadow[1] = 1
-    shadow[9] = gamma
-    shadow[13] = 23918 - 10 * gamma
-    return WeightDistribution(58, tuple(counts)), ShadowDistribution(58, tuple(shadow))
-
-
 def _reproduce_balance() -> int:
+    """B_{d-1} = A_d on W58,1, whose A_d and B_{d-1} are linear in gamma."""
     printer = _RowPrinter("C7")
-    got = solve_shadow_balance(165, -2, 0, 1)
+    d = extremal_min_weight(58)
+    profiles = [family_profile(FamilyTag.W58_1, gamma=g) for g in (0, 1)]
+    (a, b), (a1, b1) = ((w.counts[d], s.counts[d - 1]) for w, s in profiles)
+    got = solve_shadow_balance(a, a1 - a, b, b1 - b)
     printer.row("solver", got == 55, f"gamma={got}")
     for gamma, expect_holds in ((55, True), (54, False), (56, False)):
-        w, s = _w58_1_profiles(gamma)
-        outcome = check_shadow_balance(w, s, 10)
+        outcome = check_shadow_balance(*family_profile(FamilyTag.W58_1, gamma=gamma), d)
         holds = outcome.status.value == "holds"
         printer.row(
             f"balance-gamma-{gamma}",

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,25 +55,13 @@ __all__ = [
     "check_shadow_balance",
     "solve_shadow_balance",
     "extremal_min_weight",
-    "EXTREMAL_MIN_WEIGHT",
+    "family_profile",
 ]
 
 ENUM_DIMENSION_LIMIT = 34
 _INNER_LOG = 16
 # up to this dimension walking the whole span (2^22 words) is cheap
 _FULL_SPAN_MAX_K = 22
-
-# largest minimum weight a singly even self-dual code of these lengths can have
-EXTREMAL_MIN_WEIGHT = {58: 10, 60: 12}
-
-
-def extremal_min_weight(n: int) -> int:
-    try:
-        return EXTREMAL_MIN_WEIGHT[n]
-    except KeyError:
-        raise DomainError(
-            f"no built-in extremal threshold for length {n}; supply one explicitly"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +93,7 @@ class _Distribution:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != "weight,count":
             raise ParseError("expected header 'weight,count'", line=1)
-        pairs = []
+        pairs: Dict[int, int] = {}
         for lineno, ln in enumerate(lines[1:], start=2):
             parts = ln.split(",")
             if len(parts) != 2:
@@ -116,16 +104,15 @@ class _Distribution:
                 raise ParseError(f"non-integer entry in {ln!r}", line=lineno) from None
             if i < 0 or c < 0:
                 raise ParseError(f"negative entry in {ln!r}", line=lineno)
-            pairs.append((i, c))
-        top = max((i for i, _ in pairs), default=0)
+            if i in pairs:
+                raise ParseError(f"repeated weight {i}", line=lineno)
+            pairs[i] = c
+        top = max(pairs, default=0)
         if n is None:
             n = top
         elif top > n:
             raise ParseError(f"weight {top} exceeds declared length {n}")
-        counts = [0] * (n + 1)
-        for i, c in pairs:
-            counts[i] += c
-        return cls(n, tuple(counts))
+        return cls(n, tuple(pairs.get(i, 0) for i in range(n + 1)))
 
 
 class WeightDistribution(_Distribution):
@@ -281,24 +268,46 @@ def _gleason_basis(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _gleason_distribution(n: int, k: int, low: Sequence[int]) -> Tuple[int, ...]:
-    """A_0..A_n of a self-dual [n, k] code from its counts A_0..A_{2(n//8)}.
+@lru_cache(maxsize=None)
+def _shadow_basis(n: int) -> Tuple[Dict[int, Fraction], ...]:
+    """{y power: coefficient} of the shadow of Gleason polynomial j, j =
+    0..n//8: (-1)^j 2^(n/2-6j) y^(n/2-4j) (1-y^4)^(2j)."""
+    m = n // 2
+    return tuple(
+        {m - 4 * j + 4 * b: (-1) ** (j + b) * Fraction(2) ** (m - 6 * j) * math.comb(2 * j, b)
+         for b in range(2 * j + 1)}
+        for j in range(n // 8 + 1)
+    )
 
-    Raises IntegrityError unless the result is non-negative, zero at odd
-    weights, symmetric, sums to 2^k, reproduces every counted entry and
-    has a shadow transform of non-negative integers.
+
+def _gleason_distribution(n: int, k: int, low: Sequence[int], head: Sequence = ()) -> Tuple[int, ...]:
+    """A_0..A_n of a self-dual [n, k] code from its counts A_0..A_{2(n//8)},
+    or from fewer counts and its shadow coefficients B_{n/2-4j} = head, j =
+    n//8, n//8-1, ... down to where the counts stop.  Raises IntegrityError
+    unless the result is integral, non-negative, zero at odd weights,
+    symmetric, sums to 2^k, reproduces every given entry and has a shadow
+    transform of non-negative integers.
     """
     t = n // 8
-    if 2 * k != n or len(low) != 2 * t + 1:
+    if 2 * k != n or len(low) + 2 * len(head) != 2 * t + 1:
         raise DomainError(f"need A_0..A_{2 * t} of a self-dual [{n},{n // 2}] code")
-    basis = _gleason_basis(n)
-    coef: List[int] = []
-    for i in range(t + 1):
+    basis, shadow = _gleason_basis(n), _shadow_basis(n)
+    coef: List = []
+    for i in range(len(low) // 2 + 1):
         coef.append(low[2 * i] - sum(a * basis[j][i] for j, a in enumerate(coef)))
+    # the shadow of polynomial j starts at y^(n/2-4j), so B_{n/2-4i} fixes
+    # coefficient i once those above it are known
+    high: Dict[int, Fraction] = {}
+    for i, b in zip(range(t, len(coef) - 1, -1), head):
+        y = n // 2 - 4 * i
+        high[i] = (b - sum(a * shadow[j][y] for j, a in high.items())) / shadow[i][y]
+    coef += [high[i] for i in sorted(high)]
     counts = [0] * (n + 1)
     for i in range(n // 2 + 1):
         counts[2 * i] = sum(a * basis[j][i] for j, a in enumerate(coef))
     problems = []
+    if any(Fraction(x).denominator != 1 for x in counts):
+        problems.append("a non-integral coefficient")
     if any(x < 0 for x in counts):
         problems.append("a negative coefficient")
     if any(counts[1::2]):
@@ -313,8 +322,9 @@ def _gleason_distribution(n: int, k: int, low: Sequence[int]) -> Tuple[int, ...]
         raise IntegrityError(
             f"Gleason reconstruction for length {n} gave " + ", ".join(problems)
         )
+    counts = tuple(int(x) for x in counts)
     _shadow_counts(n, counts)
-    return tuple(counts)
+    return counts
 
 
 def _low_weight_counts(n: int, bases: Sequence[Sequence[int]]) -> List[int]:
@@ -582,48 +592,68 @@ class FamilyParams:
     note: Optional[str] = None
 
 
-def classify_enumerator(w: WeightDistribution, s: ShadowDistribution) -> FamilyParams:
-    """Match a distribution against the known extremal families.
+# The extremal families (Conway and Sloane, IEEE Trans. Inform. Theory 36 (1990);
+# Dougherty, Gulliver and Harada, ibid. 43 (1997)): tag -> (n, d, shadow head,
+# parameter ranges).  A family has A_0 = 1, A_2 = ... = A_{d-2} = 0 and sets
+# B_{n/2-4j}, j = n//8 down to d/2, to integers or named parameters.
+_FAMILIES = {
+    FamilyTag.W60_2: (60, 12, (1, 0), {}),
+    FamilyTag.W60_1: (60, 12, (0, "beta"), {}),
+    FamilyTag.W58_1: (58, 10, (1, 0, "gamma"), {}),
+    FamilyTag.W58_2: (58, 10, (0, "beta", "gamma"), {"beta": range(3)}),
+}
 
-    Works on (n, d) = (60, 12) and (58, 10); at length 58 the shadow
-    decides the family first: shadow minimum weight 1 means the first
-    family, anything else the second.
+
+def extremal_min_weight(n: int) -> int:
+    """Largest minimum weight of a singly even self-dual code of length n."""
+    for m, d, _, _ in _FAMILIES.values():
+        if m == n:
+            return d
+    raise DomainError(f"no built-in extremal threshold for length {n}; supply one explicitly")
+
+
+def family_profile(tag: FamilyTag, **params: int) -> Tuple[WeightDistribution, ShadowDistribution]:
+    """W and S of one member of a family, through the checked Gleason
+    reconstruction and shadow transform."""
+    n, d, head, ranges = _FAMILIES[tag]
+    names = {h for h in head if isinstance(h, str)}
+    if set(params) != names or any(params[p] not in r for p, r in ranges.items()):
+        raise DomainError(f"{tag.value} has no member with parameters {params}")
+    counts = _gleason_distribution(n, n // 2, [1] + [0] * (d - 2), [params.get(h, h) for h in head])
+    return WeightDistribution(n, counts), ShadowDistribution(n, _shadow_counts(n, counts))
+
+
+def classify_enumerator(w: WeightDistribution, s: ShadowDistribution) -> FamilyParams:
+    """Match a distribution against the extremal families of its (n, d).
+
+    A_0..A_{d+2} and the family's shadow head above them fix W, and W's
+    shadow must show the rest of the head.  So A_d and A_{d+2} fix the
+    family and its parameters, and where they leave head coefficients open
+    (B_1 at length 58) the shadow s picks the family first: it must agree
+    on which of them are nonzero.
     """
     n, d = w.n, w.min_weight
-    if (n, d) == (60, 12):
-        a12, a14 = w.counts[12], w.counts[14]
-        if (a12, a14) == (3451, 24128):
-            return FamilyParams(FamilyTag.W60_2)
-        beta, rem = divmod(a12 - 2555, 64)
-        if rem == 0 and a14 == 33600 - 384 * beta:
-            return FamilyParams(FamilyTag.W60_1, beta=beta)
-        return FamilyParams(
-            FamilyTag.UNKNOWN, note=f"A_12={a12}, A_14={a14} fit neither length-60 family"
-        )
-    if (n, d) == (58, 10):
-        a10, a12 = w.counts[10], w.counts[12]
-        if s.counts[1] >= 1:
-            gamma, rem = divmod(165 - a10, 2)
-            if rem == 0 and a12 == 5078 + 2 * gamma:
-                return FamilyParams(FamilyTag.W58_1, gamma=gamma)
-            return FamilyParams(
-                FamilyTag.UNKNOWN,
-                note=f"shadow min weight 1 but A_10={a10}, A_12={a12} do not fit",
-            )
-        beta, rem = divmod(a10 + a12 - 3451, 128)
-        if rem == 0 and 0 <= beta <= 2:
-            gamma, grem = divmod(319 - 24 * beta - a10, 2)
-            if (
-                grem == 0
-                and a10 == 319 - 24 * beta - 2 * gamma
-                and a12 == 3132 + 152 * beta + 2 * gamma
-            ):
-                return FamilyParams(FamilyTag.W58_2, beta=beta, gamma=gamma)
-        return FamilyParams(
-            FamilyTag.UNKNOWN,
-            note=f"A_10={a10}, A_12={a12} fit no second-family parameters with beta in 0..2",
-        )
-    raise DomainError(f"no catalogued families for (n, min weight) = ({n}, {d})")
+    t, m = n // 8, n // 2
+    tags = [tag for tag, row in _FAMILIES.items() if row[:2] == (n, d)]
+    if not tags:
+        raise DomainError(f"no catalogued families for (n, min weight) = ({n}, {d})")
+    for tag in tags:
+        _, _, head, ranges = _FAMILIES[tag]
+        top = head[: t - d // 2 - 1]
+        if any((s.counts[m - 4 * (t - i)] > 0) != (h > 0) for i, h in enumerate(top)):
+            continue
+        low = [1] + [0] * (d - 1) + [w.counts[d], 0, w.counts[d + 2]]
+        try:
+            b = _shadow_counts(n, _gleason_distribution(n, m, low, top))
+        except IntegrityError:
+            continue
+        slots = [b[m - 4 * j] for j in range(t, d // 2 - 1, -1)]
+        params = {h: v for h, v in zip(head, slots) if isinstance(h, str)}
+        in_range = all(params[p] in r for p, r in ranges.items())
+        if in_range and [params.get(h, h) for h in head] == slots:
+            return FamilyParams(tag, **params)
+    note = f"A_{d}={w.counts[d]}, A_{d + 2}={w.counts[d + 2]} fit no length-{n} family"
+    return FamilyParams(FamilyTag.UNKNOWN, note=note)
 
 
 # ---------------------------------------------------------------------------

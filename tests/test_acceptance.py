@@ -14,6 +14,7 @@ import pytest
 
 from sdcodes import (
     BalanceStatus,
+    FamilyTag,
     LinearCode,
     ParityClass,
     are_equivalent,
@@ -31,7 +32,8 @@ from sdcodes import (
     verify_certificate,
     weight_distribution,
 )
-from sdcodes.cli import EXIT_OK, EXIT_RESOURCE, _w58_1_profiles, main as cli_main
+from sdcodes.cli import EXIT_OK, EXIT_RESOURCE, main as cli_main
+from sdcodes.wenum import family_profile
 from sdcodes.tables import (
     equivalent_pairs,
     expected_family,
@@ -161,7 +163,7 @@ def test_criterion_7_shadow_balance_solver():
     assert solve_shadow_balance(5, 0, 5, 0) == "all"
     assert solve_shadow_balance(0, 1, 1, 1) is None
     for gamma in range(40, 70):
-        outcome = check_shadow_balance(*_w58_1_profiles(gamma), 10)
+        outcome = check_shadow_balance(*family_profile(FamilyTag.W58_1, gamma=gamma), 10)
         assert (outcome.status is BalanceStatus.HOLDS) == (gamma == 55), gamma
     verdict(7, "unique root 55; synthetic profiles agree")
 

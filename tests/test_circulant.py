@@ -377,6 +377,16 @@ def test_threaded_search_progress_counts_rows():
     assert seen[-1] == (32, 32)
 
 
+def test_threaded_search_reports_progress_per_part():
+    seen = []
+    got = search_four_circulant(9, 8, threads=2, progress=lambda done, total: seen.append((done, total)))
+    assert len(seen) > 2
+    assert all(a < b for (a, _), (b, _) in zip(seen, seen[1:]))
+    assert {total for _, total in seen} == {512}
+    assert seen[-1] == (512, 512)
+    assert got == search_four_circulant(9, 8, threads=1)
+
+
 # ---------------------------------------------------------------------------
 # shift equivalence
 

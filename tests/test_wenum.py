@@ -42,7 +42,9 @@ from sdcodes.wenum import (
     _low_weight_counts,
     _low_weight_words,
     _min_weight_staged,
+    _shadow_basis,
     _shadow_counts,
+    family_profile,
 )
 
 from oracles import (
@@ -573,6 +575,9 @@ def test_csv_rejects_bad_header_and_rows():
         WeightDistribution.from_csv("weight,count\n1,-2\n")
     with pytest.raises(ParseError):
         WeightDistribution.from_csv("weight,count\n9,1\n", n=4)
+    with pytest.raises(ParseError, match="repeated weight 2") as err:
+        WeightDistribution.from_csv("weight,count\n0,1\n2,3\n2,4\n")
+    assert err.value.line == 4
 
 
 def test_shadow_csv_round_trip():
@@ -677,6 +682,67 @@ def test_family_58_beta_range_enforced():
     a12 = 3132 + 152 * 3 + 2 * 10
     got = classify_enumerator(dist58(a10, a12), shadow58(0))
     assert got.family is FamilyTag.UNKNOWN
+
+
+def test_families_derive_the_published_formulas():
+    def counts(tag, **params):
+        w, s = family_profile(tag, **params)
+        assert w.counts[:10] == (1,) + (0,) * 9 and w.total == 2 ** (w.n // 2)
+        return w.counts, s.counts
+
+    for beta in range(4):
+        a, _ = counts(FamilyTag.W60_1, beta=beta)
+        assert (a[12], a[14]) == (2555 + 64 * beta, 33600 - 384 * beta)
+    a, b = counts(FamilyTag.W60_2)
+    assert (a[12], a[14], b[2], b[6]) == (3451, 24128, 1, 0)
+    for gamma in (0, 1, 55, 82):
+        a, b = counts(FamilyTag.W58_1, gamma=gamma)
+        assert (a[10], a[12]) == (165 - 2 * gamma, 5078 + 2 * gamma)
+        assert (b[1], b[5], b[9], b[13]) == (1, 0, gamma, 23918 - 10 * gamma)
+    for beta in range(3):
+        for gamma in (0, 1, 104):
+            a, b = counts(FamilyTag.W58_2, beta=beta, gamma=gamma)
+            assert (a[10], a[12]) == (319 - 24 * beta - 2 * gamma, 3132 + 152 * beta + 2 * gamma)
+            assert (b[1], b[5], b[9]) == (0, beta, gamma)
+
+
+def test_family_profile_rejects_wrong_parameters():
+    with pytest.raises(DomainError):
+        family_profile(FamilyTag.W58_1, beta=1)
+    with pytest.raises(DomainError):
+        family_profile(FamilyTag.W58_2, beta=3, gamma=0)
+    with pytest.raises(IntegrityError, match="negative"):
+        family_profile(FamilyTag.W58_1, gamma=83)  # A_10 < 0
+
+
+def test_closed_form_shadow_basis_matches_the_krawtchouk_transform():
+    rng = random.Random(415)
+    for n in range(2, 17, 2):
+        for _ in range(3):
+            words = random_self_dual_words(rng, n)
+            w = weight_distribution(code_from_words(words, n))
+            coef = []
+            for i in range(n // 8 + 1):
+                coef.append(w.counts[2 * i] - sum(a * b[i] for a, b in zip(coef, wenum._gleason_basis(n))))
+            got = [sum(a * b.get(y, 0) for a, b in zip(coef, _shadow_basis(n))) for y in range(n + 1)]
+            assert tuple(got) == _shadow_counts(n, w.counts), n
+            if any(x.bit_count() % 4 == 2 for x in words):
+                direct = [0] * (n + 1)
+                for v in shadow_set(words, n):
+                    direct[v.bit_count()] += 1
+                assert got == direct, n
+
+
+def test_derived_families_match_published_codes():
+    w, _ = family_profile(FamilyTag.W60_1, beta=2)
+    assert w == weight_distribution(named_code("D60_3"))
+    assert len(w.counts) == 61
+    w, s = family_profile(FamilyTag.W58_2, beta=2, gamma=104)
+    c = named_code("C58_1")
+    assert (w, s) == (weight_distribution(c), shadow_distribution(c))
+    w, _ = family_profile(FamilyTag.W58_1, gamma=55)
+    assert macwilliams_check(w, 29)
+    assert w.total == 2**29
 
 
 def test_family_requires_catalogued_length():
