@@ -1,13 +1,21 @@
 """Permutation equivalence of binary codes, with verifiable certificates.
 
 Coordinates are matched through the incidence structure of low-weight
-codewords.  Iterated color refinement over the word/coordinate incidence
-(words colored by the sorted colors of their support, coordinates by the
-sorted colors of the words through them) prunes the search; when a color
-class stays ambiguous, one coordinate is individualized and refinement
-re-run.  At a leaf the coordinate matching is read off as a permutation
-and checked by generator-row membership before being returned, so a
-positive answer never depends on the refinement being correct.  A
+codewords by color refinement of one code at a time: a round colors words
+by (class, sorted colors of their coordinates), then coordinates by (color,
+sorted colors of their words), each named by the rank of its key among the
+code's distinct keys.  Rank names are canonical, so two codes compare
+through one profile digest per round, and the first that differs prunes a
+branch; a digest collision could only let a hopeless branch go deeper.  When
+a color class stays ambiguous, one coordinate is individualized and
+refinement re-run.  The second code keeps in its memo the refinement nodes
+of its paths that ended in a verified leaf, so a class representative is
+refined once.  The colors are isomorphism-invariant and give the partitions
+of a joint refinement of both codes, so an exhausted search proves
+inequivalence and the first verified leaf, hence the certificate, is the
+joint search's.  At a leaf the coordinate matching is read off as a
+permutation and checked by generator-row membership before being returned,
+so a positive answer never depends on the refinement being correct.  A
 "distinct" verdict names the first separating invariant, or records that
 the refined search space was exhausted.
 """
@@ -16,7 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cache
+from itertools import zip_longest
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .codes import LinearCode, ParityClass, is_self_dual, parity_class
 from .errors import DomainError, IntegrityError
@@ -75,18 +88,13 @@ def signature(c: LinearCode) -> InvariantSignature:
         s = shadow_distribution(c)
         shadow_min = s.min_weight
         shadow_prefix = tuple(s.counts[shadow_min : min(shadow_min + 9, c.n + 1)])
+    # G = M^T M for the words x coordinates 0/1 matrix M of the weight-d
+    # words: G[i, i] counts words through i, G[i, j] those through i and j
     words = codewords_of_weight(c, d)
-    per_coord = [0] * c.n
-    pair: Counter = Counter()
-    for v in words:
-        supp = _support(v, c.n)
-        for i in supp:
-            per_coord[i] += 1
-        for a in range(len(supp)):
-            for b in range(a + 1, len(supp)):
-                pair[(supp[a], supp[b])] += 1
-    co = sorted(pair.values())
-    zero_pairs = c.n * (c.n - 1) // 2 - len(co)
+    width = (c.n + 7) // 8
+    packed = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in words), dtype=np.uint8)
+    m = np.unpackbits(packed.reshape(len(words), width), axis=1, count=c.n, bitorder="little")
+    g = m.T.astype(np.int64) @ m
     sig = InvariantSignature(
         c.n,
         c.k,
@@ -94,8 +102,8 @@ def signature(c: LinearCode) -> InvariantSignature:
         dist_prefix,
         shadow_min,
         shadow_prefix,
-        tuple(sorted(per_coord)),
-        tuple([0] * zero_pairs + co),
+        tuple(np.sort(np.diag(g)).tolist()),
+        tuple(np.sort(g[np.triu_indices(c.n, 1)]).tolist()),
     )
     c.memo["signature"] = sig
     return sig
@@ -173,22 +181,28 @@ def verify_certificate(a: LinearCode, b: LinearCode, cert: EquivalenceCertificat
 # ---------------------------------------------------------------------------
 # incidence structure and refinement
 
+def _getter(idx: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """Reads the entries at idx of a color list as a tuple."""
+    if len(idx) == 1:
+        return lambda colors, i=idx[0]: (colors[i],)
+    return itemgetter(*idx) if idx else lambda colors: ()
+
+
 class _Incidence:
+    """Low-weight words against coordinates: per word its class and a
+    getter of its coordinates' colors, per coordinate a getter of the
+    colors of the words through it."""
+
     def __init__(self, c: LinearCode, levels: Sequence[int]):
-        self.n = c.n
-        self.word_class: List[int] = []
-        self.supports: List[List[int]] = []
-        self.class_sizes: List[int] = []
-        for ci, w in enumerate(levels):
-            words = codewords_of_weight(c, w)
-            self.class_sizes.append(len(words))
-            for v in words:
-                self.word_class.append(ci)
-                self.supports.append(_support(v, c.n))
-        self.coord_words: List[List[int]] = [[] for _ in range(c.n)]
-        for wi, supp in enumerate(self.supports):
+        supports = [
+            (ci, _support(v, c.n)) for ci, w in enumerate(levels) for v in codewords_of_weight(c, w)
+        ]
+        through: List[List[int]] = [[] for _ in range(c.n)]
+        for wi, (_, supp) in enumerate(supports):
             for i in supp:
-                self.coord_words[i].append(wi)
+                through[i].append(wi)
+        self.words = [(ci, _getter(supp)) for ci, supp in supports]
+        self.coords = [_getter(ws) for ws in through]
 
 
 def _word_levels(c: LinearCode) -> List[int]:
@@ -206,89 +220,68 @@ def _word_levels(c: LinearCode) -> List[int]:
     return levels
 
 
-def _refine(
-    inc_a: _Incidence,
-    inc_b: _Incidence,
-    ca: List[int],
-    cb: List[int],
-) -> Optional[Tuple[List[int], List[int]]]:
-    """Stable joint refinement, or None when the color profiles diverge."""
+def _ranked(keys: List[Tuple]) -> Tuple[List[int], int]:
+    """Each key's rank among the distinct keys, and a digest of the ranked
+    counts.  Keys are ranked by their hashes, a canonical order that costs
+    no tuple comparison, or by themselves should two distinct keys share one."""
+    names: Sequence = list(map(hash, keys))
+    if len(set(names)) < len(set(keys)):
+        names = keys
+    profile = tuple(sorted(Counter(names).items()))
+    rank = {name: r for r, (name, _) in enumerate(profile)}
+    return list(map(rank.__getitem__, names)), hash(profile)
+
+
+Rounds = Iterator[Tuple[int, List[int]]]  # (profile digest, coordinate colors)
+
+
+def _rounds(inc: _Incidence, colors: List[int]) -> Rounds:
+    """Refine the coordinate colors of one code, one round per item, until
+    their number stops growing.  A round colors each word by (class, sorted
+    colors of its coordinates), then each coordinate by (color, sorted
+    colors of its words), each by the rank of its key among the code's."""
     while True:
-        intern: Dict[Tuple, int] = {}
-        wa = _color_words(inc_a, ca, intern)
-        wb = _color_words(inc_b, cb, intern)
-        if sorted(wa) != sorted(wb):
-            return None
-        intern2: Dict[Tuple, int] = {}
-        na = _color_coords(inc_a, ca, wa, intern2)
-        nb = _color_coords(inc_b, cb, wb, intern2)
-        if sorted(na) != sorted(nb):
-            return None
-        if len(set(na)) == len(set(ca)):
-            return na, nb
-        ca, cb = na, nb
-
-
-def _color_words(inc: _Incidence, coord_colors: List[int], intern: Dict[Tuple, int]) -> List[int]:
-    out = []
-    for wi, supp in enumerate(inc.supports):
-        key = (inc.word_class[wi], tuple(sorted(coord_colors[i] for i in supp)))
-        color = intern.get(key)
-        if color is None:
-            color = len(intern)
-            intern[key] = color
-        out.append(color)
-    return out
-
-
-def _color_coords(
-    inc: _Incidence, coord_colors: List[int], word_colors: List[int], intern: Dict[Tuple, int]
-) -> List[int]:
-    out = []
-    for i in range(inc.n):
-        key = (coord_colors[i], tuple(sorted(word_colors[w] for w in inc.coord_words[i])))
-        color = intern.get(key)
-        if color is None:
-            color = len(intern)
-            intern[key] = color
-        out.append(color)
-    return out
+        words, word_digest = _ranked([(ci, tuple(sorted(get(colors)))) for ci, get in inc.words])
+        new, coord_digest = _ranked(
+            [(colors[i], tuple(sorted(get(words)))) for i, get in enumerate(inc.coords)]
+        )
+        yield hash((word_digest, coord_digest)), new
+        if len(set(new)) == len(set(colors)):
+            return
+        colors = new
 
 
 def _match(
-    a: LinearCode,
-    inc_a: _Incidence,
-    inc_b: _Incidence,
-    ca: List[int],
-    cb: List[int],
-    b_rows: Sequence[int],
-    b_piv: Sequence[int],
-) -> Optional[Tuple[int, ...]]:
-    refined = _refine(inc_a, inc_b, ca, cb)
-    if refined is None:
-        return None
-    ca, cb = refined
+    inc_a: _Incidence, a_rounds: List[Tuple[int, List[int]]], path: Tuple[int, ...], b_rounds: Rounds,
+    node: Callable[[Tuple[int, ...], List[int]], Rounds], verify: Callable[[Tuple[int, ...]], bool],
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """First verified leaf below b's node at `path`, as (images, path).
+
+    a's rounds at this depth are refined once and shared by every candidate
+    of b; b's advance one by one against them, and the first round whose
+    digests differ prunes the branch.
+    """
+    x = y = None
+    for x, y in zip_longest(a_rounds, b_rounds):
+        if x is None or y is None or x[0] != y[0]:
+            return None
+    ca, cb = x[1], y[1]
     counts = Counter(ca)
     open_colors = [col for col, m in counts.items() if m > 1]
     if not open_colors:
         pos_b = {col: j for j, col in enumerate(cb)}
         images = tuple(pos_b[col] + 1 for col in ca)
-        if _maps_into(a, images, b_rows, b_piv):
-            return images
-        return None
-    target = min(open_colors, key=lambda col: (counts[col], col))
+        return (images, path) if verify(images) else None
+    target = min(open_colors, key=lambda col: (counts[col], ca.index(col)))
+    n = len(ca)  # no rank reaches n, so it individualizes
     i = ca.index(target)
-    fresh = max(max(ca), max(cb)) + 1
-    for j in range(len(cb)):
-        if cb[j] != target:
-            continue
-        ca2 = list(ca)
-        cb2 = list(cb)
-        ca2[i] = fresh
-        cb2[j] = fresh
-        got = _match(a, inc_a, inc_b, ca2, cb2, b_rows, b_piv)
-        if got is not None:
-            return got
+    below = list(_rounds(inc_a, ca[:i] + [n] + ca[i + 1 :]))
+    for j, col in enumerate(cb):
+        if col == target:
+            deeper = path + (j,)
+            got = _match(inc_a, below, deeper, node(deeper, cb[:j] + [n] + cb[j + 1 :]), node, verify)
+            if got is not None:
+                return got
     return None
 
 
@@ -313,17 +306,40 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
             return EquivalenceCertificate(None, distinct_reason=field)
     if a.rows == b.rows:
         return identity_certificate(a.n)
-    levels = _word_levels(a)
-    inc_a = _Incidence(a, levels)
-    inc_b = _Incidence(b, levels)
-    if inc_a.class_sizes != inc_b.class_sizes:
+    levels = tuple(_word_levels(a))
+    if [len(codewords_of_weight(a, w)) for w in levels] != [len(codewords_of_weight(b, w)) for w in levels]:
         return EquivalenceCertificate(None, distinct_reason="weight class sizes")
-    b_rows = b.rows
-    b_piv = pivots_of_rref_raw(b_rows)
-    images = _match(a, inc_a, inc_b, [0] * a.n, [0] * b.n, b_rows, b_piv)
-    if images is None:
+    # b's nodes (round digests, final colors) keyed by the path of
+    # individualized coordinates; only those on verified paths stay
+    tree = b.memo.setdefault(("refinement", levels), {})
+    added: List[Tuple[int, ...]] = []
+    inc_b = cache(lambda: _Incidence(b, levels))
+
+    def node(path: Tuple[int, ...], colors: List[int]) -> Rounds:
+        """b's rounds from `colors`: replayed, or recorded once complete."""
+        if path in tree:
+            digests, final = tree[path]
+            yield from ((digest, final) for digest in digests)
+            return
+        digests = []
+        for digest, final in _rounds(inc_b(), colors):
+            digests.append(digest)
+            yield digest, final
+        tree[path] = (tuple(digests), final)
+        added.append(path)
+
+    inc_a = _Incidence(a, levels)
+    b_piv = pivots_of_rref_raw(b.rows)
+    found = _match(
+        inc_a, list(_rounds(inc_a, [0] * a.n)), (), node((), [0] * b.n), node,
+        lambda images: _maps_into(a, images, b.rows, b_piv),
+    )
+    for path in added:
+        if found is None or found[1][: len(path)] != path:
+            del tree[path]
+    if found is None:
         return EquivalenceCertificate(None, distinct_reason="exhausted coordinate matching")
-    return EquivalenceCertificate(images)
+    return EquivalenceCertificate(found[0])
 
 
 # ---------------------------------------------------------------------------

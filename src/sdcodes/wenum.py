@@ -199,7 +199,9 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     _check_dimension(c, "weight distribution")
     if c.k > _FULL_SPAN_MAX_K and c.n <= 64 and is_self_dual(c):
         low = _low_weight_counts(c.n, _disjoint_information_bases(c))
-        counts = _gleason_distribution(c.n, c.k, low)
+        counts, shadow = _gleason_distribution(c.n, c.k, low)
+        if any(counts[2::4]):  # singly even: keep the checked shadow
+            c.memo["shadow"] = ShadowDistribution(c.n, shadow)
     else:
         counts = tuple(_histogram_words(c.rows, c.n))
     dist = c.memo["weights"] = WeightDistribution(c.n, counts)
@@ -280,13 +282,15 @@ def _shadow_basis(n: int) -> Tuple[Dict[int, Fraction], ...]:
     )
 
 
-def _gleason_distribution(n: int, k: int, low: Sequence[int], head: Sequence = ()) -> Tuple[int, ...]:
-    """A_0..A_n of a self-dual [n, k] code from its counts A_0..A_{2(n//8)},
-    or from fewer counts and its shadow coefficients B_{n/2-4j} = head, j =
-    n//8, n//8-1, ... down to where the counts stop.  Raises IntegrityError
-    unless the result is integral, non-negative, zero at odd weights,
-    symmetric, sums to 2^k, reproduces every given entry and has a shadow
-    transform of non-negative integers.
+def _gleason_distribution(
+    n: int, k: int, low: Sequence[int], head: Sequence = ()
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """A_0..A_n and B_0..B_n of a self-dual [n, k] code from its counts
+    A_0..A_{2(n//8)}, or from fewer counts and its shadow coefficients
+    B_{n/2-4j} = head, j = n//8, n//8-1, ... down to where the counts stop.
+    Raises IntegrityError unless the result is integral, non-negative, zero
+    at odd weights, symmetric, sums to 2^k, reproduces every given entry and
+    has a shadow transform of non-negative integers.
     """
     t = n // 8
     if 2 * k != n or len(low) + 2 * len(head) != 2 * t + 1:
@@ -323,8 +327,7 @@ def _gleason_distribution(n: int, k: int, low: Sequence[int], head: Sequence = (
             f"Gleason reconstruction for length {n} gave " + ", ".join(problems)
         )
     counts = tuple(int(x) for x in counts)
-    _shadow_counts(n, counts)
-    return counts
+    return counts, _shadow_counts(n, counts)
 
 
 def _low_weight_counts(n: int, bases: Sequence[Sequence[int]]) -> List[int]:
@@ -619,8 +622,8 @@ def family_profile(tag: FamilyTag, **params: int) -> Tuple[WeightDistribution, S
     names = {h for h in head if isinstance(h, str)}
     if set(params) != names or any(params[p] not in r for p, r in ranges.items()):
         raise DomainError(f"{tag.value} has no member with parameters {params}")
-    counts = _gleason_distribution(n, n // 2, [1] + [0] * (d - 2), [params.get(h, h) for h in head])
-    return WeightDistribution(n, counts), ShadowDistribution(n, _shadow_counts(n, counts))
+    counts, shadow = _gleason_distribution(n, n // 2, [1] + [0] * (d - 2), [params.get(h, h) for h in head])
+    return WeightDistribution(n, counts), ShadowDistribution(n, shadow)
 
 
 def classify_enumerator(w: WeightDistribution, s: ShadowDistribution) -> FamilyParams:
@@ -644,7 +647,7 @@ def classify_enumerator(w: WeightDistribution, s: ShadowDistribution) -> FamilyP
             continue
         low = [1] + [0] * (d - 1) + [w.counts[d], 0, w.counts[d + 2]]
         try:
-            b = _shadow_counts(n, _gleason_distribution(n, m, low, top))
+            _, b = _gleason_distribution(n, m, low, top)
         except IntegrityError:
             continue
         slots = [b[m - 4 * j] for j in range(t, d // 2 - 1, -1)]

@@ -10,6 +10,7 @@ vector and every permutation.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -125,6 +126,22 @@ def equivalent_by_all_permutations(words_a: Set[int], words_b: Set[int], n: int)
         if hits.size:
             return tuple(int(i) + 1 for i in block[hits[0]])
     return None
+
+
+def incidence_and_cooccurrence(words: Iterable[int], n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Sorted per-coordinate word counts, and sorted counts of words through
+    each coordinate pair i < j (zeros included), by a loop over supports."""
+    per_coord = [0] * n
+    pair: Counter = Counter()
+    for v in words:
+        supp = [i for i in range(n) if (v >> i) & 1]
+        for i in supp:
+            per_coord[i] += 1
+        for a in range(len(supp)):
+            for b in range(a + 1, len(supp)):
+                pair[(supp[a], supp[b])] += 1
+    co = sorted(pair.values())
+    return tuple(sorted(per_coord)), tuple([0] * (n * (n - 1) // 2 - len(co)) + co)
 
 
 def random_matrix_rows(rng: random.Random, nrows: int, ncols: int) -> List[int]:

@@ -1,12 +1,18 @@
 """Equivalence testing: refinement search vs the all-permutations oracle."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from sdcodes import DomainError, LinearCode, permuted_code
+from sdcodes import DomainError, LinearCode, extremal_neighbor_survey, permuted_code
 from sdcodes.equivalence import (
     EquivalenceCertificate,
+    _Incidence,
+    _ranked,
+    _rounds,
+    _word_levels,
     are_equivalent,
     classification_report,
     classify,
@@ -196,3 +202,101 @@ def test_identity_certificate_helper():
     cert = identity_certificate(4)
     assert cert.perm == (1, 2, 3, 4)
     assert cert.equivalent and bool(cert)
+
+
+# sha256 of the sorted-key JSON classification_report of the survey below,
+# recorded before refinement became one-sided: certificates must not move
+NEIGHBOUR_REPORT_DIGEST = "3322a111dcd6e0851847a36e5aba03db2671df068f9a1dfa4ec5d9fdfda124e7"
+
+
+@pytest.fixture(scope="module")
+def neighbour_classes():
+    """The 510 neighbours of a [18,9] code in 8 classes; classifying them
+    needs exhaustive negative searches and backtracking."""
+    c = code_from_words(random_self_dual_words(random.Random(2), 18, steps=8), 18)
+    return extremal_neighbor_survey(c, 2)
+
+
+def test_neighbour_classification_report_is_pinned(neighbour_classes):
+    report = classification_report(neighbour_classes)
+    assert [len(cl["members"]) for cl in report["classes"]] == [70, 20, 255, 10, 140, 7, 7, 1]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == NEIGHBOUR_REPORT_DIGEST
+
+
+def test_rounds_commute_with_permutations():
+    rng = random.Random(27)
+    for n in (8, 12, 16, 20):
+        for _ in range(4):
+            a = code_from_words(random_self_dual_words(rng, n, steps=6), n)
+            images = shuffled_images(rng, n)
+            b = permuted_code(a, images)
+            levels = _word_levels(a)
+            start = [0] * n
+            start[rng.randrange(n)] = n
+            moved = [0] * n
+            for i, img in enumerate(images):
+                moved[img - 1] = start[i]
+            for colors_a, colors_b in ([[0] * n, [0] * n], [start, moved]):
+                got_a = list(_rounds(_Incidence(a, levels), colors_a))
+                got_b = list(_rounds(_Incidence(b, levels), colors_b))
+                assert [d for d, _ in got_a] == [d for d, _ in got_b]
+                for (_, ca), (_, cb) in zip(got_a, got_b):
+                    assert all(cb[img - 1] == ca[i] for i, img in enumerate(images))
+
+
+def test_ranks_are_canonical_and_split_keys_whose_hashes_tie():
+    # hash(-1) == hash(-2), so the first two keys share a hash
+    keys = [(0, (-1,)), (0, (-2,)), (0, (-1,)), (1, (5, 7))]
+    assert hash(keys[0]) == hash(keys[1])
+    ranks, digest = _ranked(keys)
+    assert ranks[0] == ranks[2] != ranks[1] != ranks[3] != ranks[0]
+    rng = random.Random(29)
+    for pool in (keys, [(i % 3, (i % 5, 9)) for i in range(12)]):
+        moved = list(pool)
+        rng.shuffle(moved)
+        moved_ranks, moved_digest = _ranked(moved)
+        assert moved_digest == _ranked(pool)[1]
+        named = dict(zip(pool, _ranked(pool)[0]))
+        assert moved_ranks == [named[key] for key in moved]
+    assert _ranked(keys[:3])[1] != _ranked(keys[1:4])[1]
+
+
+def refinement_tree(c):
+    return c.memo.get(("refinement", tuple(_word_levels(c))), {})
+
+
+def verified_path(a, b):
+    """The nodes one comparison keeps, on a copy of b with an empty memo."""
+    bare = LinearCode(b.n, b.rows)
+    assert are_equivalent(a, bare).equivalent
+    return set(refinement_tree(bare))
+
+
+def test_memo_keeps_only_paths_that_ended_in_a_verified_leaf(neighbour_classes):
+    # classify compares each member with its class's first member; that
+    # tree is the union of the members' verified paths, and ends at leaves
+    firsts = [cl.members[0] for cl in neighbour_classes]
+    for cl, first in zip(neighbour_classes, firsts):
+        tree = refinement_tree(first)
+        assert set(tree) == set().union(*(verified_path(m, first) for m in cl.members[1:]))
+        for path in tree:
+            if not any(q[: len(path)] == path and q != path for q in tree):
+                assert len(set(tree[path][1])) == first.n
+    assert sum(len(refinement_tree(f)) > 1 for f in firsts) >= 4
+    # a negative call keeps no node: a first member keeps its verified
+    # paths, a code with an empty memo stays without any
+    exhausted = 0
+    for x in firsts:
+        for y in firsts:
+            if x is y or signature(x) != signature(y):
+                continue
+            before = dict(refinement_tree(y))
+            cert = are_equivalent(x, y)
+            assert not cert.equivalent
+            exhausted += cert.distinct_reason == "exhausted coordinate matching"
+            assert refinement_tree(y) == before
+            bare = LinearCode(y.n, y.rows)
+            assert not are_equivalent(x, bare).equivalent
+            assert not refinement_tree(bare)
+    assert exhausted

@@ -5,10 +5,15 @@ from itertools import permutations
 
 import pytest
 
+from sdcodes import LinearCode, codewords_of_weight
+from sdcodes.equivalence import signature
+from sdcodes.tables import named_code
+
 from oracles import (
     all_neighbor_codes,
     dual_set,
     equivalent_by_all_permutations,
+    incidence_and_cooccurrence,
     permute_bits,
     random_self_dual_words,
 )
@@ -77,3 +82,22 @@ def test_permutation_search_returns_the_loop_answer(n):
             got = equivalent_by_all_permutations(wa, wb, n)
             assert got == loop_equivalent_by_all_permutations(wa, wb, n)
     assert equivalent_by_all_permutations({0, 3}, {0}, 2) is None
+
+
+def assert_signature_counts_match_the_loop(c):
+    sig = signature(c)
+    words = codewords_of_weight(c, sig.d)
+    assert (sig.incidence_counts, sig.cooccurrence_counts) == incidence_and_cooccurrence(words, c.n)
+
+
+@pytest.mark.parametrize("n", [2, 6, 10, 16, 20])
+def test_signature_counts_match_the_loop_on_random_codes(n):
+    rng = random.Random(730 + n)
+    for _ in range(3):
+        words = random_self_dual_words(rng, n)
+        assert_signature_counts_match_the_loop(LinearCode.from_int_rows(sorted(words), n))
+
+
+@pytest.mark.parametrize("name", ["C58_1", "D60_3", "J60_5"])
+def test_signature_counts_match_the_loop_on_published_codes(name):
+    assert_signature_counts_match_the_loop(named_code(name))

@@ -233,7 +233,7 @@ def extended_hamming_sum(blocks):
 
 
 def gleason(c):
-    return _gleason_distribution(c.n, c.k, _low_weight_counts(c.n, _disjoint_information_bases(c)))
+    return _gleason_distribution(c.n, c.k, _low_weight_counts(c.n, _disjoint_information_bases(c)))[0]
 
 
 def coset_streamed_shadow(c):
