@@ -16,7 +16,6 @@ building a code.  Each hit is then expanded over its orbit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -27,6 +26,7 @@ import numpy as np
 from .codes import LinearCode
 from .errors import DomainError, ParseError, ResourceLimitError
 from .gf2core import BitMatrix, BitVector
+from .parts import run_parts
 from .wenum import _min_weight_staged
 
 __all__ = [
@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 SEARCH_BLOCK_LIMIT = 16
-# a threaded search reports progress as each of these parts per worker ends
+# the orbit representatives are cut into this many parts per thread;
+# progress is reported as each part ends
 _PARTS_PER_WORKER = 8
 
 
@@ -296,20 +297,14 @@ def _search_range(
     rules: SearchRules,
     ra_lo: int,
     ra_hi: int,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[Tuple[int, int]]:
     """Every hit (r, rb) whose ra = r is an orbit representative in
-    [ra_lo, ra_hi), with rb unrestricted by rb_last_one.
-
-    progress counts ra rows: each representative stands for its orbit.
-    """
+    [ra_lo, ra_hi), with rb unrestricted by rb_last_one."""
     n = block
     mask = np.uint32((1 << n) - 1)
     v, wt, sig, w2, rev = _search_tables(n)
-    reps, sizes = _orbit_tables(n)
-    inside = (reps >= ra_lo) & (reps < ra_hi)
-    reps, sizes = reps[inside].tolist(), sizes[inside].tolist()
-    total = sum(sizes)
+    reps, _ = _orbit_tables(n)
+    reps = reps[(reps >= ra_lo) & (reps < ra_hi)].tolist()
 
     # rb_last_one is not invariant under the group, so every rb is searched
     order = np.argsort(sig, kind="stable")
@@ -321,11 +316,7 @@ def _search_range(
     cross_need = (d_target - 1) // 2  # ceil((d_target - 2) / 2)
 
     found: List[Tuple[int, int]] = []
-    done = 0
-    for ra, size in zip(reps, sizes):
-        done += size
-        if progress is not None and done // 1024 != (done - size) // 1024:
-            progress(done, total)
+    for ra in reps:
         want = int(sig[ra]) ^ 1
         lo = int(np.searchsorted(pool_sig, want, side="left"))
         hi = int(np.searchsorted(pool_sig, want, side="right"))
@@ -360,14 +351,7 @@ def _search_range(
             bases = [_generator_ints(n, ra, rb), _transpose_basis_ints(n, ra, rb)]
             if _min_weight_staged(bases, 4 * n, d_target) >= d_target:
                 found.append((ra, rb))
-    if progress is not None:
-        progress(total, total)
     return found
-
-
-def _search_worker(args) -> List[Tuple[int, int]]:
-    block, d_target, rules, lo, hi = args
-    return _search_range(block, d_target, rules, lo, hi)
 
 
 def _expand_hits(
@@ -400,8 +384,9 @@ def search_four_circulant(
     Every filter, self-duality and the minimum weight are invariant under
     the affine group acting on both rows, so one ra per orbit is searched
     and its hits are expanded over the group.  The sorted representatives
-    are split into contiguous parts, a fixed number per worker, so the
-    result is identical for every thread count.
+    are cut into _PARTS_PER_WORKER contiguous parts per thread, run in
+    order, so the result is identical for every thread count.
+    progress(done, total) counts ra rows as each part ends.
     """
     if block < 1:
         raise DomainError(f"block size must be positive, got {block}")
@@ -414,20 +399,15 @@ def search_four_circulant(
         rules = SearchRules.for_target(d_target)
     reps, sizes = _orbit_tables(block)
     end = 1 << block
-    threads = max(1, threads)
-    if threads == 1 or len(reps) < 2 * threads:
-        hits = _search_range(block, d_target, rules, 0, end, progress)
-    else:
-        parts = min(len(reps), threads * _PARTS_PER_WORKER)
-        cuts = [len(reps) * i // parts for i in range(parts + 1)]
-        bounds = [0] + [int(reps[c]) for c in cuts[1:-1]] + [end]
-        jobs = [(block, d_target, rules, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        hits = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for i, part in enumerate(pool.map(_search_worker, jobs)):
-                hits.extend(part)
-                if progress is not None:
-                    progress(int(sizes[: cuts[i + 1]].sum()), end)
+    parts = min(len(reps), max(1, threads) * _PARTS_PER_WORKER)
+    cuts = [len(reps) * i // parts for i in range(parts + 1)]
+    bounds = [0] + [int(reps[c]) for c in cuts[1:-1]] + [end]
+    jobs = [(block, d_target, rules, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    hits = []
+    for i, part in enumerate(run_parts(_search_range, jobs, threads)):
+        hits.extend(part)
+        if progress is not None:
+            progress(int(sizes[: cuts[i + 1]].sum()), end)
     pairs = [
         CirculantPair(block, BitVector(block, ra), BitVector(block, rb))
         for ra, rb in _expand_hits(block, hits, rules)

@@ -57,6 +57,14 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 EXIT_INPUT = 4
 
+# main() exits with the code of the first kind an error is an instance of
+_EXIT_CODES = {
+    ParseError: EXIT_INPUT,
+    DomainError: EXIT_INPUT,
+    ResourceLimitError: EXIT_RESOURCE,
+    IntegrityError: EXIT_MISMATCH,
+}
+
 TABLE_IDS = ("T1", "T2", "Tnei2", "Td10", "T4", "T5", "T6", "P3", "P5", "C7")
 
 # circulant blocks above this need --extended (the block-15 runs take hours)
@@ -577,18 +585,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParseError as e:
+    except tuple(_EXIT_CODES) as e:
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_INPUT
-    except DomainError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_INPUT
-    except ResourceLimitError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_RESOURCE
-    except IntegrityError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_MISMATCH
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ def signature(c: LinearCode) -> InvariantSignature:
     return sig
 
 
-def _support(v: int, n: int) -> List[int]:
+def _support(v: int) -> List[int]:
     out = []
     while v:
         low = v & -v
@@ -195,7 +195,7 @@ class _Incidence:
 
     def __init__(self, c: LinearCode, levels: Sequence[int]):
         supports = [
-            (ci, _support(v, c.n)) for ci, w in enumerate(levels) for v in codewords_of_weight(c, w)
+            (ci, _support(v)) for ci, w in enumerate(levels) for v in codewords_of_weight(c, w)
         ]
         through: List[List[int]] = [[] for _ in range(c.n)]
         for wi, (_, supp) in enumerate(supports):
@@ -377,23 +377,19 @@ def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:
         buckets.setdefault(signature(c), []).append(idx)
 
     classes: List[Tuple[List[int], List[EquivalenceCertificate]]] = []
-    class_order: List[int] = []
     for sig in sorted(buckets, key=lambda s: min(buckets[s])):
         reps: List[int] = []  # indices into `classes`
         for idx in buckets[sig]:
-            placed = False
             for ci in reps:
                 members, certs = classes[ci]
                 cert = are_equivalent(codes[idx], codes[members[0]])
                 if cert:
                     members.append(idx)
                     certs.append(cert)
-                    placed = True
                     break
-            if not placed:
+            else:
                 classes.append(([idx], [identity_certificate(codes[idx].n)]))
                 reps.append(len(classes) - 1)
-                class_order.append(idx)
 
     out = []
     for members, certs_to_first in classes:

@@ -10,14 +10,14 @@ vector, two neighbors per hyperplane, streamed and never materialized.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode, is_self_dual
 from .equivalence import EquivalenceClass, are_equivalent, classify
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
 from .gf2core import BitVector, pivots_of_rref_raw, reduce_raw
+from .parts import run_parts
 from .wenum import min_weight
 
 __all__ = [
@@ -180,18 +180,14 @@ def _neighbors_in_range(
             yield from _hyperplane_pair(rows, pivots, n, w)
 
 
-def enumerate_self_dual_neighbors(
-    c: LinearCode, accept: Optional[Callable[[LinearCode], bool]] = None
-) -> Iterator[LinearCode]:
+def enumerate_self_dual_neighbors(c: LinearCode) -> Iterator[LinearCode]:
     """Stream every self-dual neighbor of c exactly once.
 
     Distinct hyperplanes give distinct neighbors (a neighbor N recovers
     its hyperplane as N meet c), so no dedup pass is needed.
     """
     _all_one_check(c)
-    for nb in _neighbors_in_range(c.rows, c.n, 1, 1 << c.k):
-        if accept is None or accept(nb):
-            yield nb
+    yield from _neighbors_in_range(c.rows, c.n, 1, 1 << c.k)
 
 
 def _survey_range(
@@ -204,10 +200,6 @@ def _survey_range(
     ]
 
 
-def _survey_worker(args) -> List[LinearCode]:
-    return _survey_range(*args)
-
-
 def extremal_neighbor_survey(
     c: LinearCode,
     d_min: int,
@@ -218,9 +210,9 @@ def extremal_neighbor_survey(
     """Classify the neighbors of c with minimum weight >= d_min, dropping
     classes already represented in `known`.
 
-    Enumeration is partitioned over contiguous functional ranges; the
-    surviving codes are classified in one final stage, so the result does
-    not depend on the partitioning.
+    Enumeration is cut into one contiguous functional range per thread,
+    whose survivors are concatenated in order and classified in one final
+    stage, so the result does not depend on the thread count.
     """
     _all_one_check(c)
     if c.k - 1 > SURVEY_BUDGET_LOG and not extended:
@@ -229,18 +221,12 @@ def extremal_neighbor_survey(
         )
     rows = c.rows
     top = 1 << c.k
-    if threads > 1 and top >= 2 * threads:
-        bounds = [top * i // threads for i in range(threads + 1)]
-        jobs = [
-            (rows, c.n, d_min, max(1, bounds[i]), bounds[i + 1])
-            for i in range(threads)
-        ]
-        found: List[LinearCode] = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(_survey_worker, jobs):
-                found.extend(chunk)
-    else:
-        found = _survey_range(rows, c.n, d_min, 1, top)
+    parts = max(1, min(threads, top // 2))
+    bounds = [max(1, top * i // parts) for i in range(parts + 1)]
+    jobs = [(rows, c.n, d_min, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    found: List[LinearCode] = []
+    for part in run_parts(_survey_range, jobs, threads):
+        found.extend(part)
     classes = classify(found)
     fresh = []
     for cl in classes:

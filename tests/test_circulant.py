@@ -317,13 +317,27 @@ def test_search_matches_the_full_walk_digest(block, d):
     assert hashlib.sha256(text.encode()).hexdigest() == FULL_WALK_DIGESTS[block, d]
 
 
+def load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_full_walk_digests_match_the_benchmark():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    for block, d, _, digest in workloads.SEARCHES:
+    for block, d, _, digest in load_perfbench("workloads").SEARCHES:
         assert FULL_WALK_DIGESTS[block, d] == digest
+
+
+def test_benchmark_tracer_targets_resolve():
+    for module_name, attr, _, scope in load_perfbench("spans").TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)
+        if scope != "all":
+            assert any(v is owner for v in vars(importlib.import_module(scope)).values())
 
 
 def test_search_representative_partition_reassembles():
@@ -377,9 +391,10 @@ def test_threaded_search_progress_counts_rows():
     assert seen[-1] == (32, 32)
 
 
-def test_threaded_search_reports_progress_per_part():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_threaded_search_reports_progress_per_part(threads):
     seen = []
-    got = search_four_circulant(9, 8, threads=2, progress=lambda done, total: seen.append((done, total)))
+    got = search_four_circulant(9, 8, threads=threads, progress=lambda done, total: seen.append((done, total)))
     assert len(seen) > 2
     assert all(a < b for (a, _), (b, _) in zip(seen, seen[1:]))
     assert {total for _, total in seen} == {512}

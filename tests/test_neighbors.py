@@ -9,7 +9,9 @@ from sdcodes import (
     DomainError,
     LinearCode,
     ResourceLimitError,
+    classification_report,
     min_weight,
+    parts,
 )
 from sdcodes.neighbors import (
     NeighborDescriptor,
@@ -119,15 +121,6 @@ def test_enumeration_matches_oracle_at_length_sixteen():
     assert {tuple(sorted(span_set(nb.row_ints()))) for nb in got} == expect
 
 
-def test_enumeration_accept_filter():
-    rng = random.Random(34)
-    c = code_from_words(random_self_dual_words(rng, 16, steps=5), 16)
-    all_nb = list(enumerate_self_dual_neighbors(c))
-    good = [nb for nb in all_nb if min_weight(nb) >= 4]
-    filtered = list(enumerate_self_dual_neighbors(c, accept=lambda nb: min_weight(nb) >= 4))
-    assert [nb.gen for nb in filtered] == [nb.gen for nb in good]
-
-
 def test_survey_matches_brute_force_classification():
     rng = random.Random(35)
     c = code_from_words(random_self_dual_words(rng, 16, steps=5), 16)
@@ -151,15 +144,48 @@ def test_survey_drops_known_classes():
     assert len(rest) == len(classes) - 1
 
 
+def fourteen_code():
+    return code_from_words(random_self_dual_words(random.Random(37), 14, steps=4), 14)
+
+
+def survey_record(c, threads):
+    """The report (labels, certificates) and every member's rows, in order."""
+    classes = extremal_neighbor_survey(c, 4, threads=threads)
+    return classification_report(classes), [[m.rows for m in cl.members] for cl in classes]
+
+
 def test_survey_threads_agree():
-    rng = random.Random(37)
-    c = code_from_words(random_self_dual_words(rng, 14, steps=4), 14)
-    serial = extremal_neighbor_survey(c, 4)
-    parallel = extremal_neighbor_survey(c, 4, threads=3)
-    assert [cl.representative.gen for cl in serial] == [
-        cl.representative.gen for cl in parallel
-    ]
-    assert [len(cl.members) for cl in serial] == [len(cl.members) for cl in parallel]
+    c = fourteen_code()
+    serial = survey_record(c, 1)
+    assert serial[0]["classes"]
+    for threads in (2, 3):
+        assert survey_record(c, threads) == serial
+
+
+def test_survey_workers_are_capped_by_the_usable_cpus(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(parts, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 2)
+    c = fourteen_code()
+    got = survey_record(c, 1000)
+    assert asked == [2]
+    assert got == survey_record(c, 1)
 
 
 def test_survey_budget_needs_extended_flag():
