@@ -3,10 +3,12 @@
 Coordinates are matched through the incidence structure of low-weight
 codewords by color refinement of one code at a time: a round colors words
 by (class, sorted colors of their coordinates), then coordinates by (color,
-sorted colors of their words), each named by the rank of its key among the
-code's distinct keys.  Rank names are canonical, so two codes compare
-through one profile digest per round, and the first that differs prunes a
-branch; a digest collision could only let a hopeless branch go deeper.  When
+sorted colors of their words).  Keys are rows of one NumPy array, and each
+is named by the rank of its bytes among the code's distinct rows, which
+`np.unique` gives exactly.  Rank names are canonical, so two codes compare
+through one profile digest per round, a blake2b of the distinct rows and
+their counts that no hash seed changes, and the first that differs prunes
+a branch; a digest collision could only let a hopeless branch go deeper.  When
 a color class stays ambiguous, one coordinate is individualized and
 refinement re-run.  The second code keeps in its memo the refinement nodes
 of its paths that ended in a verified leaf, so a class representative is
@@ -22,11 +24,11 @@ the refined search space was exhausted.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from itertools import zip_longest
-from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,10 +92,7 @@ def signature(c: LinearCode) -> InvariantSignature:
         shadow_prefix = tuple(s.counts[shadow_min : min(shadow_min + 9, c.n + 1)])
     # G = M^T M for the words x coordinates 0/1 matrix M of the weight-d
     # words: G[i, i] counts words through i, G[i, j] those through i and j
-    words = codewords_of_weight(c, d)
-    width = (c.n + 7) // 8
-    packed = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in words), dtype=np.uint8)
-    m = np.unpackbits(packed.reshape(len(words), width), axis=1, count=c.n, bitorder="little")
+    m = _word_matrix(codewords_of_weight(c, d), c.n)
     g = m.T.astype(np.int64) @ m
     sig = InvariantSignature(
         c.n,
@@ -109,13 +108,11 @@ def signature(c: LinearCode) -> InvariantSignature:
     return sig
 
 
-def _support(v: int) -> List[int]:
-    out = []
-    while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return out
+def _word_matrix(words: Sequence[int], n: int) -> np.ndarray:
+    """The words x coordinates 0/1 matrix of packed words."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in words), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(words), width), axis=1, count=n, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -181,28 +178,26 @@ def verify_certificate(a: LinearCode, b: LinearCode, cert: EquivalenceCertificat
 # ---------------------------------------------------------------------------
 # incidence structure and refinement
 
-def _getter(idx: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
-    """Reads the entries at idx of a color list as a tuple."""
-    if len(idx) == 1:
-        return lambda colors, i=idx[0]: (colors[i],)
-    return itemgetter(*idx) if idx else lambda colors: ()
+def _padded(m: np.ndarray) -> np.ndarray:
+    """Read-only: row r lists the nonzero columns of row r of m in order,
+    padded with the column count."""
+    rows, cols = np.nonzero(m)
+    per_row = np.count_nonzero(m, axis=1)
+    out = np.full((len(m), per_row.max(initial=0)), m.shape[1])
+    out[rows, np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]] = cols
+    out.flags.writeable = False
+    return out
 
 
 class _Incidence:
-    """Low-weight words against coordinates: per word its class and a
-    getter of its coordinates' colors, per coordinate a getter of the
-    colors of the words through it."""
+    """Low-weight words against coordinates, read-only: each word's
+    coordinates and the words through each coordinate, and the least
+    signed dtype that holds every color of a round and -1."""
 
     def __init__(self, c: LinearCode, levels: Sequence[int]):
-        supports = [
-            (ci, _support(v)) for ci, w in enumerate(levels) for v in codewords_of_weight(c, w)
-        ]
-        through: List[List[int]] = [[] for _ in range(c.n)]
-        for wi, (_, supp) in enumerate(supports):
-            for i in supp:
-                through[i].append(wi)
-        self.words = [(ci, _getter(supp)) for ci, supp in supports]
-        self.coords = [_getter(ws) for ws in through]
+        m = _word_matrix([v for w in levels for v in codewords_of_weight(c, w)], c.n)
+        self.dtype = np.min_scalar_type(-1 - max(m.shape))
+        self.word_coords, self.coord_words = _padded(m), _padded(m.T)
 
 
 def _word_levels(c: LinearCode) -> List[int]:
@@ -220,35 +215,41 @@ def _word_levels(c: LinearCode) -> List[int]:
     return levels
 
 
-def _ranked(keys: List[Tuple]) -> Tuple[List[int], int]:
-    """Each key's rank among the distinct keys, and a digest of the ranked
-    counts.  Keys are ranked by their hashes, a canonical order that costs
-    no tuple comparison, or by themselves should two distinct keys share one."""
-    names: Sequence = list(map(hash, keys))
-    if len(set(names)) < len(set(keys)):
-        names = keys
-    profile = tuple(sorted(Counter(names).items()))
-    rank = {name: r for r, (name, _) in enumerate(profile)}
-    return list(map(rank.__getitem__, names)), hash(profile)
+def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, bytes]:
+    """Each key row's rank among the distinct rows, in byte order, and a
+    digest of those rows and their counts.  Both are canonical: they
+    depend on the multiset of rows alone."""
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    distinct, names, counts = np.unique(rows, return_inverse=True, return_counts=True)
+    digest = hashlib.blake2b(keys.shape[1].to_bytes(8, "little"), digest_size=8)
+    digest.update(counts)
+    digest.update(distinct)
+    return names, digest.digest()
 
 
-Rounds = Iterator[Tuple[int, List[int]]]  # (profile digest, coordinate colors)
+Rounds = Iterator[Tuple[bytes, List[int]]]  # (profile digest, coordinate colors)
 
 
 def _rounds(inc: _Incidence, colors: List[int]) -> Rounds:
     """Refine the coordinate colors of one code, one round per item, until
-    their number stops growing.  A round colors each word by (class, sorted
-    colors of its coordinates), then each coordinate by (color, sorted
-    colors of its words), each by the rank of its key among the code's."""
+    their number stops growing.  A round colors each word by the sorted
+    colors of its coordinates, whose -1 padding shows its weight class,
+    then each coordinate by (color, sorted colors of its words), each by
+    the rank of its key row among the code's."""
+    current = np.array(colors, dtype=inc.dtype)
+    seen = len(np.unique(current))
     while True:
-        words, word_digest = _ranked([(ci, tuple(sorted(get(colors)))) for ci, get in inc.words])
-        new, coord_digest = _ranked(
-            [(colors[i], tuple(sorted(get(words)))) for i, get in enumerate(inc.coords)]
-        )
-        yield hash((word_digest, coord_digest)), new
-        if len(set(new)) == len(set(colors)):
+        gathered = np.append(current, -1).astype(inc.dtype)[inc.word_coords]
+        gathered.sort(axis=1)
+        words, word_digest = _ranked(gathered)
+        gathered = np.append(words, -1).astype(inc.dtype)[inc.coord_words]
+        gathered.sort(axis=1)
+        names, coord_digest = _ranked(np.column_stack((current, gathered)))
+        yield word_digest + coord_digest, names.tolist()
+        if names.max() + 1 == seen:
             return
-        colors = new
+        seen = names.max() + 1
+        current = names.astype(inc.dtype)
 
 
 def _match(
@@ -294,16 +295,9 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
     if a.k == 0:
         return identity_certificate(a.n)
     sig_a, sig_b = signature(a), signature(b)
-    for field in (
-        "d",
-        "dist_prefix",
-        "shadow_min",
-        "shadow_prefix",
-        "incidence_counts",
-        "cooccurrence_counts",
-    ):
-        if getattr(sig_a, field) != getattr(sig_b, field):
-            return EquivalenceCertificate(None, distinct_reason=field)
+    for field in fields(InvariantSignature):  # n and k agree already
+        if getattr(sig_a, field.name) != getattr(sig_b, field.name):
+            return EquivalenceCertificate(None, distinct_reason=field.name)
     if a.rows == b.rows:
         return identity_certificate(a.n)
     levels = tuple(_word_levels(a))

@@ -4,7 +4,8 @@ Everything here trades speed for obviousness: spans are materialized as
 sets of ints, membership is tested by exhaustive enumeration, and no code
 under test is reused on the oracle side of a comparison.  The dual,
 neighbor and permutation scans run in numpy blocks, but still visit every
-vector and every permutation.
+vector and every permutation.  The color refinement round keys words and
+coordinates by sorted Python tuples.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations, permutations
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -142,6 +144,51 @@ def incidence_and_cooccurrence(words: Iterable[int], n: int) -> Tuple[Tuple[int,
                 pair[(supp[a], supp[b])] += 1
     co = sorted(pair.values())
     return tuple(sorted(per_coord)), tuple([0] * (n * (n - 1) // 2 - len(co)) + co)
+
+
+def _getter(idx: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """Reads the entries at idx of a color list as a tuple."""
+    if len(idx) == 1:
+        return lambda colors, i=idx[0]: (colors[i],)
+    return itemgetter(*idx) if idx else lambda colors: ()
+
+
+def _ranked_by_hash(keys: List[Tuple]) -> Tuple[List[int], int]:
+    """Each key's rank among the distinct keys, ordered by their hashes or,
+    should two distinct keys share one, by themselves."""
+    names: Sequence = list(map(hash, keys))
+    if len(set(names)) < len(set(keys)):
+        names = keys
+    profile = tuple(sorted(Counter(names).items()))
+    rank = {name: r for r, (name, _) in enumerate(profile)}
+    return list(map(rank.__getitem__, names)), hash(profile)
+
+
+def refinement_rounds_by_tuples(
+    words_by_class: Sequence[Sequence[int]], n: int, colors: List[int]
+) -> Iterator[Tuple[int, List[int]]]:
+    """Color refinement of one code with Python tuple keys: each round
+    colors every word by (class, sorted colors of its coordinates), then
+    every coordinate by (color, sorted colors of its words), until the
+    number of coordinate colors stops growing.  Yields (digest, colors)."""
+    supports = [
+        (ci, [i for i in range(n) if (v >> i) & 1]) for ci, words in enumerate(words_by_class) for v in words
+    ]
+    through: List[List[int]] = [[] for _ in range(n)]
+    for wi, (_, supp) in enumerate(supports):
+        for i in supp:
+            through[i].append(wi)
+    word_getters = [(ci, _getter(supp)) for ci, supp in supports]
+    coord_getters = [_getter(ws) for ws in through]
+    while True:
+        words, word_digest = _ranked_by_hash([(ci, tuple(sorted(get(colors)))) for ci, get in word_getters])
+        new, coord_digest = _ranked_by_hash(
+            [(colors[i], tuple(sorted(get(words)))) for i, get in enumerate(coord_getters)]
+        )
+        yield hash((word_digest, coord_digest)), new
+        if len(set(new)) == len(set(colors)):
+            return
+        colors = new
 
 
 def random_matrix_rows(rng: random.Random, nrows: int, ncols: int) -> List[int]:

@@ -2,11 +2,27 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from itertools import islice
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sdcodes import DomainError, LinearCode, extremal_neighbor_survey, permuted_code
+import sdcodes
+from sdcodes import (
+    CirculantPair,
+    DomainError,
+    LinearCode,
+    build_four_circulant,
+    enumerate_self_dual_neighbors,
+    extremal_neighbor_survey,
+    permuted_code,
+    subtract_coordinates,
+)
 from sdcodes.equivalence import (
     EquivalenceCertificate,
     _Incidence,
@@ -20,10 +36,13 @@ from sdcodes.equivalence import (
     signature,
     verify_certificate,
 )
+from sdcodes.tables import named_code
+from sdcodes.wenum import codewords_of_weight, min_weight
 from oracles import (
     equivalent_by_all_permutations,
     permute_bits,
     random_self_dual_words,
+    refinement_rounds_by_tuples,
     span_set,
 )
 
@@ -245,21 +264,78 @@ def test_rounds_commute_with_permutations():
                     assert all(cb[img - 1] == ca[i] for i, img in enumerate(images))
 
 
-def test_ranks_are_canonical_and_split_keys_whose_hashes_tie():
-    # hash(-1) == hash(-2), so the first two keys share a hash
-    keys = [(0, (-1,)), (0, (-2,)), (0, (-1,)), (1, (5, 7))]
-    assert hash(keys[0]) == hash(keys[1])
-    ranks, digest = _ranked(keys)
-    assert ranks[0] == ranks[2] != ranks[1] != ranks[3] != ranks[0]
+def test_ranks_name_key_rows_canonically():
+    keys = np.array([[0, -1, 3], [0, -2, 3], [0, -1, 3], [1, 5, 7]], dtype=np.int16)
+    names = _ranked(keys)[0]
+    assert names[0] == names[2] != names[1] != names[3] != names[0]
     rng = random.Random(29)
-    for pool in (keys, [(i % 3, (i % 5, 9)) for i in range(12)]):
-        moved = list(pool)
-        rng.shuffle(moved)
-        moved_ranks, moved_digest = _ranked(moved)
-        assert moved_digest == _ranked(pool)[1]
-        named = dict(zip(pool, _ranked(pool)[0]))
-        assert moved_ranks == [named[key] for key in moved]
+    pool = np.array([[i % 3, i % 5, 9] for i in range(12)], dtype=np.int8)
+    for rows in (keys, pool):
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        moved_names, moved_digest = _ranked(rows[order])
+        names, digest = _ranked(rows)
+        assert moved_digest == digest
+        assert moved_names.tolist() == names[order].tolist()
+    # different multisets of rows: other rows, or the same rows counted otherwise
     assert _ranked(keys[:3])[1] != _ranked(keys[1:4])[1]
+    assert _ranked(keys[[0, 0, 1]])[1] != _ranked(keys[[0, 1, 1]])[1]
+
+
+def test_round_digests_do_not_depend_on_the_hash_seed():
+    # classify may compare codes refined in different worker processes
+    src = str(Path(sdcodes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "from sdcodes.equivalence import _Incidence, _rounds, _word_levels\n"
+        "from sdcodes.tables import named_code\n"
+        "c = named_code('C58_1')\n"
+        "for digest, _ in _rounds(_Incidence(c, _word_levels(c)), [0] * c.n):\n"
+        "    print(digest.hex())\n"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) == 3
+
+
+def partition(colors):
+    """Colors renamed by first occurrence: the partition they induce."""
+    first = {}
+    return [first.setdefault(col, len(first)) for col in colors]
+
+
+def survey_survivors(count):
+    """The first neighbours of d >= 6 of the survey benchmark's [26,13] code."""
+    base = subtract_coordinates(build_four_circulant(CirculantPair.parse("0001000;1100101")), 11, 24)
+    found = (nb for nb in enumerate_self_dual_neighbors(base) if min_weight(nb, target=6) >= 6)
+    return list(islice(found, count))
+
+
+def test_rounds_match_the_tuple_oracle_round_by_round():
+    rng = random.Random(30)
+    codes = [
+        code_from_words(random_self_dual_words(rng, n, steps=6), n)
+        for n in (8, 12, 16, 20)
+        for _ in range(3)
+    ]
+    codes += survey_survivors(50)
+    codes += [named_code(name) for name in ("C58_1", "D60_3", "J60_5")]
+    for c in codes:
+        levels = _word_levels(c)
+        inc = _Incidence(c, levels)
+        words = [codewords_of_weight(c, w) for w in levels]
+        start = [0] * c.n
+        start[rng.randrange(c.n)] = c.n
+        for colors in ([0] * c.n, start):
+            got = [partition(cols) for _, cols in _rounds(inc, colors)]
+            want = [partition(cols) for _, cols in refinement_rounds_by_tuples(words, c.n, colors)]
+            assert got == want
 
 
 def refinement_tree(c):
