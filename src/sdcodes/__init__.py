@@ -1,7 +1,6 @@
 """Binary self-dual codes: construction, shadows, neighbors, and equivalence."""
 
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
-from .gf2core import BitMatrix, BitVector, kernel, rref
 from .codes import (
     LinearCode,
     ParityClass,
@@ -19,7 +18,6 @@ from .circulant import (
     CirculantPair,
     SearchRules,
     build_four_circulant,
-    circulant_matrix,
     load_pairs,
     save_pairs,
     search_four_circulant,

@@ -25,14 +25,13 @@ import numpy as np
 
 from .codes import LinearCode
 from .errors import DomainError, ParseError, ResourceLimitError
-from .gf2core import BitMatrix, BitVector
+from .gf2core import format01, parse01
 from .parts import run_parts
 from .wenum import _min_weight_staged
 
 __all__ = [
     "CirculantPair",
     "SearchRules",
-    "circulant_matrix",
     "build_four_circulant",
     "self_dual_condition",
     "search_four_circulant",
@@ -67,29 +66,30 @@ def _reversed_row(bits: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class CirculantPair:
-    """The two defining first rows of a four-circulant generator."""
+    """The two defining first rows of a four-circulant generator, as
+    words of `block` coordinates."""
 
     block: int
-    ra: BitVector
-    rb: BitVector
+    ra: int
+    rb: int
 
     def __post_init__(self) -> None:
         if self.block < 1:
             raise DomainError(f"block size must be positive, got {self.block}")
-        if self.ra.n != self.block or self.rb.n != self.block:
-            raise DomainError(
-                f"first rows have lengths {self.ra.n}, {self.rb.n}; expected {self.block}"
-            )
+        for row in (self.ra, self.rb):
+            if not isinstance(row, int) or row < 0 or row >> self.block:
+                raise DomainError(f"first row {row!r} does not fit in {self.block} bits")
 
     @property
     def weight_sum(self) -> int:
-        return self.ra.weight + self.rb.weight
+        return self.ra.bit_count() + self.rb.bit_count()
 
     def shifted(self, s: int) -> "CirculantPair":
-        return CirculantPair(self.block, self.ra.rotated(s), self.rb.rotated(s))
+        n = self.block
+        return CirculantPair(n, _rot(self.ra, s, n), _rot(self.rb, s, n))
 
     def serialize(self) -> str:
-        return f"{self.ra.to01()};{self.rb.to01()}"
+        return f"{format01(self.ra, self.block)};{format01(self.rb, self.block)}"
 
     @classmethod
     def parse(cls, text: str, line: Optional[int] = None) -> "CirculantPair":
@@ -97,15 +97,14 @@ class CirculantPair:
         if len(parts) != 2:
             raise ParseError(f"expected 'ra;rb', got {text.strip()!r}", line=line)
         try:
-            ra = BitVector.from01(parts[0])
-            rb = BitVector.from01(parts[1])
-        except (DomainError, ValueError) as exc:
+            (na, ra), (nb, rb) = parse01(parts[0]), parse01(parts[1])
+        except ValueError as exc:
             raise ParseError(str(exc), line=line) from None
-        if ra.n != rb.n:
+        if na != nb:
             raise ParseError(
-                f"first rows have different lengths {ra.n} and {rb.n}", line=line
+                f"first rows have different lengths {na} and {nb}", line=line
             )
-        return cls(ra.n, ra, rb)
+        return cls(na, ra, rb)
 
 
 def parse_pairs(text: str) -> List[CirculantPair]:
@@ -128,14 +127,6 @@ def load_pairs(path) -> List[CirculantPair]:
 def save_pairs(path, pairs: Sequence[CirculantPair]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_pairs(pairs))
-
-
-def circulant_matrix(first_row: BitVector) -> BitMatrix:
-    """Square matrix whose row i+1 is row i rotated one place right."""
-    n = first_row.n
-    return BitMatrix(
-        n, tuple(BitVector(n, _rot(first_row.bits, i, n)) for i in range(n))
-    )
 
 
 def _generator_ints(block: int, ra: int, rb: int) -> List[int]:
@@ -170,13 +161,13 @@ def _transpose_basis_ints(block: int, ra: int, rb: int) -> List[int]:
 def build_four_circulant(p: CirculantPair, name: Optional[str] = None) -> LinearCode:
     """The [4n, 2n] code generated by (I | [[A, B], [B^T, A^T]])."""
     return LinearCode.from_int_rows(
-        _generator_ints(p.block, p.ra.bits, p.rb.bits), 4 * p.block, name=name
+        _generator_ints(p.block, p.ra, p.rb), 4 * p.block, name=name
     )
 
 
 def self_dual_condition(p: CirculantPair) -> bool:
     """AA^T + BB^T = I, tested as an autocorrelation identity on (ra, rb)."""
-    n, ra, rb = p.block, p.ra.bits, p.rb.bits
+    n, ra, rb = p.block, p.ra, p.rb
     for s in range(n // 2 + 1):
         aa = (ra & _rot(ra, s, n)).bit_count() & 1
         bb = (rb & _rot(rb, s, n)).bit_count() & 1
@@ -228,10 +219,10 @@ def orbit_key(p: CirculantPair) -> str:
     """The least serialize() over the affine orbit of a pair; pairs with
     the same key give equivalent codes."""
     n = p.block
-    # to01() order is integer order with coordinate 1 as the top bit
+    # format01 order is integer order with coordinate 1 as the top bit
     weights = np.int64(1) << (n - 1 - _affine_positions(n))
     i = np.arange(n)
-    a, b = (weights @ ((r.bits >> i) & 1) for r in (p.ra, p.rb))
+    a, b = (weights @ ((r >> i) & 1) for r in (p.ra, p.rb))
     best = int(((a << n) | b).min())
     return f"{best >> n:0{n}b};{best & ((1 << n) - 1):0{n}b}"
 
@@ -408,9 +399,7 @@ def search_four_circulant(
         hits.extend(part)
         if progress is not None:
             progress(int(sizes[: cuts[i + 1]].sum()), end)
-    pairs = [
-        CirculantPair(block, BitVector(block, ra), BitVector(block, rb))
-        for ra, rb in _expand_hits(block, hits, rules)
-    ]
-    pairs.sort(key=lambda p: (p.ra.to01(), p.rb.to01()))
+    pairs = [CirculantPair(block, ra, rb) for ra, rb in _expand_hits(block, hits, rules)]
+    # both rows have `block` characters, so this is (ra, rb) string order
+    pairs.sort(key=CirculantPair.serialize)
     return pairs

@@ -57,10 +57,12 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 EXIT_INPUT = 4
 
-# main() exits with the code of the first kind an error is an instance of
+# main() exits with the code of the first kind an error is an instance of;
+# an OSError is an input or output path that cannot be read or written
 _EXIT_CODES = {
     ParseError: EXIT_INPUT,
     DomainError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
     ResourceLimitError: EXIT_RESOURCE,
     IntegrityError: EXIT_MISMATCH,
 }

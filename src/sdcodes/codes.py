@@ -2,10 +2,10 @@
 
 A LinearCode is its canonical int rows: the reduced-echelon basis, with
 coordinate i in bit i-1.  Every constructor reduces the rows it is given,
-so equal codes compare equal; `gen` is a derived BitMatrix view of the same
-basis.  Facts computed about a code (weight and shadow distributions,
-minimum weight, codewords of a weight, the invariant signature) are
-memoised on the code itself and freed with it.  On top of that sit the
+so equal codes compare equal; rows are '0'/'1' strings only in JSON code
+files and `from_strings`.  Facts computed about a code (weight and shadow
+distributions, minimum weight, codewords of a weight, the invariant
+signature) are memoised on the code itself and freed with it.  On top of that sit the
 dual, the parity classes of self-dual codes, the doubly-even subcode with
 its shadow cosets, and the two-coordinate subtraction construction.
 """
@@ -16,14 +16,15 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
-from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
+from .errors import DomainError, IntegrityError, ParseError
 from .gf2core import (
     MAX_LEN,
-    BitMatrix,
-    BitVector,
+    format01,
     kernel_raw,
+    parse01,
+    permute_word,
     pivots_of_rref_raw,
     reduce_raw,
     rref_raw,
@@ -42,9 +43,6 @@ __all__ = [
     "load_code",
     "save_code",
 ]
-
-CODEWORD_ENUM_LIMIT = 26
-
 
 class ParityClass(enum.Enum):
     ODD_CONTAINING = "odd-containing"
@@ -82,63 +80,25 @@ class LinearCode:
     def k(self) -> int:
         return len(self.rows)
 
-    @property
-    def gen(self) -> BitMatrix:
-        """The canonical rows as a BitMatrix."""
-        return BitMatrix(self.n, tuple(BitVector(self.n, r) for r in self.rows))
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Union[BitMatrix, Iterable[BitVector]],
-        n: Optional[int] = None,
-        name: Optional[str] = None,
-    ) -> "LinearCode":
-        """Canonicalize arbitrary spanning rows; k becomes the rank."""
-        if isinstance(rows, BitMatrix):
-            return cls.from_int_rows(rows.row_ints(), rows.ncols, name)
-        vecs = list(rows)
-        if n is None:
-            if not vecs:
-                raise DomainError("need an explicit length for an empty row list")
-            n = vecs[0].n
-        for v in vecs:
-            if v.n != n:
-                raise DomainError(f"row length {v.n} does not match n={n}")
-        return cls.from_int_rows([v.bits for v in vecs], n, name)
-
     @classmethod
     def from_int_rows(cls, ints: Sequence[int], n: int, name: Optional[str] = None) -> "LinearCode":
         return cls(n, tuple(ints), name)
 
     @classmethod
     def from_strings(cls, rows: Sequence[str], name: Optional[str] = None) -> "LinearCode":
-        return cls.from_rows([BitVector.from01(s) for s in rows], name=name)
-
-    def row_ints(self) -> List[int]:
-        return list(self.rows)
+        """The code spanned by '0'/'1' rows of one common length."""
+        parsed = [parse01(s) for s in rows]
+        if not parsed:
+            raise DomainError("need an explicit length for an empty row list")
+        n = parsed[0][0]
+        for m, _ in parsed:
+            if m != n:
+                raise DomainError(f"row length {m} does not match n={n}")
+        return cls(n, tuple(bits for _, bits in parsed), name)
 
     def pivot_columns(self) -> Tuple[int, ...]:
         """1-indexed pivot columns of the canonical generator."""
         return tuple(p + 1 for p in pivots_of_rref_raw(self.rows))
-
-    def contains(self, v: BitVector) -> bool:
-        if v.n != self.n:
-            raise DomainError(f"vector length {v.n} does not match n={self.n}")
-        return reduce_raw(v.bits, self.rows, pivots_of_rref_raw(self.rows)) == 0
-
-    def codewords(self) -> Iterator[BitVector]:
-        """Every codeword; guarded so nobody walks 2^30 words by accident."""
-        if self.k > CODEWORD_ENUM_LIMIT:
-            raise ResourceLimitError(
-                f"codeword enumeration is limited to k <= {CODEWORD_ENUM_LIMIT}, got k={self.k}"
-            )
-        rows = self.rows
-        word = 0
-        yield BitVector(self.n, 0)
-        for i in range(1, 1 << self.k):
-            word ^= rows[(i & -i).bit_length() - 1]
-            yield BitVector(self.n, word)
 
     def with_name(self, name: Optional[str]) -> "LinearCode":
         return LinearCode(self.n, self.rows, name, self.memo)
@@ -151,7 +111,7 @@ class LinearCode:
             "name": self.name or "",
             "n": self.n,
             "k": self.k,
-            "rows": self.gen.to_strings(),
+            "rows": [format01(r, self.n) for r in self.rows],
         }
 
     @classmethod
@@ -164,16 +124,16 @@ class LinearCode:
             raise ParseError(
                 f"code object needs integer 'n', list 'rows' and, if given, integer 'k': {exc}"
             ) from None
-        vecs = []
+        words = []
         for idx, s in enumerate(rows):
             if not isinstance(s, str):
                 raise ParseError(f"row {idx + 1} is not a string")
-            v = BitVector.from01(s)
-            if v.n != n:
-                raise ParseError(f"row {idx + 1} has length {v.n}, expected {n}")
-            vecs.append(v)
+            m, bits = parse01(s)
+            if m != n:
+                raise ParseError(f"row {idx + 1} has length {m}, expected {n}")
+            words.append(bits)
         name = obj.get("name") or None
-        code = cls.from_rows(vecs, n, name)
+        code = cls(n, tuple(words), name)
         if k is not None and k != code.k:
             raise ParseError(f"declared k={k} but rows span dimension {code.k}")
         return code
@@ -231,7 +191,7 @@ class ShadowParts:
     cosets of it make up the shadow.  The shadow itself is never stored."""
 
     c0: LinearCode
-    coset_reps: Tuple[BitVector, BitVector]
+    coset_reps: Tuple[int, int]
 
 
 def shadow_parts(c: LinearCode) -> ShadowParts:
@@ -256,11 +216,8 @@ def shadow_parts(c: LinearCode) -> ShadowParts:
 
     c0_pivots = pivots_of_rref_raw(c0.rows)
     reps = sorted(
-        (
-            BitVector(c.n, reduce_raw(s, c0.rows, c0_pivots)),
-            BitVector(c.n, reduce_raw(s ^ t, c0.rows, c0_pivots)),
-        ),
-        key=BitVector.to01,
+        (reduce_raw(s, c0.rows, c0_pivots), reduce_raw(s ^ t, c0.rows, c0_pivots)),
+        key=lambda v: format01(v, c.n),
     )
     return ShadowParts(c0, (reps[0], reps[1]))
 
@@ -305,4 +262,6 @@ def subtract_coordinates(c: LinearCode, i: int, j: int) -> LinearCode:
 
 def permuted_code(c: LinearCode, images: Sequence[int], name: Optional[str] = None) -> LinearCode:
     """The equivalent code with coordinate i sent to images[i-1]."""
-    return LinearCode.from_rows([r.permuted(images) for r in c.gen.rows], c.n, name)
+    if sorted(images) != list(range(1, c.n + 1)):
+        raise DomainError("images must be a permutation of 1..n")
+    return LinearCode(c.n, tuple(permute_word(r, images) for r in c.rows), name)

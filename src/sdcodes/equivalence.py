@@ -35,7 +35,7 @@ import numpy as np
 
 from .codes import LinearCode, ParityClass, is_self_dual, parity_class
 from .errors import DomainError, IntegrityError
-from .gf2core import pivots_of_rref_raw, reduce_raw
+from .gf2core import format01, permute_word, pivots_of_rref_raw, reduce_raw
 from .wenum import (
     _check_dimension,
     codewords_of_weight,
@@ -153,24 +153,19 @@ def identity_certificate(n: int) -> EquivalenceCertificate:
     return EquivalenceCertificate(tuple(range(1, n + 1)))
 
 
-def _permute_word(v: int, images: Sequence[int]) -> int:
-    out = 0
-    for i, img in enumerate(images):
-        if (v >> i) & 1:
-            out |= 1 << (img - 1)
-    return out
-
-
 def _maps_into(a: LinearCode, images: Sequence[int], b_rows: Sequence[int], b_piv: Sequence[int]) -> bool:
     for r in a.rows:
-        if reduce_raw(_permute_word(r, images), b_rows, b_piv) != 0:
+        if reduce_raw(permute_word(r, images), b_rows, b_piv) != 0:
             return False
     return True
 
 
 def verify_certificate(a: LinearCode, b: LinearCode, cert: EquivalenceCertificate) -> bool:
-    """Membership check: permuted generator rows of a all land in b."""
-    if cert.perm is None or len(cert.perm) != a.n or a.n != b.n or a.k != b.k:
+    """Membership check: the images form a permutation of 1..n, and the
+    permuted generator rows of a all land in b."""
+    if cert.perm is None or a.n != b.n or a.k != b.k:
+        return False
+    if sorted(cert.perm) != list(range(1, a.n + 1)):
         return False
     return _maps_into(a, cert.perm, b.rows, pivots_of_rref_raw(b.rows))
 
@@ -350,7 +345,7 @@ class EquivalenceClass:
 
 
 def _serialized(c: LinearCode) -> str:
-    return "\n".join(c.gen.to_strings())
+    return "\n".join(format01(r, c.n) for r in c.rows)
 
 
 def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from .codes import LinearCode, is_self_dual
 from .equivalence import EquivalenceClass, are_equivalent, classify
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
-from .gf2core import BitVector, pivots_of_rref_raw, reduce_raw
+from .gf2core import pivots_of_rref_raw, reduce_raw
 from .parts import run_parts
 from .wenum import min_weight
 
@@ -54,7 +54,8 @@ class NeighborDescriptor:
             )
         object.__setattr__(self, "support", supp)
 
-    def vector(self, n: int) -> BitVector:
+    def vector(self, n: int) -> int:
+        """x as a word of n coordinates."""
         if self.support and self.support[-1] > n:
             raise DomainError(
                 f"support coordinate {self.support[-1]} exceeds length {n}"
@@ -62,7 +63,7 @@ class NeighborDescriptor:
         bits = 0
         for i in self.support:
             bits |= 1 << (i - 1)
-        return BitVector(n, bits)
+        return bits
 
     def to_json_line(self) -> str:
         body = {"base": self.base, "supp": list(self.support)}
@@ -94,28 +95,28 @@ def save_descriptors(path, descriptors: Iterable[NeighborDescriptor]) -> None:
             fh.write(d.to_json_line() + "\n")
 
 
-def neighbor(c: LinearCode, x: BitVector, name: Optional[str] = None) -> LinearCode:
+def neighbor(c: LinearCode, x: int, name: Optional[str] = None) -> LinearCode:
     """The self-dual code spanned by (c meet x-perp) and x.
 
-    x must have even weight and lie outside c; the result meets c in
-    dimension n/2 - 1.
+    x is a word of c.n coordinates; it must have even weight and lie
+    outside c.  The result meets c in dimension n/2 - 1.
     """
     if not is_self_dual(c):
         raise DomainError(f"{c.label()} is not self-dual")
-    if x.n != c.n:
-        raise DomainError(f"vector length {x.n} does not match code length {c.n}")
-    if x.weight % 2:
+    if not isinstance(x, int) or x < 0 or x >> c.n:
+        raise DomainError(f"vector {x!r} does not fit in code length {c.n}")
+    if x.bit_count() % 2:
         raise DomainError(
-            f"weight {x.weight} is odd; x cannot lie in a self-orthogonal code"
+            f"weight {x.bit_count()} is odd; x cannot lie in a self-orthogonal code"
         )
     rows = c.rows
-    if reduce_raw(x.bits, rows, pivots_of_rref_raw(rows)) == 0:
+    if reduce_raw(x, rows, pivots_of_rref_raw(rows)) == 0:
         raise DomainError("not a proper neighbor")
-    odd = [r for r in rows if (r & x.bits).bit_count() % 2]
-    keep = [r for r in rows if (r & x.bits).bit_count() % 2 == 0]
+    odd = [r for r in rows if (r & x).bit_count() % 2]
+    keep = [r for r in rows if (r & x).bit_count() % 2 == 0]
     t = odd[0]
     sub = keep + [r ^ t for r in odd[1:]]
-    out = LinearCode.from_int_rows(sub + [x.bits], c.n, name=name)
+    out = LinearCode.from_int_rows(sub + [x], c.n, name=name)
     if out.k != c.k or not is_self_dual(out):
         raise IntegrityError(
             f"neighbor construction from {c.label()} lost self-duality"

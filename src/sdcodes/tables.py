@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .circulant import CirculantPair, build_four_circulant
 from .codes import LinearCode, subtract_coordinates
 from .errors import DomainError, IntegrityError
-from .gf2core import BitVector
+from .gf2core import parse01
 from .neighbors import neighbor_from_support
 from .wenum import FamilyParams, FamilyTag
 
@@ -133,9 +133,7 @@ def _registry() -> Dict[str, _Record]:
         body = load_data(filename)
         for row in body["codes"]:
             beta = row.get("beta")
-            pair = CirculantPair(
-                body["block"], BitVector.from01(row["ra"]), BitVector.from01(row["rb"])
-            )
+            pair = CirculantPair(body["block"], parse01(row["ra"])[1], parse01(row["rb"])[1])
             family = None if beta is None else FamilyParams(FamilyTag.W60_1, beta=beta)
             add(row["name"], _Record(body["dmin"], family, pair=pair))
 

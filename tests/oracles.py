@@ -27,6 +27,11 @@ def span_set(rows: Sequence[int]) -> Set[int]:
     return out
 
 
+def word01(v: int, n: int) -> str:
+    """The '0'/'1' string of an n-coordinate word, coordinate 1 first."""
+    return "".join(str((v >> i) & 1) for i in range(n))
+
+
 def weight_histogram_direct(rows: Sequence[int], n: int) -> List[int]:
     """Per-codeword weight histogram by walking the whole span."""
     counts = [0] * (n + 1)
@@ -99,6 +104,18 @@ def permute_bits(v: int, n: int, images: Sequence[int]) -> int:
         if (v >> i) & 1:
             out |= 1 << (images[i] - 1)
     return out
+
+
+def circulant_rows(first_row: int, n: int) -> List[int]:
+    """Rows of the n x n circulant: row i is the first row with every
+    coordinate moved i places toward higher indices, mod n."""
+    support = [j for j in range(n) if (first_row >> j) & 1]
+    return [sum(1 << ((j + i) % n) for j in support) for i in range(n)]
+
+
+def transposed_rows(rows: Sequence[int], ncols: int) -> List[int]:
+    """Rows of the transpose of a matrix given by its int rows."""
+    return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
 
 
 def equivalent_by_all_permutations(words_a: Set[int], words_b: Set[int], n: int):

@@ -189,7 +189,7 @@ def test_criterion_8_oracle_agreement():
             drawn += 1
 
             w = weight_distribution(c)
-            assert list(w.counts) == weight_histogram_direct(c.row_ints(), n)
+            assert list(w.counts) == weight_histogram_direct(c.rows, n)
 
             if parity_class(c) is ParityClass.SINGLY_EVEN:
                 hist = [0] * (n + 1)
@@ -199,7 +199,7 @@ def test_criterion_8_oracle_agreement():
                 shadow_checks += 1
 
             mine = {
-                tuple(sorted(span_set(nb.row_ints())))
+                tuple(sorted(span_set(nb.rows)))
                 for nb in enumerate_self_dual_neighbors(c)
             }
             assert len(mine) == 2 * (2 ** (c.k - 1) - 1)
@@ -218,7 +218,7 @@ def test_criterion_8_oracle_agreement():
         for i in range(count):
             for j in range(i + 1, count):
                 perm = equivalent_by_all_permutations(
-                    span_set(group[i].row_ints()), span_set(group[j].row_ints()), n
+                    span_set(group[i].rows), span_set(group[j].rows), n
                 )
                 assert (perm is not None) == (home[id(group[i])] == home[id(group[j])])
     verdict(8, f"{drawn} codes, {shadow_checks} shadow checks, classify matches brute force")

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import math
@@ -8,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sdcodes
 from sdcodes import (
-    BitMatrix,
-    BitVector,
     DomainError,
     LinearCode,
     ParseError,
@@ -23,7 +23,6 @@ from sdcodes.circulant import (
     CirculantPair,
     SearchRules,
     build_four_circulant,
-    circulant_matrix,
     format_pairs,
     load_pairs,
     orbit_key,
@@ -38,44 +37,43 @@ from sdcodes.circulant import (
     _transpose_basis_ints,
 )
 
-from oracles import span_set
+from oracles import circulant_rows, permute_bits, span_set, transposed_rows, word01
 
 
 def pair(block, ra, rb):
-    return CirculantPair(block, BitVector(block, ra), BitVector(block, rb))
+    return CirculantPair(block, ra, rb)
 
 
 def pair01(ra, rb):
-    return CirculantPair(len(ra), BitVector.from01(ra), BitVector.from01(rb))
+    return CirculantPair.parse(f"{ra};{rb}")
 
 
 # ---------------------------------------------------------------------------
-# circulant_matrix
+# the circulant oracle, and CirculantPair.shifted against it
 
 def test_circulant_unit_row_is_identity():
-    assert circulant_matrix(BitVector.from01("100")) == BitMatrix.identity(3)
+    assert circulant_rows(0b001, 3) == [0b001, 0b010, 0b100]
 
 
 def test_circulant_all_ones():
-    m = circulant_matrix(BitVector.from01("111"))
-    assert m.to_strings() == ["111", "111", "111"]
+    assert [word01(r, 3) for r in circulant_rows(0b111, 3)] == ["111", "111", "111"]
 
 
 def test_circulant_shift_structure():
-    m = circulant_matrix(BitVector.from01("1100"))
-    assert m.to_strings() == ["1100", "0110", "0011", "1001"]
+    rows = circulant_rows(0b0011, 4)
+    assert [word01(r, 4) for r in rows] == ["1100", "0110", "0011", "1001"]
 
 
 def test_circulant_commutes_with_rotation():
     rng = random.Random(420)
     for _ in range(20):
         n = rng.randrange(1, 12)
-        v = BitVector(n, rng.getrandbits(n))
+        v = rng.getrandbits(n)
         s = rng.randrange(n)
-        rotated_first = circulant_matrix(v.rotated(s)).rows
-        row_rotated = tuple(
-            circulant_matrix(v).rows[(i + s) % n] for i in range(n)
-        )
+        shifted = pair(n, v, 0).shifted(s)
+        assert shifted.ra == circulant_rows(v, n)[s] and shifted.rb == 0
+        rotated_first = circulant_rows(shifted.ra, n)
+        row_rotated = [circulant_rows(v, n)[(i + s) % n] for i in range(n)]
         assert rotated_first == row_rotated
 
 
@@ -85,32 +83,24 @@ def test_circulant_commutes_with_rotation():
 def test_build_block_one():
     c = build_four_circulant(pair01("1", "0"))
     assert (c.n, c.k) == (4, 2)
-    assert set(c.gen.to_strings()) == {"1010", "0101"}
+    assert {word01(r, 4) for r in c.rows} == {"1010", "0101"}
 
 
 def test_build_matches_block_matrix_assembly():
     rng = random.Random(421)
     for _ in range(15):
         n = rng.randrange(1, 7)
-        ra = BitVector(n, rng.getrandbits(n))
-        rb = BitVector(n, rng.getrandbits(n))
-        a = circulant_matrix(ra)
-        b = circulant_matrix(rb)
-        at = a.transpose()
-        bt = b.transpose()
+        ra = rng.getrandbits(n)
+        rb = rng.getrandbits(n)
+        a = circulant_rows(ra, n)
+        b = circulant_rows(rb, n)
+        at = transposed_rows(a, n)
+        bt = transposed_rows(b, n)
         rows = []
         for i in range(n):
-            rows.append(
-                (1 << i)
-                | (a.row_ints()[i] << (2 * n))
-                | (b.row_ints()[i] << (3 * n))
-            )
+            rows.append((1 << i) | (a[i] << (2 * n)) | (b[i] << (3 * n)))
         for i in range(n):
-            rows.append(
-                (1 << (n + i))
-                | (bt.row_ints()[i] << (2 * n))
-                | (at.row_ints()[i] << (3 * n))
-            )
+            rows.append((1 << (n + i)) | (bt[i] << (2 * n)) | (at[i] << (3 * n)))
         expect = LinearCode.from_int_rows(rows, 4 * n)
         assert build_four_circulant(CirculantPair(n, ra, rb)) == expect
         assert expect.k == 2 * n
@@ -199,7 +189,13 @@ def test_parse_pairs_reports_line_number():
 
 def test_pair_validates_lengths():
     with pytest.raises(DomainError):
-        CirculantPair(3, BitVector.from01("10"), BitVector.from01("011"))
+        CirculantPair(3, 0b1000, 0b110)
+    with pytest.raises(DomainError):
+        CirculantPair(3, 0b001, -1)
+    with pytest.raises(DomainError):
+        CirculantPair(3, "100", 0b110)
+    with pytest.raises(DomainError):
+        CirculantPair(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +235,12 @@ def brute_force(block, d_target, rules):
             continue
         if rules.congruence is not None and p.weight_sum % 4 != rules.congruence % 4:
             continue
-        if rules.rb_last_one and not p.rb.bit(block):
+        if rules.rb_last_one and not (p.rb >> (block - 1)) & 1:
             continue
         if d < d_target:
             continue
         out.append(p)
-    out.sort(key=lambda q: (q.ra.to01(), q.rb.to01()))
+    out.sort(key=lambda q: (word01(q.ra, block), word01(q.rb, block)))
     return out
 
 
@@ -269,7 +265,7 @@ def test_search_block_three_with_default_rules():
     assert got == brute_force(3, 2, SearchRules.for_target(2))
     for p in got:
         assert p.weight_sum % 4 == 1
-        assert p.rb.bit(3)
+        assert (p.rb >> 2) & 1
 
 
 def test_search_block_four_both_congruences():
@@ -340,6 +336,28 @@ def test_benchmark_tracer_targets_resolve():
             assert any(v is owner for v in vars(importlib.import_module(scope)).values())
 
 
+def test_benchmark_library_calls_resolve():
+    """Every attribute the benchmark jobs read off sdcodes, or off a module
+    they import from it, exists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owners = {"sdcodes": sdcodes}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "sdcodes":
+            for alias in node.names:
+                owners[alias.asname or alias.name] = getattr(sdcodes, alias.name)
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in owners
+    }
+    assert ("sdcodes", "permuted_code") in used and ("circulant", "format_pairs") in used
+    missing = sorted(f"{owner}.{attr}" for owner, attr in used if not hasattr(owners[owner], attr))
+    assert not missing
+
+
 def test_search_representative_partition_reassembles():
     block, d = 7, 6
     rules = SearchRules.for_target(d)
@@ -355,7 +373,7 @@ def test_search_representative_partition_reassembles():
     assert whole, "the block-7 representatives keep hits"
     expect = search_four_circulant(block, d, rules)
     assert [pair(block, ra, rb) for ra, rb in _expand_hits(block, parts, rules)] == sorted(
-        expect, key=lambda q: (q.ra.bits, q.rb.bits)
+        expect, key=lambda q: (q.ra, q.rb)
     )
 
 
@@ -417,11 +435,8 @@ def test_shifting_a_pair_permutes_the_code():
         for i in range(n):
             images[i] = (i - s) % n + 1
             images[n + i] = (i + s) % n + n + 1
-        moved = {
-            BitVector(4 * n, w).permuted(images).bits
-            for w in span_set(base.row_ints())
-        }
-        assert moved == span_set(shifted.row_ints())
+        moved = {permute_bits(w, 4 * n, images) for w in span_set(base.rows)}
+        assert moved == span_set(shifted.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +473,7 @@ def test_orbit_key_is_constant_on_orbits_and_names_a_member():
         n = rng.randrange(2, 10)
         p = pair(n, rng.getrandbits(n), rng.getrandbits(n))
         orbit = {
-            pair(n, affine_image(p.ra.bits, n, u, s), affine_image(p.rb.bits, n, u, s)).serialize()
+            pair(n, affine_image(p.ra, n, u, s), affine_image(p.rb, n, u, s)).serialize()
             for u, s in affine_maps(n)
         }
         key = orbit_key(p)
@@ -470,11 +485,11 @@ def test_orbit_key_is_constant_on_orbits_and_names_a_member():
 def test_multiplied_pair_gives_an_equivalent_code():
     n, u = 7, 3
     for p in search_four_circulant(n, 6)[:5]:
-        moved = pair(n, affine_image(p.ra.bits, n, u, 0), affine_image(p.rb.bits, n, u, 0))
+        moved = pair(n, affine_image(p.ra, n, u, 0), affine_image(p.rb, n, u, 0))
         images = [(u * (i % n)) % n + (i // n) * n + 1 for i in range(4 * n)]
         base = build_four_circulant(p)
-        got = {BitVector(4 * n, w).permuted(images).bits for w in span_set(base.row_ints())}
-        assert got == span_set(build_four_circulant(moved).row_ints())
+        got = {permute_bits(w, 4 * n, images) for w in span_set(base.rows)}
+        assert got == span_set(build_four_circulant(moved).rows)
 
 
 @pytest.mark.parametrize("block,d", [(6, 4), (9, 8)])
@@ -499,7 +514,7 @@ def test_transpose_basis_spans_the_code(block, d):
     n = block
     identity = [1 << (2 * n + i) for i in range(2 * n)]
     for p in search_four_circulant(block, d):
-        ra, rb = p.ra.bits, p.rb.bits
+        ra, rb = p.ra, p.rb
         rows = _transpose_basis_ints(n, ra, rb)
         assert [r >> (2 * n) for r in rows] == [r >> (2 * n) for r in identity]
         code = LinearCode.from_int_rows(_generator_ints(n, ra, rb), 4 * n)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,27 @@ def test_analyze_directory_is_input_error(tmp_path):
     assert main(["analyze", "--code", str(tmp_path)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--block", "5", "--dmin", "4", "--threads", "1"],
+    ["analyze", "--code", "C58_1"],
+])
+def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
+    for out in (tmp_path / "missing" / "out.txt", tmp_path):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[-1]]
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
 def test_analyze_non_utf8_file_is_input_error(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"n": 2, "rows": ["11"], "name": "caf\xe9"}')
@@ -134,10 +156,10 @@ def test_neighbor_command_matches_library(tmp_path, capsys):
     path = write_code(tmp_path, "std4", ["1100", "0011"])
     assert main(["neighbor", "--code", str(path), "--supp", "1,3"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)
-    from sdcodes import BitVector, neighbor
+    from sdcodes import neighbor
 
-    expect = neighbor(LinearCode.from_strings(["1100", "0011"]), BitVector.from01("1010"))
-    assert body["rows"] == expect.gen.to_strings()
+    expect = neighbor(LinearCode.from_strings(["1100", "0011"]), 0b0101)
+    assert body["rows"] == expect.to_json()["rows"]
 
 
 def test_neighbor_rejects_odd_support(tmp_path):
@@ -151,7 +173,7 @@ def test_subtract_named_code_gives_table_row(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     body = read_json(out)
     assert body["n"] == 58 and body["k"] == 29
-    assert body["rows"] == named_code("C58_1").gen.to_strings()
+    assert body["rows"] == named_code("C58_1").to_json()["rows"]
 
 
 def test_subtract_needs_two_coords(tmp_path):
@@ -195,7 +217,7 @@ def test_neighbors_survey_small_code(tmp_path, capsys):
     rng = random.Random(42)
     words = random_self_dual_words(rng, 16, steps=5)
     path = write_code(
-        tmp_path, "sd16", LinearCode.from_int_rows(sorted(words), 16).gen.to_strings()
+        tmp_path, "sd16", LinearCode.from_int_rows(sorted(words), 16).to_json()["rows"]
     )
     assert main(["neighbors", "--code", str(path), "--dmin", "4",
                  "--threads", "1"]) == EXIT_OK

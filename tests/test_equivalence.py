@@ -44,6 +44,7 @@ from oracles import (
     random_self_dual_words,
     refinement_rounds_by_tuples,
     span_set,
+    word01,
 )
 
 
@@ -89,8 +90,8 @@ def test_permuted_code_yields_verified_certificate():
         assert verify_certificate(a, b, cert)
         # the found permutation need not be the one applied, but it must
         # carry the full word set across
-        assert {permute_bits(w, 12, cert.perm) for w in span_set(a.row_ints())} == span_set(
-            b.row_ints()
+        assert {permute_bits(w, 12, cert.perm) for w in span_set(a.rows)} == span_set(
+            b.rows
         )
 
 
@@ -158,6 +159,16 @@ def test_certificate_inverse_and_compose():
         EquivalenceCertificate(None, distinct_reason="x").inverse()
 
 
+def test_verify_certificate_needs_a_permutation():
+    # (1, 1, 3, 4) sends 1100 to 1000, which lies in b, but the weight-2
+    # and weight-1 codes are not equivalent
+    a = LinearCode.from_strings(["1100"])
+    b = LinearCode.from_strings(["1000"])
+    for images in [(1, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3), (1, 2, 3, 4, 5)]:
+        assert not verify_certificate(a, b, EquivalenceCertificate(images))
+    assert verify_certificate(a, permuted_code(a, (3, 1, 2, 4)), EquivalenceCertificate((3, 1, 2, 4)))
+
+
 def test_certificate_inverse_carries_code_back():
     rng = random.Random(24)
     words = random_self_dual_words(rng, 10, steps=4)
@@ -195,8 +206,8 @@ def test_classify_picks_lexicographically_least_representative():
     variants = [permuted_code(a, shuffled_images(rng, 10)) for _ in range(5)]
     classes = classify([a] + variants)
     assert len(classes) == 1
-    expect = min([a] + variants, key=lambda c: "\n".join(c.gen.to_strings()))
-    assert classes[0].representative.gen == expect.gen
+    expect = min([a] + variants, key=lambda c: "\n".join(word01(r, 10) for r in c.rows))
+    assert classes[0].representative == expect
 
 
 def test_classify_rejects_mixed_parameters():

@@ -1,11 +1,13 @@
 """Registry of published codes: data integrity and name resolution."""
 
 import hashlib
+import json
 
 import pytest
 
 from sdcodes import DomainError, FamilyTag, is_self_dual, min_weight, parity_class
-from sdcodes.codes import ParityClass
+from sdcodes.circulant import format_pairs
+from sdcodes.codes import ParityClass, shadow_parts
 from sdcodes.tables import (
     DATA_FILES,
     chain_table,
@@ -21,6 +23,8 @@ from sdcodes.tables import (
     subtraction_table,
     _data_dir,
 )
+
+from oracles import word01
 
 
 def test_checksums_cover_every_data_file():
@@ -137,3 +141,27 @@ def test_chain_rows_reference_known_bases():
             assert step["base"] in names
             assert step["name"] in names
             assert len(step["supp"]) % 2 == 0
+
+
+# sha256 of text the registry writes, recorded while words were still a
+# vector class; int words must print the same bytes
+TEXT_DIGESTS = {
+    "C58_1": "019a3b71712cfb58063d6e2478f96b9171b937ca2536b365ab6f71153bd7d56b",
+    "D60_3": "1ef2dcc19bdc47261340b8f78a9301693bdec0c527411afe60b5c4ce19270405",
+    "J60_5": "a06600a8f5a2a359245b0988da629252fdc2b0e4e4aaec55b7deb166e42cf39c",
+    "pairs": "282e6fdca43b11a3aaf9f69a55f11cea455a867ce456fdb13fa1b24b4926371c",
+    "C58_1 shadow": "4bec2e343043a2d3c6714918b7d984a0e2956ad3bd184d3eef241e33a501ee58",
+}
+
+
+def test_text_boundary_output_is_pinned():
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    got = {name: digest(json.dumps(named_code(name).to_json())) for name in ("C58_1", "D60_3", "J60_5")}
+    pairs = [row["pair"] for d in (12, 10) for row in circulant_table(d)]
+    assert len(pairs) == 26
+    got["pairs"] = digest(format_pairs(pairs))
+    reps = shadow_parts(named_code("C58_1")).coset_reps
+    got["C58_1 shadow"] = digest("\n".join(word01(v, 58) for v in reps))
+    assert got == TEXT_DIGESTS

@@ -31,7 +31,6 @@ from sdcodes import wenum
 from sdcodes.codes import shadow_parts
 from sdcodes.equivalence import signature
 from sdcodes.errors import IntegrityError
-from sdcodes.gf2core import BitVector
 from sdcodes.neighbors import neighbor
 from sdcodes.tables import named_code
 from sdcodes.wenum import (
@@ -73,7 +72,7 @@ def test_histogram_small_known():
 def independent_rows(rng, nrows, n):
     """Random rows reduced to an independent generating set."""
     raw = random_matrix_rows(rng, nrows, n)
-    return LinearCode.from_int_rows(raw, n).row_ints()
+    return LinearCode.from_int_rows(raw, n).rows
 
 
 def test_histogram_matches_direct_oracle():
@@ -141,7 +140,7 @@ def test_distribution_matches_oracle_random_codes():
         n = rng.randrange(2, 18)
         c = LinearCode.from_int_rows(random_matrix_rows(rng, rng.randrange(1, 7), n), n)
         w = weight_distribution(c)
-        assert list(w.counts) == weight_histogram_direct(c.row_ints(), n)
+        assert list(w.counts) == weight_histogram_direct(c.rows, n)
         assert w.total == 2**c.k
 
 
@@ -158,7 +157,7 @@ def test_distribution_budget():
 
 
 def test_zero_code_distribution():
-    c = LinearCode.from_rows([], n=5)
+    c = LinearCode(5, ())
     assert weight_distribution(c).counts == (1, 0, 0, 0, 0, 0)
 
 
@@ -219,16 +218,16 @@ def random_self_dual_code(rng, n, steps=12):
     for _ in range(steps):
         while True:
             x = rng.getrandbits(n)
-            if x.bit_count() % 2 == 0 and not c.contains(BitVector(n, x)):
+            if x.bit_count() % 2 == 0 and LinearCode(n, c.rows + (x,)).k > c.k:
                 break
-        c = neighbor(c, BitVector(n, x))
+        c = neighbor(c, x)
     return c
 
 
 def extended_hamming_sum(blocks):
     """Direct sum of extended Hamming [8,4,4] codes: doubly even, d = 4."""
     e8 = LinearCode.from_strings(["11110000", "00111100", "00001111", "01010101"])
-    rows = [r << (8 * b) for b in range(blocks) for r in e8.row_ints()]
+    rows = [r << (8 * b) for b in range(blocks) for r in e8.rows]
     return LinearCode.from_int_rows(rows, 8 * blocks)
 
 
@@ -239,10 +238,10 @@ def gleason(c):
 def coset_streamed_shadow(c):
     """B_0..B_n by walking both shadow cosets of C_0 in full."""
     parts = shadow_parts(c)
-    rows = parts.c0.row_ints()
+    rows = parts.c0.rows
     counts = [0] * (c.n + 1)
     for rep in parts.coset_reps:
-        for i, x in enumerate(_histogram_words(rows, c.n, offset=rep.bits)):
+        for i, x in enumerate(_histogram_words(rows, c.n, offset=rep)):
             counts[i] += x
     return counts
 
@@ -254,9 +253,9 @@ def test_gleason_matches_enumeration_on_random_self_dual_codes():
     for c in codes:
         assert len(_disjoint_information_bases(c)) == 2
         got = list(gleason(c))
-        assert got == _histogram_words(c.row_ints(), c.n), c.n
+        assert got == _histogram_words(c.rows, c.n), c.n
         if c.n <= 24:
-            assert got == weight_histogram_direct(c.row_ints(), c.n), c.n
+            assert got == weight_histogram_direct(c.rows, c.n), c.n
 
 
 def test_gleason_matches_full_enumeration_on_registry_codes():
@@ -270,11 +269,11 @@ def test_gleason_matches_full_enumeration_on_registry_codes():
     for name in ("C58_4", "C60_9"):
         c = named_code(name)
         assert c.k > 22
-        assert list(gleason(c)) == _histogram_words(c.row_ints(), c.n), name
+        assert list(gleason(c)) == _histogram_words(c.rows, c.n), name
 
 
 def assert_light_words_once(c, bases):
-    span = span_set(c.row_ints())
+    span = span_set(c.rows)
     for top in range(1, c.n + 1):
         got = [int(v) for vals in _low_weight_words(bases, top) for v in vals]
         assert len(got) == len(set(got)), (c.n, top)
@@ -397,7 +396,7 @@ def test_min_weight_agrees_with_distribution():
 
 def test_min_weight_zero_code():
     with pytest.raises(DomainError):
-        min_weight(LinearCode.from_rows([], n=4))
+        min_weight(LinearCode(4, ()))
 
 
 def test_staged_min_weight_matches_histogram():
@@ -433,7 +432,7 @@ def test_staged_min_weight_on_self_dual_direct_sum():
     e8 = LinearCode.from_strings(["11110000", "00111100", "00001111", "01010101"])
     rows = []
     for b in range(6):
-        rows += [r << (8 * b) for r in e8.row_ints()]
+        rows += [r << (8 * b) for r in e8.rows]
     c = LinearCode.from_int_rows(rows, 48)
     assert c.k == 24
     assert _min_weight_staged(_disjoint_information_bases(c), c.n, None) == 4
@@ -469,7 +468,7 @@ def test_min_weight_target_scans_small_dimensions(monkeypatch):
     rng = random.Random(418)
     c = random_self_dual_code(rng, 30, steps=20)
     assert c.k <= 22
-    words = span_set(c.row_ints())
+    words = span_set(c.rows)
     d = min(v.bit_count() for v in words if v)
     monkeypatch.setattr(wenum, "_histogram_words", refuse)
     assert min_weight(c, target=d + 2) < d + 2
@@ -519,7 +518,7 @@ def test_codewords_of_weight_small():
     for _ in range(15):
         n = rng.randrange(2, 16)
         c = LinearCode.from_int_rows(random_matrix_rows(rng, rng.randrange(1, 6), n), n)
-        words = span_set(c.row_ints())
+        words = span_set(c.rows)
         for w in range(n + 1):
             expect = sorted(v for v in words if bin(v).count("1") == w)
             assert codewords_of_weight(c, w) == expect
@@ -529,12 +528,12 @@ def test_codewords_of_weight_two_basis_path():
     e8 = LinearCode.from_strings(["11110000", "00111100", "00001111", "01010101"])
     rows = []
     for b in range(6):
-        rows += [r << (8 * b) for r in e8.row_ints()]
+        rows += [r << (8 * b) for r in e8.rows]
     c = LinearCode.from_int_rows(rows, 48)
     got = codewords_of_weight(c, 4)
     # weight-4 words live inside a single block: 14 per block
     assert len(got) == 6 * 14
-    per_block = sorted(v for v in span_set(e8.row_ints()) if bin(v).count("1") == 4)
+    per_block = sorted(v for v in span_set(e8.rows) if bin(v).count("1") == 4)
     expect = sorted(v << (8 * b) for b in range(6) for v in per_block)
     assert got == expect
 
@@ -542,7 +541,7 @@ def test_codewords_of_weight_two_basis_path():
 def test_codewords_of_weight_past_length_64():
     rng = random.Random(421)
     c = LinearCode.from_int_rows(independent_rows(rng, 8, 70), 70)
-    words = span_set(c.row_ints())
+    words = span_set(c.rows)
     for w in (1, 30, 35):
         assert codewords_of_weight(c, w) == sorted(v for v in words if v.bit_count() == w)
     big = LinearCode.from_int_rows([0b11 << i for i in range(0, 69, 3)], 70)
