@@ -128,6 +128,18 @@ def _parse_int_list(text: str, what: str) -> Tuple[int, ...]:
         raise DomainError(f"{what} must be a comma-separated integer list, got {text!r}")
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an output path that cannot be written before any work
+    starts, without creating or truncating it."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise DomainError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise DomainError(f"--out {out}: {path.parent} is not an existing directory")
+
+
 def _emit(obj: dict, out: Optional[str], manifest: Optional[RunManifest]) -> None:
     text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     if out is None:
@@ -586,6 +598,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except tuple(_EXIT_CODES) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -5,21 +5,28 @@ codewords by color refinement of one code at a time: a round colors words
 by (class, sorted colors of their coordinates), then coordinates by (color,
 sorted colors of their words).  Keys are rows of one NumPy array, and each
 is named by the rank of its bytes among the code's distinct rows, which
-`np.unique` gives exactly.  Rank names are canonical, so two codes compare
-through one profile digest per round, a blake2b of the distinct rows and
-their counts that no hash seed changes, and the first that differs prunes
-a branch; a digest collision could only let a hopeless branch go deeper.  When
-a color class stays ambiguous, one coordinate is individualized and
-refinement re-run.  The second code keeps in its memo the refinement nodes
-of its paths that ended in a verified leaf, so a class representative is
-refined once.  The colors are isomorphism-invariant and give the partitions
-of a joint refinement of both codes, so an exhausted search proves
-inequivalence and the first verified leaf, hence the certificate, is the
-joint search's.  At a leaf the coordinate matching is read off as a
-permutation and checked by generator-row membership before being returned,
-so a positive answer never depends on the refinement being correct.  A
-"distinct" verdict names the first separating invariant, or records that
-the refined search space was exhausted.
+`np.unique` gives exactly; rounds of a stack of codes of one shape run in
+one set of NumPy calls, each row prefixed by its code's index.  Rank names
+are canonical, so two codes compare through one profile digest per round, a
+blake2b of the distinct rows and their counts that no hash seed or stack
+changes, and the first that differs prunes a branch; a digest collision
+could only let a hopeless branch go deeper.  When a color class stays
+ambiguous, one coordinate is individualized and refinement re-run.  The
+first code's side depends on it alone: its first path (the root refinement,
+then the first coordinate of the smallest open cell individualized at each
+depth until the colors are discrete) is refined a depth at a time, when the
+search first reaches it, and `classify` refines its members' paths once
+each, stacked in blocks, and holds each in its member's memo while
+comparing it.  The second code keeps in its memo the refinement
+nodes of its paths that ended in a verified leaf, refined lazily, so a
+class representative is refined once.  The colors are isomorphism-invariant
+and give the partitions of a joint refinement of both codes, so an
+exhausted search proves inequivalence and the first verified leaf, hence
+the certificate, is the joint search's.  At a leaf the coordinate matching
+is read off as a permutation and checked by generator-row membership before
+being returned, so a positive answer never depends on the refinement being
+correct.  A "distinct" verdict names the first separating invariant, or
+records that the refined search space was exhausted.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -210,16 +217,67 @@ def _word_levels(c: LinearCode) -> List[int]:
     return levels
 
 
-def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, bytes]:
-    """Each key row's rank among the distinct rows, in byte order, and a
-    digest of those rows and their counts.  Both are canonical: they
-    depend on the multiset of rows alone."""
-    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    distinct, names, counts = np.unique(rows, return_inverse=True, return_counts=True)
-    digest = hashlib.blake2b(keys.shape[1].to_bytes(8, "little"), digest_size=8)
-    digest.update(counts)
-    digest.update(distinct)
-    return names, digest.digest()
+# code index prefixed to every key row of a stack of codes, big-endian so
+# that byte order sorts each code's rows together and in code order
+_PREFIX = np.dtype(">u4")
+
+
+def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, List[bytes]]:
+    """For a stack of key arrays (codes x rows x width), each row's rank
+    among its code's distinct rows, in byte order, and per code a digest
+    of those rows and their counts.  Both are canonical: they depend on
+    the multiset of that code's rows alone, whatever else is stacked."""
+    c, r, w = keys.shape
+    rows = np.ascontiguousarray(keys).view(np.uint8)
+    # one code needs no prefix, and ranks a quarter faster without it
+    head = _PREFIX.itemsize if c > 1 else 0
+    if head:
+        prefix = np.arange(c, dtype=_PREFIX).view(np.uint8).reshape(c, 1, head)
+        rows = np.concatenate((np.broadcast_to(prefix, (c, r, head)), rows), axis=2)
+    distinct, inverse, counts = np.unique(
+        rows.view(np.dtype((np.void, rows.shape[2]))).ravel(), return_inverse=True, return_counts=True
+    )
+    names = inverse.reshape(c, r)
+    # a code's distinct rows are contiguous, from the rank of its least row
+    least = names.min(axis=1, keepdims=True)
+    offsets = least.ravel().tolist() + [len(distinct)]
+    stripped = distinct.view(np.uint8).reshape(len(distinct), -1)[:, head:]
+    width = w.to_bytes(8, "little")
+    digests = [
+        hashlib.blake2b(width + counts[lo:hi].tobytes() + stripped[lo:hi].tobytes(), digest_size=8).digest()
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
+    return names - least, digests
+
+
+def _shifted(word_coords: np.ndarray, coord_words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A stack's incidence indexes (codes x rows x width), each code's
+    shifted to its row of the flattened stack of padded colors."""
+    code = np.arange(len(word_coords))[:, None, None]
+    return word_coords + code * (coord_words.shape[1] + 1), coord_words + code * (word_coords.shape[1] + 1)
+
+
+def _round(word_index: np.ndarray, coord_index: np.ndarray, current: np.ndarray) -> Tuple[List[bytes], np.ndarray]:
+    """One round on a stack of codes of one incidence shape, from their
+    coordinate colors (codes x n) and `_shifted` indexes: each word is
+    colored by the sorted colors of its coordinates, whose -1 padding
+    shows its weight class, then each coordinate by (color, sorted colors
+    of its words), each by the rank of its key row among its code's.
+    Returns each code's profile digest and the new colors."""
+    pad = np.full((len(current), 1), -1, current.dtype)
+    gathered = np.concatenate((current, pad), axis=1).ravel()[word_index]
+    gathered.sort(axis=2)
+    names, word_digests = _ranked(gathered)
+    gathered = np.concatenate((names.astype(current.dtype), pad), axis=1).ravel()[coord_index]
+    gathered.sort(axis=2)
+    names, coord_digests = _ranked(np.concatenate((current[:, :, None], gathered), axis=2))
+    return [x + y for x, y in zip(word_digests, coord_digests)], names
+
+
+def _color_count(colors: np.ndarray) -> np.ndarray:
+    """The number of distinct colors in each row."""
+    ordered = np.sort(colors, axis=1)
+    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
 Rounds = Iterator[Tuple[bytes, List[int]]]  # (profile digest, coordinate colors)
@@ -227,58 +285,137 @@ Rounds = Iterator[Tuple[bytes, List[int]]]  # (profile digest, coordinate colors
 
 def _rounds(inc: _Incidence, colors: List[int]) -> Rounds:
     """Refine the coordinate colors of one code, one round per item, until
-    their number stops growing.  A round colors each word by the sorted
-    colors of its coordinates, whose -1 padding shows its weight class,
-    then each coordinate by (color, sorted colors of its words), each by
-    the rank of its key row among the code's."""
-    current = np.array(colors, dtype=inc.dtype)
-    seen = len(np.unique(current))
-    while True:
-        gathered = np.append(current, -1).astype(inc.dtype)[inc.word_coords]
-        gathered.sort(axis=1)
-        words, word_digest = _ranked(gathered)
-        gathered = np.append(words, -1).astype(inc.dtype)[inc.coord_words]
-        gathered.sort(axis=1)
-        names, coord_digest = _ranked(np.column_stack((current, gathered)))
-        yield word_digest + coord_digest, names.tolist()
-        if names.max() + 1 == seen:
+    their number stops growing."""
+    current = np.array([colors], dtype=inc.dtype)
+    seen = len(set(colors))
+    while True:  # a lone code's indexes need no shift
+        digests, names = _round(inc.word_coords[None], inc.coord_words[None], current)
+        yield digests[0], names[0].tolist()
+        top = names.max() + 1
+        if top == seen:
             return
-        seen = names.max() + 1
-        current = names.astype(inc.dtype)
+        seen, current = top, names.astype(inc.dtype)
+
+
+# One depth of a first path: the round digests, the final colors, and the
+# coordinate then individualized, or None once the colors are discrete
+Depth = Tuple[Tuple[bytes, ...], List[int], Optional[int]]
+
+
+def _target(colors: List[int]) -> Optional[int]:
+    """The first coordinate of the smallest open cell, ties broken by first
+    index, or None if every cell is a single coordinate."""
+    counts = Counter(colors)
+    open_colors = [col for col, m in counts.items() if m > 1]
+    if not open_colors:
+        return None
+    return colors.index(min(open_colors, key=lambda col: (counts[col], colors.index(col))))
+
+
+def _path_depths(c: LinearCode) -> Iterator[Depth]:
+    """One code's first path, a depth per item, refined as it is read."""
+    inc = _Incidence(c, _word_levels(c))
+    colors = [0] * c.n
+    while True:
+        digests = []
+        for digest, final in _rounds(inc, colors):
+            digests.append(digest)
+        i = _target(final)
+        yield tuple(digests), final, i
+        if i is None:
+            return
+        colors = final[:i] + [c.n] + final[i + 1 :]
+
+
+def _lazy_path(c: LinearCode) -> Callable[[int], Depth]:
+    """One code's first path by depth, each refined when first read, so a
+    search pruned early refines a no deeper than it went."""
+    depths: List[Depth] = []
+    more = _path_depths(c)
+
+    def depth(d: int) -> Depth:
+        if d == len(depths):
+            depths.append(next(more))
+        return depths[d]
+
+    return depth
+
+
+def _first_paths(incs: Sequence[_Incidence]) -> List[List[Depth]]:
+    """Each code's first path, for a stack of incidences of one shape: the
+    root refinement, then one individualization and refinement per depth
+    until the colors are discrete.  Every round runs once for all the
+    codes still refining, and a code leaves the stack when it is done."""
+    word_coords = np.stack([inc.word_coords for inc in incs])
+    coord_words = np.stack([inc.coord_words for inc in incs])
+    n, dtype = coord_words.shape[1], incs[0].dtype
+    paths: List[List[Depth]] = [[] for _ in incs]
+    active = np.arange(len(incs))  # codes whose path goes deeper
+    current = np.zeros((len(incs), n), dtype)
+    while len(active):
+        digests: List[List[bytes]] = [[] for _ in active]
+        final = np.empty((len(active), n), np.int64)
+        at = np.arange(len(active))  # positions in `active` still refining
+        seen = _color_count(current)
+        word_index, coord_index = _shifted(word_coords[active], coord_words[active])
+        while True:
+            got, names = _round(word_index, coord_index, current)
+            for pos, digest in zip(at, got):
+                digests[pos].append(digest)
+            top = names.max(axis=1) + 1
+            done = top == seen
+            final[at[done]] = names[done]
+            if done.all():
+                break
+            if done.any():
+                at, names, top = at[~done], names[~done], top[~done]
+                word_index, coord_index = _shifted(word_coords[active[at]], coord_words[active[at]])
+            seen, current = top, names.astype(dtype)
+        deeper = []
+        for pos, code in enumerate(active):
+            colors = final[pos].tolist()
+            i = _target(colors)
+            paths[code].append((tuple(digests[pos]), colors, i))
+            if i is not None:
+                final[pos, i] = n  # no rank reaches n, so it individualizes
+                deeper.append(pos)
+        active, current = active[deeper], final[deeper].astype(dtype)
+    return paths
 
 
 def _match(
-    inc_a: _Incidence, a_rounds: List[Tuple[int, List[int]]], path: Tuple[int, ...], b_rounds: Rounds,
+    a_path: Callable[[int], Depth], path: Tuple[int, ...], b_rounds: Rounds,
     node: Callable[[Tuple[int, ...], List[int]], Rounds], verify: Callable[[Tuple[int, ...]], bool],
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """First verified leaf below b's node at `path`, as (images, path).
 
-    a's rounds at this depth are refined once and shared by every candidate
-    of b; b's advance one by one against them, and the first round whose
-    digests differ prunes the branch.
+    a's first path at this depth is shared by every candidate of b; b's
+    rounds advance one by one against its digests, and the first that
+    differs prunes the branch.
     """
-    x = y = None
-    for x, y in zip_longest(a_rounds, b_rounds):
-        if x is None or y is None or x[0] != y[0]:
+    a_digests, ca, i = a_path(len(path))
+    y = None
+    for x, y in zip_longest(a_digests, b_rounds):
+        if x is None or y is None or x != y[0]:
             return None
-    ca, cb = x[1], y[1]
-    counts = Counter(ca)
-    open_colors = [col for col, m in counts.items() if m > 1]
-    if not open_colors:
+    cb = y[1]
+    if i is None:
         pos_b = {col: j for j, col in enumerate(cb)}
         images = tuple(pos_b[col] + 1 for col in ca)
         return (images, path) if verify(images) else None
-    target = min(open_colors, key=lambda col: (counts[col], ca.index(col)))
-    n = len(ca)  # no rank reaches n, so it individualizes
-    i = ca.index(target)
-    below = list(_rounds(inc_a, ca[:i] + [n] + ca[i + 1 :]))
+    n = len(ca)
     for j, col in enumerate(cb):
-        if col == target:
+        if col == ca[i]:
             deeper = path + (j,)
-            got = _match(inc_a, below, deeper, node(deeper, cb[:j] + [n] + cb[j + 1 :]), node, verify)
+            got = _match(a_path, deeper, node(deeper, cb[:j] + [n] + cb[j + 1 :]), node, verify)
             if got is not None:
                 return got
     return None
+
+
+# memo key of a code's whole first path, kept only while `classify`
+# compares that code
+_FIRST_PATH = "first path"
 
 
 def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
@@ -317,10 +454,10 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
         tree[path] = (tuple(digests), final)
         added.append(path)
 
-    inc_a = _Incidence(a, levels)
+    a_path = a.memo.get(_FIRST_PATH)
     b_piv = pivots_of_rref_raw(b.rows)
     found = _match(
-        inc_a, list(_rounds(inc_a, [0] * a.n)), (), node((), [0] * b.n), node,
+        _lazy_path(a) if a_path is None else a_path.__getitem__, (), node((), [0] * b.n), node,
         lambda images: _maps_into(a, images, b.rows, b_piv),
     )
     for path in added:
@@ -348,6 +485,32 @@ def _serialized(c: LinearCode) -> str:
     return "\n".join(format01(r, c.n) for r in c.rows)
 
 
+# Word rows stacked in one block of member paths.  Blocks of up to 64
+# length-26 survey codes (52 words each) keep the peak memory of the
+# survey within a megabyte or two of refining one code at a time; a code
+# with more words than this is refined alone.
+BLOCK_ROWS = 3328
+
+
+def _member_paths(members: Sequence[LinearCode]) -> Iterator[List[Depth]]:
+    """Each member's first path, in order, refined in blocks of consecutive
+    members of one word levels and incidence shape, up to BLOCK_ROWS
+    stacked word rows; a block's paths are dropped once all are taken."""
+    block: List[_Incidence] = []
+    key = None
+    for c in members:
+        levels = tuple(_word_levels(c))
+        inc = _Incidence(c, levels)
+        shape = (levels, inc.word_coords.shape, inc.coord_words.shape)
+        if block and (shape != key or (len(block) + 1) * len(inc.word_coords) > BLOCK_ROWS):
+            yield from _first_paths(block)
+            block = []
+        block.append(inc)
+        key = shape
+    if block:
+        yield from _first_paths(block)
+
+
 def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:
     """Partition into equivalence classes; input order never changes the
     partition, and representatives are the lex-least serialized members."""
@@ -367,18 +530,25 @@ def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:
 
     classes: List[Tuple[List[int], List[EquivalenceCertificate]]] = []
     for sig in sorted(buckets, key=lambda s: min(buckets[s])):
+        bucket = buckets[sig]
+        # every member after the first is compared, and refined once
+        paths = _member_paths([codes[idx] for idx in bucket[1:]]) if shape[1] else repeat(None)
         reps: List[int] = []  # indices into `classes`
-        for idx in buckets[sig]:
+        for idx in bucket:
+            c = codes[idx]
+            if reps:
+                c.memo[_FIRST_PATH] = next(paths)
             for ci in reps:
                 members, certs = classes[ci]
-                cert = are_equivalent(codes[idx], codes[members[0]])
+                cert = are_equivalent(c, codes[members[0]])
                 if cert:
                     members.append(idx)
                     certs.append(cert)
                     break
             else:
-                classes.append(([idx], [identity_certificate(codes[idx].n)]))
+                classes.append(([idx], [identity_certificate(c.n)]))
                 reps.append(len(classes) - 1)
+            c.memo.pop(_FIRST_PATH, None)
 
     out = []
     for members, certs_to_first in classes:

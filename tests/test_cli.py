@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import sdcodes
+import sdcodes.cli as cli
 from sdcodes import LinearCode, load_pairs, save_code
 from sdcodes.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, _RowPrinter, main
 from sdcodes import tables
@@ -87,15 +88,22 @@ def test_analyze_directory_is_input_error(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["search", "--block", "5", "--dmin", "4", "--threads", "1"],
+    ["neighbors", "--code", "C58_1", "--dmin", "10", "--threads", "1"],
     ["analyze", "--code", "C58_1"],
 ])
-def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
+def test_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch, argv):
+    # the target is checked before any work: nothing computes, and stderr
+    # holds the one error line and no progress
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("search_four_circulant", "extremal_neighbor_survey", "weight_distribution"):
+        monkeypatch.setattr(cli, name, no_work)
     for out in (tmp_path / "missing" / "out.txt", tmp_path):
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[-1]]
-        assert "Traceback" not in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
     assert list(tmp_path.iterdir()) == []
 
 

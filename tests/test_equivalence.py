@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sdcodes
+import sdcodes.equivalence as equivalence
 from sdcodes import (
     CirculantPair,
     DomainError,
@@ -25,7 +26,9 @@ from sdcodes import (
 )
 from sdcodes.equivalence import (
     EquivalenceCertificate,
+    _first_paths,
     _Incidence,
+    _path_depths,
     _ranked,
     _rounds,
     _word_levels,
@@ -239,6 +242,12 @@ def test_identity_certificate_helper():
 NEIGHBOUR_REPORT_DIGEST = "3322a111dcd6e0851847a36e5aba03db2671df068f9a1dfa4ec5d9fdfda124e7"
 
 
+# the same for the survey benchmark's code under one seeded permutation:
+# 864 members in one class, recorded before members' first paths were
+# refined in stacked blocks
+SURVEY_REPORT_DIGEST = "d5deabbf2b650ba4ab5e2fe0022c9fc826755ac7770d3988712f21789dcd5743"
+
+
 @pytest.fixture(scope="module")
 def neighbour_classes():
     """The 510 neighbours of a [18,9] code in 8 classes; classifying them
@@ -252,6 +261,16 @@ def test_neighbour_classification_report_is_pinned(neighbour_classes):
     assert [len(cl["members"]) for cl in report["classes"]] == [70, 20, 255, 10, 140, 7, 7, 1]
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == NEIGHBOUR_REPORT_DIGEST
+
+
+def test_survey_classification_report_is_pinned():
+    base = survey_code()
+    images = list(range(1, base.n + 1))
+    random.Random(13).shuffle(images)
+    report = classification_report(extremal_neighbor_survey(permuted_code(base, images), 6))
+    assert [len(cl["members"]) for cl in report["classes"]] == [864]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == SURVEY_REPORT_DIGEST
 
 
 def test_rounds_commute_with_permutations():
@@ -275,22 +294,57 @@ def test_rounds_commute_with_permutations():
                     assert all(cb[img - 1] == ca[i] for i, img in enumerate(images))
 
 
+def ranked_alone(keys):
+    """`_ranked` on a stack of one code: that code's names and digest."""
+    names, digests = _ranked(keys[None])
+    return names[0], digests[0]
+
+
+def ranked_by_definition(keys):
+    """Names and digest of one code's key rows straight from their
+    definition: ranks of the distinct rows in byte order, and blake2b of
+    the width, the counts and the distinct rows."""
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    distinct, names, counts = np.unique(rows, return_inverse=True, return_counts=True)
+    digest = hashlib.blake2b(keys.shape[1].to_bytes(8, "little"), digest_size=8)
+    digest.update(counts)
+    digest.update(distinct)
+    return names.ravel(), digest.digest()
+
+
 def test_ranks_name_key_rows_canonically():
     keys = np.array([[0, -1, 3], [0, -2, 3], [0, -1, 3], [1, 5, 7]], dtype=np.int16)
-    names = _ranked(keys)[0]
+    names = ranked_alone(keys)[0]
     assert names[0] == names[2] != names[1] != names[3] != names[0]
     rng = random.Random(29)
     pool = np.array([[i % 3, i % 5, 9] for i in range(12)], dtype=np.int8)
     for rows in (keys, pool):
         order = list(range(len(rows)))
         rng.shuffle(order)
-        moved_names, moved_digest = _ranked(rows[order])
-        names, digest = _ranked(rows)
+        moved_names, moved_digest = ranked_alone(rows[order])
+        names, digest = ranked_alone(rows)
         assert moved_digest == digest
         assert moved_names.tolist() == names[order].tolist()
     # different multisets of rows: other rows, or the same rows counted otherwise
-    assert _ranked(keys[:3])[1] != _ranked(keys[1:4])[1]
-    assert _ranked(keys[[0, 0, 1]])[1] != _ranked(keys[[0, 1, 1]])[1]
+    assert ranked_alone(keys[:3])[1] != ranked_alone(keys[1:4])[1]
+    assert ranked_alone(keys[[0, 0, 1]])[1] != ranked_alone(keys[[0, 1, 1]])[1]
+
+
+def test_stacked_ranks_equal_each_code_ranked_alone():
+    rng = np.random.default_rng(31)
+    for dtype in (np.int8, np.int16):
+        stack = rng.integers(-1, 3, size=(6, 40, 4)).astype(dtype)
+        stack[1] = stack[0]  # one code twice
+        stack[3, :25] = stack[2, 15:]  # rows that coincide across codes
+        stack[5] = 300 if dtype == np.int16 else 7  # a single distinct row
+        names, digests = _ranked(stack)
+        assert names.shape == stack.shape[:2] and len(digests) == len(stack)
+        for k, keys in enumerate(stack):
+            alone_names, alone_digest = ranked_alone(keys)
+            want_names, want_digest = ranked_by_definition(keys)
+            assert names[k].tolist() == alone_names.tolist() == want_names.tolist()
+            assert digests[k] == alone_digest == want_digest
+        assert digests[0] == digests[1] != digests[2]
 
 
 def test_round_digests_do_not_depend_on_the_hash_seed():
@@ -321,10 +375,14 @@ def partition(colors):
     return [first.setdefault(col, len(first)) for col in colors]
 
 
+def survey_code():
+    """The survey benchmark's [26,13] code, before its seeded permutation."""
+    return subtract_coordinates(build_four_circulant(CirculantPair.parse("0001000;1100101")), 11, 24)
+
+
 def survey_survivors(count):
     """The first neighbours of d >= 6 of the survey benchmark's [26,13] code."""
-    base = subtract_coordinates(build_four_circulant(CirculantPair.parse("0001000;1100101")), 11, 24)
-    found = (nb for nb in enumerate_self_dual_neighbors(base) if min_weight(nb, target=6) >= 6)
+    found = (nb for nb in enumerate_self_dual_neighbors(survey_code()) if min_weight(nb, target=6) >= 6)
     return list(islice(found, count))
 
 
@@ -387,3 +445,79 @@ def test_memo_keeps_only_paths_that_ended_in_a_verified_leaf(neighbour_classes):
             assert not are_equivalent(x, bare).equivalent
             assert not refinement_tree(bare)
     assert exhausted
+
+
+def test_stacked_first_paths_equal_each_code_alone():
+    # two inequivalent [16,8] codes of one incidence shape, whose paths
+    # differ in depth and in rounds per depth, and permuted copies of each
+    rng = random.Random(1610)
+    pool = [code_from_words(random_self_dual_words(rng, 16, steps=10), 16) for _ in range(77)]
+    block = [pool[28], pool[76]]
+    block += [permuted_code(c, shuffled_images(rng, 16)) for c in (pool[28], pool[76], pool[76])]
+    incs = [_Incidence(c, _word_levels(c)) for c in block]
+    assert len({(inc.word_coords.shape, inc.coord_words.shape) for inc in incs}) == 1
+    alone = [_first_paths([inc])[0] for inc in incs]
+    # and the same as one code's path refined lazily, a depth at a time
+    assert _first_paths(incs) == alone == [list(_path_depths(c)) for c in block]
+    # one code stops refining a round before the others at depth 2, and
+    # leaves the stack a depth before them
+    assert len({len(path) for path in alone}) == 2
+    assert {len(path[2][0]) for path in alone} == {1, 2}
+
+
+def test_classify_refines_each_member_once(neighbour_classes, monkeypatch):
+    # every member but the first of its signature bucket is compared, and
+    # all its comparisons and backtracks share one first path
+    codes = [m for cl in neighbour_classes for m in cl.members]
+    blocks, passed = [], {}
+    first_paths, compare = equivalence._first_paths, equivalence.are_equivalent
+
+    def counted_first_paths(incs):
+        blocks.append(len(incs))
+        return first_paths(incs)
+
+    def recorded_compare(a, b):
+        passed.setdefault(id(a), []).append(a.memo[equivalence._FIRST_PATH])
+        return compare(a, b)
+
+    def no_lazy_path(c):
+        raise AssertionError("a member's path was refined again")
+
+    monkeypatch.setattr(equivalence, "_first_paths", counted_first_paths)
+    monkeypatch.setattr(equivalence, "are_equivalent", recorded_compare)
+    monkeypatch.setattr(equivalence, "_path_depths", no_lazy_path)
+    classes = classify(codes)
+    assert sorted(len(cl.members) for cl in classes) == [1, 7, 7, 10, 20, 70, 140, 255]
+    assert sum(blocks) == len(passed) == len(codes) - len({signature(c) for c in codes})
+    for paths in passed.values():
+        assert paths[0] and all(path is paths[0] for path in paths)
+    assert sum(len(paths) for paths in passed.values()) > sum(blocks)
+    # no member keeps its path once its comparisons are done
+    assert not any(equivalence._FIRST_PATH in c.memo for c in codes)
+
+
+def test_a_comparison_refines_a_no_deeper_than_it_searches(neighbour_classes, monkeypatch):
+    # a's first path is refined a depth at a time, as the search reaches it:
+    # a negative pruned at b's root refines a's root only, an exhausted one
+    # no deeper than it searched, and a positive each depth once
+    refined = []
+    depths = equivalence._path_depths
+
+    def counted_depths(c):
+        for depth in depths(c):
+            refined.append(depth)
+            yield depth
+
+    monkeypatch.setattr(equivalence, "_path_depths", counted_depths)
+    rng = random.Random(7)
+    x, y = (code_from_words(random_self_dual_words(rng, 28, steps=8), 28) for _ in range(2))
+    firsts = [cl.members[0] for cl in neighbour_classes]
+    u, v = next((u, v) for u in firsts for v in firsts if u is not v and signature(u) == signature(v))
+    for a, b, want in ((x, y, 1), (u, v, 3)):
+        assert signature(a) == signature(b)
+        refined.clear()
+        assert are_equivalent(a, b).distinct_reason == "exhausted coordinate matching"
+        assert len(refined) == want < len(list(depths(a)))
+    refined.clear()
+    assert are_equivalent(u, permuted_code(u, shuffled_images(rng, u.n))).equivalent
+    assert refined == list(depths(u))
