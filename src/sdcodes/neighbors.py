@@ -5,6 +5,16 @@ codimension 1.  Given an even-weight x outside C, the code spanned by
 (C meet x-perp) and x is again self-dual; every neighbor arises this way.
 The exhaustive walk runs over hyperplanes of C through the all-one
 vector, two neighbors per hyperplane, streamed and never materialized.
+
+A survey keeps the neighbors of minimum weight >= d_min without building
+the others.  Each vector v of weight below d_min is walked once, as its
+syndrome s(v) = (<v, r_j>)_j against the RREF rows r_j and its bits p(v)
+at their pivots.  A light codeword (s = 0) lies in both neighbors over the
+functional w exactly when <p, w> = 0, so the survivors solve the affine
+system <p, w> = 1 over the light codewords.  A light vector outside C
+lies in a neighbor over w only when s = w: in the first when <p, s> = 0,
+in the second otherwise.  Only the survivors are built.  No self-dual code
+beats Rains' bound, so a d_min above it has no survivors and walks nothing.
 """
 
 from __future__ import annotations
@@ -13,12 +23,14 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .codes import LinearCode, is_self_dual
 from .equivalence import EquivalenceClass, are_equivalent, classify
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
-from .gf2core import pivots_of_rref_raw, reduce_raw
+from .gf2core import pivots_of_rref_raw, reduce_raw, rref_raw
 from .parts import run_parts
-from .wenum import min_weight
+from .wenum import _level_words
 
 __all__ = [
     "NeighborDescriptor",
@@ -32,6 +44,9 @@ __all__ = [
 
 # hyperplane counts above 2^20 are survey-scale and need the extended flag
 SURVEY_BUDGET_LOG = 20
+# a survey tests its functionals this many at a time, so memory does not
+# grow with 2^k
+_FUNCTIONAL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -191,14 +206,80 @@ def enumerate_self_dual_neighbors(c: LinearCode) -> Iterator[LinearCode]:
     yield from _neighbors_in_range(c.rows, c.n, 1, 1 << c.k)
 
 
+def _rains_bound(n: int) -> int:
+    """Largest minimum weight of any self-dual code of length n (Rains,
+    "Shadow bounds for self-dual codes", IEEE Trans. Inform. Theory 44 (1998))."""
+    return 4 * (n // 24) + (6 if n % 24 == 22 else 4)
+
+
+def _light_syndromes(rows: Sequence[int], pivots: Sequence[int], n: int, top: int):
+    """(s, p) uint64 arrays over every nonzero vector v of weight <= top,
+    each once: bit j of s is <v, rows[j]> and bit j of p is v's bit at
+    pivots[j].
+
+    Column i of the walk is (s, p) of the unit vector at coordinate i.
+    Both halves share one 64-bit lane when 2k <= 64; otherwise two lanes
+    are walked in lockstep.
+    """
+    k = len(rows)
+    s_cols = [sum(((r >> i) & 1) << j for j, r in enumerate(rows)) for i in range(n)]
+    p_cols = [0] * n
+    for j, p in enumerate(pivots):
+        p_cols[p] = 1 << j
+    if 2 * k > 64:
+        yield from zip(_level_words(s_cols, top), _level_words(p_cols, top))
+        return
+    mask, shift = np.uint64((1 << k) - 1), np.uint64(k)
+    for vals in _level_words([s | (p << k) for s, p in zip(s_cols, p_cols)], top):
+        yield vals & mask, vals >> shift
+
+
 def _survey_range(
     rows: Sequence[int], n: int, d_min: int, start: int, stop: int
 ) -> List[LinearCode]:
-    return [
-        nb
-        for nb in _neighbors_in_range(rows, n, start, stop)
-        if min_weight(nb, target=d_min) >= d_min
-    ]
+    """The neighbors of minimum weight >= d_min over the hyperplanes
+    through 1 whose functionals lie in start..stop-1, in functional order."""
+    if d_min > _rains_bound(n):
+        return []
+    k = len(rows)
+    pivots = pivots_of_rref_raw(rows)
+    light = [np.zeros(0, dtype=np.uint64)]  # p of the light codewords
+    # syndromes in range of the light vectors outside C, by the neighbor they lie in
+    hits = ([np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.uint64)])
+    for s, p in _light_syndromes(rows, pivots, n, d_min - 1):
+        in_code = s == 0
+        light.append(p[in_code])
+        # an odd-weight vector has a syndrome of odd popcount, never a functional
+        keep = ~in_code & (np.bitwise_count(s) % 2 == 0) & (s >= start) & (s < stop)
+        s = s[keep]
+        odd = np.bitwise_count(s & p[keep]) % 2 == 1
+        hits[0].append(s[~odd])
+        hits[1].append(s[odd])
+    # the hyperplanes free of light codewords solve <p, w> = 1 for every
+    # light p; bit k of each equation holds its right-hand side
+    rhs = 1 << k
+    red, rank, _ = rref_raw([a | rhs for a in set(np.concatenate(light).tolist())], k + 1)
+    if rhs in red[:rank]:
+        return []  # every hyperplane holds a light codeword
+    system = [(np.uint64(r & (rhs - 1)), r >> k) for r in red[:rank]]
+    hits = [np.concatenate(h) for h in hits]
+    found: List[LinearCode] = []
+    for lo in range(start, stop, _FUNCTIONAL_CHUNK):
+        hi = min(lo + _FUNCTIONAL_CHUNK, stop)
+        w = np.arange(lo, hi, dtype=np.uint64)
+        w = w[np.bitwise_count(w) % 2 == 0]
+        for a, b in system:
+            w = w[np.bitwise_count(w & a) % 2 == b]
+        keep = []
+        for h in hits:
+            hit = np.zeros(hi - lo, dtype=bool)
+            hit[h[(h >= lo) & (h < hi)] - np.uint64(lo)] = True
+            keep.append(~hit[w - np.uint64(lo)])
+        live = keep[0] | keep[1]
+        for f, first, second in zip(w[live].tolist(), keep[0][live].tolist(), keep[1][live].tolist()):
+            pair = _hyperplane_pair(rows, pivots, n, f)
+            found.extend(nb for nb, ok in zip(pair, (first, second)) if ok)
+    return found
 
 
 def extremal_neighbor_survey(

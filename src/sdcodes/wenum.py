@@ -37,7 +37,7 @@ import numpy as np
 
 from .codes import LinearCode, ParityClass, is_self_dual, parity_class
 from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
-from .gf2core import pivots_of_rref_raw, rref_raw
+from .gf2core import MAX_LEN, pivots_of_rref_raw, rref_raw
 
 __all__ = [
     "WeightDistribution",
@@ -232,20 +232,36 @@ def _shadow_counts(n: int, counts: Sequence[int]) -> Tuple[int, ...]:
     For a doubly even code the transform returns the distribution itself.
     """
     scale = 1 << (n // 2)
+    terms = [(i, a) for i, a in enumerate(counts) if a]
     out = []
-    for j in range(n + 1):
-        t = sum(
-            (-1) ** (i // 2) * a * _krawtchouk(j, i, n)
-            for i, a in enumerate(counts)
-            if a
-        )
+    for row in _signed_krawtchouk(n):
+        t = sum(a * row[i] for i, a in terms)
         q, r = divmod(t, scale)
         if r or q < 0:
             raise IntegrityError(
-                f"shadow coefficient B_{j} = {t}/2^{n // 2} is not a non-negative integer"
+                f"shadow coefficient B_{len(out)} = {t}/2^{n // 2} is not a non-negative integer"
             )
         out.append(q)
     return tuple(out)
+
+
+@lru_cache(maxsize=MAX_LEN)
+def _signed_krawtchouk(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Row j holds (-1)^(i/2) K_j(i) for i = 0..n, the shadow transform's
+    coefficient of A_i in 2^(n/2) B_j.
+
+    sum_j K_j(i) z^j = (1-z)^i (1+z)^(n-i), so (1+z) times column i+1 is
+    (1-z) times column i: K_j(i+1) = K_j(i) - K_{j-1}(i) - K_{j-1}(i+1).
+    """
+    cols = [[math.comb(n, j) for j in range(n + 1)]]
+    for _ in range(n):
+        prev, col = cols[-1], [cols[-1][0]]
+        for j in range(1, n + 1):
+            col.append(prev[j] - prev[j - 1] - col[j - 1])
+        cols.append(col)
+    return tuple(
+        tuple((-1) ** (i // 2) * cols[i][j] for i in range(n + 1)) for j in range(n + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +361,20 @@ def _low_weight_counts(n: int, bases: Sequence[Sequence[int]]) -> List[int]:
 # ---------------------------------------------------------------------------
 # minimum weight
 
-def _disjoint_information_bases(c: LinearCode) -> List[Sequence[int]]:
+def _disjoint_information_bases(c: LinearCode) -> Tuple[Tuple[int, ...], ...]:
     """Systematic generator bases over disjoint coordinate sets (1 or 2).
 
     For self-dual codes the complement of the pivot set is always an
     information set again, which is what makes the level bound 2(w+1) work.
+    The bases are memoised on c.
     """
-    rows = c.rows
-    bases = [rows]
-    pivots = set(pivots_of_rref_raw(rows))
-    comp = [j for j in range(c.n) if j not in pivots]
-    red, rank, _ = rref_raw(rows, c.n, comp)
-    if rank == c.k:
-        bases.append(red)
+    bases = c.memo.get("bases")
+    if bases is None:
+        rows = c.rows
+        pivots = set(pivots_of_rref_raw(rows))
+        comp = [j for j in range(c.n) if j not in pivots]
+        red, rank, _ = rref_raw(rows, c.n, comp)
+        bases = c.memo["bases"] = (rows, tuple(red)) if rank == c.k else (rows,)
     return bases
 
 

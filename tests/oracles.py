@@ -5,7 +5,10 @@ sets of ints, membership is tested by exhaustive enumeration, and no code
 under test is reused on the oracle side of a comparison.  The dual,
 neighbor and permutation scans run in numpy blocks, but still visit every
 vector and every permutation.  The color refinement round keys words and
-coordinates by sorted Python tuples.
+coordinates by sorted Python tuples.  The neighbour survey's references
+build every neighbour, as the survey did before it filtered syndromes: one
+reads each minimum weight, the other reduces each light vector into each
+neighbour.
 """
 
 from __future__ import annotations
@@ -17,6 +20,10 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
+
+from sdcodes.gf2core import pivots_of_rref_raw, reduce_raw
+from sdcodes.neighbors import _neighbors_in_range
+from sdcodes.wenum import min_weight
 
 
 def span_set(rows: Sequence[int]) -> Set[int]:
@@ -95,6 +102,32 @@ def all_neighbor_codes(code_words: Set[int], n: int) -> Set[Tuple[int, ...]]:
             neighbor = np.sort(np.concatenate([sub, sub ^ block[rows]], axis=1), axis=1)
             found.update(row.tobytes() for row in neighbor)
     return {tuple(np.frombuffer(b, dtype=np.uint64).tolist()) for b in found}
+
+
+def survey_by_min_weight(rows: Sequence[int], n: int, d_min: int, start: int, stop: int) -> list:
+    """The neighbours of d >= d_min over the functionals start..stop-1, in
+    order: every neighbour is built and its minimum weight read."""
+    return [
+        nb
+        for nb in _neighbors_in_range(rows, n, start, stop)
+        if min_weight(nb, target=d_min) >= d_min
+    ]
+
+
+def survey_by_membership(rows: Sequence[int], n: int, d_min: int, start: int, stop: int) -> list:
+    """survey_by_min_weight for any length: a neighbour survives unless some
+    even-weight vector of weight below d_min reduces to 0 against its rows."""
+    light = [
+        sum(1 << i for i in supp)
+        for size in range(2, d_min, 2)
+        for supp in combinations(range(n), size)
+    ]
+    found = []
+    for nb in _neighbors_in_range(rows, n, start, stop):
+        pivots = pivots_of_rref_raw(nb.rows)
+        if all(reduce_raw(v, nb.rows, pivots) for v in light):
+            found.append(nb)
+    return found
 
 
 def permute_bits(v: int, n: int, images: Sequence[int]) -> int:

@@ -1,17 +1,25 @@
 """Neighbor constructions against the brute-force x-scan oracle."""
 
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
 from sdcodes import (
+    CirculantPair,
     DomainError,
     LinearCode,
     ResourceLimitError,
+    build_four_circulant,
     classification_report,
     min_weight,
     parts,
+    permuted_code,
+    subtract_coordinates,
+    wenum,
 )
+from sdcodes import neighbors
 from sdcodes.neighbors import (
     NeighborDescriptor,
     enumerate_self_dual_neighbors,
@@ -21,8 +29,14 @@ from sdcodes.neighbors import (
     load_descriptors,
     save_descriptors,
 )
-from sdcodes.gf2core import parse01
-from oracles import all_neighbor_codes, random_self_dual_words, span_set
+from sdcodes.gf2core import parse01, pivots_of_rref_raw
+from oracles import (
+    all_neighbor_codes,
+    random_self_dual_words,
+    span_set,
+    survey_by_membership,
+    survey_by_min_weight,
+)
 
 
 def code_from_words(words, n):
@@ -135,6 +149,127 @@ def test_survey_matches_brute_force_classification():
     assert sum(len(cl.members) for cl in classes) == len(brute)
     reps = {tuple(sorted(span_set(cl.representative.rows))) for cl in classes}
     assert len(reps) == len(classes)
+
+
+def survey_code():
+    """The survey benchmark's [26,13] code under one seeded permutation."""
+    base = subtract_coordinates(build_four_circulant(CirculantPair.parse("0001000;1100101")), 11, 24)
+    images = list(range(1, base.n + 1))
+    random.Random(13).shuffle(images)
+    return permuted_code(base, images)
+
+
+def test_survey_range_matches_the_min_weight_oracle():
+    """Same survivors, same order, as building every neighbour and reading
+    its minimum weight: whole ranges and windows that cut the parts."""
+    rng = random.Random(41)
+    for trial in range(120):
+        n = rng.randrange(6, 21, 2)
+        c = code_from_words(random_self_dual_words(rng, n, steps=rng.randrange(1, 8)), n)
+        d_min = 2 + trial % 9
+        top = 1 << c.k
+        if trial % 2:
+            lo, hi = 1, top
+        else:
+            lo = rng.randrange(1, top)
+            hi = rng.randrange(lo, top + 1)
+        got = neighbors._survey_range(c.rows, n, d_min, lo, hi)
+        assert got == survey_by_min_weight(c.rows, n, d_min, lo, hi)
+
+
+@pytest.mark.parametrize("d_min", [4, 6, 8])
+def test_survey_range_matches_the_oracle_on_the_survey_code(d_min):
+    c = survey_code()
+    got = neighbors._survey_range(c.rows, c.n, d_min, 1, 1 << c.k)
+    assert got == survey_by_min_weight(c.rows, c.n, d_min, 1, 1 << c.k)
+    assert len(got) == {4: 7868, 6: 864, 8: 0}[d_min]
+
+
+def test_rains_bound():
+    # met by the [22,11,6] shortened Golay code, the [24,12,8] Golay code
+    # and the registry's [60,30,12] codes
+    assert [neighbors._rains_bound(n) for n in (2, 22, 24, 26, 46, 58, 60)] == [4, 6, 8, 8, 10, 12, 12]
+
+
+def test_survey_above_the_rains_bound_walks_nothing(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked the light vectors")
+
+    monkeypatch.setattr(neighbors, "_level_words", no_walk)
+    c = survey_code()
+    assert neighbors._survey_range(c.rows, c.n, 9, 1, 1 << c.k) == []
+    assert extremal_neighbor_survey(c, 100) == []
+    with pytest.raises(AssertionError, match="walked"):
+        neighbors._survey_range(c.rows, c.n, 8, 1, 1 << c.k)
+
+
+def random_code_past_length_64(rng, n):
+    """A self-dual [n, n/2] code with one weight-2 word: a random code of
+    length n-2 from neighbour steps, beside the pair {n-1, n}, permuted."""
+    c = LinearCode.from_int_rows([0b11 << i for i in range(0, n, 2)], n)
+    for _ in range(30):
+        x = rng.getrandbits(n - 2)
+        if x.bit_count() % 2 == 0:
+            try:
+                c = neighbor(c, x)
+            except DomainError:  # x lies in c
+                pass
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return permuted_code(c, images)
+
+
+def test_survey_range_past_length_64_matches_the_membership_oracle():
+    """Two 64-bit lanes.  Each window is centred on the syndrome w of a
+    weight-2 vector with <p, w> = 1 for the weight-2 codeword, so that
+    some neighbours survive and some do not."""
+    rng = random.Random(43)
+    n = 66
+    c = random_code_past_length_64(rng, n)
+    pivots = pivots_of_rref_raw(c.rows)
+
+    def syndrome(v):
+        return sum(((v & r).bit_count() % 2) << j for j, r in enumerate(c.rows))
+
+    pairs = [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
+    light = [v for v in pairs if syndrome(v) == 0]
+    assert len(light) == 1
+    p = sum(((light[0] >> q) & 1) << j for j, q in enumerate(pivots))
+    for v in rng.sample([v for v in pairs if (syndrome(v) & p).bit_count() % 2], 2):
+        lo = syndrome(v) - 16
+        got = neighbors._survey_range(c.rows, n, 4, lo, lo + 32)
+        assert got == survey_by_membership(c.rows, n, 4, lo, lo + 32)
+        assert 0 < len(got) < 32
+
+
+def test_survey_builds_only_surviving_hyperplanes(monkeypatch):
+    """One _hyperplane_pair call per hyperplane with a survivor, and no
+    minimum-weight scan anywhere in the survey."""
+    original = wenum.min_weight
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("min_weight called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdcodes"):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, no_scan)
+    built = []
+    pair = neighbors._hyperplane_pair
+
+    def counted(rows, pivots, n, w):
+        built.append((w, pair(rows, pivots, n, w)))
+        return built[-1][1]
+
+    monkeypatch.setattr(neighbors, "_hyperplane_pair", counted)
+    classes = extremal_neighbor_survey(survey_code(), 6)
+    members = [m for cl in classes for m in cl.members]
+    assert len(members) == 864
+    assert len({w for w, _ in built}) == len(built)
+    ids = {id(m) for m in members}
+    kept = [sum(id(nb) in ids for nb in codes) for _, codes in built]
+    assert min(kept) >= 1 and sum(kept) == len(members)
 
 
 def test_survey_drops_known_classes():

@@ -302,6 +302,17 @@ def test_low_weight_words_over_one_basis():
         assert_light_words_once(c, bases)
 
 
+def test_information_bases_are_reduced_once_per_code(monkeypatch):
+    reduced = []
+    rref_raw = wenum.rref_raw
+    monkeypatch.setattr(wenum, "rref_raw", lambda *args: reduced.append(args) or rref_raw(*args))
+    c = random_self_dual_code(random.Random(418), 32, steps=20)
+    d = min_weight(c)
+    for w in (d, d + 2):
+        codewords_of_weight(c, w)
+    assert len(reduced) == 1
+
+
 def test_words_of_weight_match_the_distribution():
     codes = [named_code("C58_2"), named_code("D60_3")]
     codes.append(random_self_dual_code(random.Random(417), 48, steps=30))
@@ -372,6 +383,15 @@ def test_gleason_needs_self_dual_shape():
         _gleason_distribution(58, 28, [1] + [0] * 14)
     with pytest.raises(DomainError):
         _gleason_distribution(58, 29, [1] + [0] * 13)
+
+
+def test_signed_krawtchouk_table_matches_the_sums():
+    for n in (2, 9, 26, 58):
+        table = wenum._signed_krawtchouk(n)
+        assert table == tuple(
+            tuple((-1) ** (i // 2) * wenum._krawtchouk(j, i, n) for i in range(n + 1))
+            for j in range(n + 1)
+        )
 
 
 def test_shadow_transform_rejects_inconsistent_distributions():
