@@ -7,7 +7,8 @@ The exhaustive walk runs over hyperplanes of C through the all-one
 vector, two neighbors per hyperplane, streamed and never materialized.
 
 A survey keeps the neighbors of minimum weight >= d_min without building
-the others.  Each vector v of weight below d_min is walked once, as its
+the others.  No vector of odd weight lies in a self-dual code, so each
+vector v up to the largest even weight below d_min is walked once, as its
 syndrome s(v) = (<v, r_j>)_j against the RREF rows r_j and its bits p(v)
 at their pivots.  A light codeword (s = 0) lies in both neighbors over the
 functional w exactly when <p, w> = 0, so the survivors solve the affine
@@ -15,11 +16,14 @@ system <p, w> = 1 over the light codewords.  A light vector outside C
 lies in a neighbor over w only when s = w: in the first when <p, s> = 0,
 in the second otherwise.  Only the survivors are built.  No self-dual code
 beats Rains' bound, so a d_min above it has no survivors and walks nothing.
+A survey whose walk and hits would need more than 2^SURVEY_MEMORY_LOG
+bytes fails with ResourceLimitError before it walks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,8 +48,10 @@ __all__ = [
 
 # hyperplane counts above 2^20 are survey-scale and need the extended flag
 SURVEY_BUDGET_LOG = 20
-# a survey tests its functionals this many at a time, so memory does not
-# grow with 2^k
+# a survey whose light-vector walk and hits need more than 2^30 bytes
+# fails early, extended or not
+SURVEY_MEMORY_LOG = 30
+# a survey tests its functionals this many at a time
 _FUNCTIONAL_CHUNK = 1 << 16
 
 
@@ -212,57 +218,108 @@ def _rains_bound(n: int) -> int:
     return 4 * (n // 24) + (6 if n % 24 == 22 else 4)
 
 
+def _walk_bytes(n: int, top: int) -> int:
+    """Bytes the two lanes of the light walk to weight top hold at once.
+
+    _level_words holds level top-2 whole and streams levels top-1 and top
+    one largest index j at a time; the chunk of level top is the C(j,
+    top-2) combinations below j, each with every column above j.  Per
+    word and lane, a held level with its next level's build takes about
+    16 bytes and a streamed chunk with the survey's masks and copies about
+    24.
+    """
+    if top < 2:
+        return 0
+    level = max(1, top - 2)
+    streamed = max(math.comb(j, level) * (n - 1 - j if top > 2 else 1) for j in range(n))
+    return 2 * (16 * math.comb(n, level) + 24 * streamed)
+
+
 def _light_syndromes(rows: Sequence[int], pivots: Sequence[int], n: int, top: int):
     """(s, p) uint64 arrays over every nonzero vector v of weight <= top,
     each once: bit j of s is <v, rows[j]> and bit j of p is v's bit at
-    pivots[j].
-
-    Column i of the walk is (s, p) of the unit vector at coordinate i.
-    Both halves share one 64-bit lane when 2k <= 64; otherwise two lanes
-    are walked in lockstep.
+    pivots[j].  Column i of the walk is (s, p) of the unit vector at
+    coordinate i; s and p are walked as two lanes in lockstep.
     """
-    k = len(rows)
     s_cols = [sum(((r >> i) & 1) << j for j, r in enumerate(rows)) for i in range(n)]
     p_cols = [0] * n
     for j, p in enumerate(pivots):
         p_cols[p] = 1 << j
-    if 2 * k > 64:
-        yield from zip(_level_words(s_cols, top), _level_words(p_cols, top))
-        return
-    mask, shift = np.uint64((1 << k) - 1), np.uint64(k)
-    for vals in _level_words([s | (p << k) for s, p in zip(s_cols, p_cols)], top):
-        yield vals & mask, vals >> shift
+    return zip(_level_words(s_cols, top), _level_words(p_cols, top))
 
 
-def _survey_range(
-    rows: Sequence[int], n: int, d_min: int, start: int, stop: int
-) -> List[LinearCode]:
-    """The neighbors of minimum weight >= d_min over the hyperplanes
-    through 1 whose functionals lie in start..stop-1, in functional order."""
+def _light_hits(rows: Sequence[int], n: int, d_min: int, start: int, stop: int):
+    """What the vectors of weight below d_min rule out among the neighbors
+    over the functionals start..stop-1 (start >= 1), or None when they
+    rule out every one.
+
+    Returns the affine system of the light codewords, as (a, b) pairs
+    that a surviving functional w meets with <a, w> = b, and two sorted
+    uint64 arrays: the functionals in range whose first (second) neighbor
+    holds a light vector outside C, once for each such vector.
+    """
     if d_min > _rains_bound(n):
-        return []
+        return None
+    # an odd-weight vector lies in no self-dual code
+    top = (d_min - 1) & ~1
+    # each hit is held twice at most: in its walk chunk and in the sorted
+    # array, or in the sorted array and in a pool worker's slice of it.
+    # The tracemalloc peaks of walks to weight 4..8 at lengths 20..66 with
+    # their hits came to 0.5 to 0.7 times this estimate.
+    light = sum(math.comb(n, w) for w in range(2, top + 1, 2))
+    need = _walk_bytes(n, top) + 16 * light
+    if need > 1 << SURVEY_MEMORY_LOG:
+        raise ResourceLimitError(
+            f"a survey of length {n} at d_min {d_min} needs about {need >> 20} MiB "
+            f"for its light vectors, over the {1 << (SURVEY_MEMORY_LOG - 20)} MiB limit"
+        )
     k = len(rows)
     pivots = pivots_of_rref_raw(rows)
-    light = [np.zeros(0, dtype=np.uint64)]  # p of the light codewords
-    # syndromes in range of the light vectors outside C, by the neighbor they lie in
-    hits = ([np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.uint64)])
-    for s, p in _light_syndromes(rows, pivots, n, d_min - 1):
+    # bit k of each equation holds its right-hand side
+    rhs = 1 << k
+    equations: List[int] = []
+    hits: Tuple[list, list] = ([np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.uint64)])
+    for s, p in _light_syndromes(rows, pivots, n, top):
         in_code = s == 0
-        light.append(p[in_code])
+        if in_code.any():
+            # a hyperplane free of light codewords has <p, w> = 1 for each
+            new = {a | rhs for a in p[in_code].tolist()}
+            red, rank, _ = rref_raw(equations + list(new), k + 1)
+            equations = red[:rank]
+            if rhs in equations:
+                return None
         # an odd-weight vector has a syndrome of odd popcount, never a functional
-        keep = ~in_code & (np.bitwise_count(s) % 2 == 0) & (s >= start) & (s < stop)
+        keep = (s >= start) & (s < stop) & (np.bitwise_count(s) % 2 == 0)
         s = s[keep]
         odd = np.bitwise_count(s & p[keep]) % 2 == 1
         hits[0].append(s[~odd])
         hits[1].append(s[odd])
-    # the hyperplanes free of light codewords solve <p, w> = 1 for every
-    # light p; bit k of each equation holds its right-hand side
-    rhs = 1 << k
-    red, rank, _ = rref_raw([a | rhs for a in set(np.concatenate(light).tolist())], k + 1)
-    if rhs in red[:rank]:
-        return []  # every hyperplane holds a light codeword
-    system = [(np.uint64(r & (rhs - 1)), r >> k) for r in red[:rank]]
-    hits = [np.concatenate(h) for h in hits]
+    system = [(np.uint64(e & (rhs - 1)), e >> k) for e in equations]
+    arrays = []
+    for chunks in hits:
+        h = np.concatenate(chunks)
+        chunks.clear()
+        h.sort()
+        arrays.append(h)
+    return system, tuple(arrays)
+
+
+def _cut(hits: Sequence[np.ndarray], lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+    """The entries of each sorted array that lie in lo..hi-1."""
+    return tuple(h[np.searchsorted(h, lo) : np.searchsorted(h, hi)] for h in hits)
+
+
+def _survey_range(
+    rows: Sequence[int],
+    n: int,
+    system: Sequence[Tuple[np.uint64, int]],
+    hits: Sequence[np.ndarray],
+    start: int,
+    stop: int,
+) -> List[LinearCode]:
+    """The neighbors that _light_hits leaves over the hyperplanes through
+    1 whose functionals lie in start..stop-1, in functional order."""
+    pivots = pivots_of_rref_raw(rows)
     found: List[LinearCode] = []
     for lo in range(start, stop, _FUNCTIONAL_CHUNK):
         hi = min(lo + _FUNCTIONAL_CHUNK, stop)
@@ -270,15 +327,37 @@ def _survey_range(
         w = w[np.bitwise_count(w) % 2 == 0]
         for a, b in system:
             w = w[np.bitwise_count(w & a) % 2 == b]
-        keep = []
-        for h in hits:
-            hit = np.zeros(hi - lo, dtype=bool)
-            hit[h[(h >= lo) & (h < hi)] - np.uint64(lo)] = True
-            keep.append(~hit[w - np.uint64(lo)])
-        live = keep[0] | keep[1]
-        for f, first, second in zip(w[live].tolist(), keep[0][live].tolist(), keep[1][live].tolist()):
+        free = np.ones((2, hi - lo), dtype=bool)
+        for i, h in enumerate(_cut(hits, lo, hi)):
+            free[i, h - np.uint64(lo)] = False
+        free = free[:, w - np.uint64(lo)]
+        live = free[0] | free[1]
+        for f, first, second in zip(w[live].tolist(), *free[:, live].tolist()):
             pair = _hyperplane_pair(rows, pivots, n, f)
             found.extend(nb for nb, ok in zip(pair, (first, second)) if ok)
+    return found
+
+
+def _survivors(rows: Sequence[int], n: int, d_min: int, threads: int) -> List[LinearCode]:
+    """The neighbors of minimum weight >= d_min, in functional order.
+
+    The light vectors are walked once; the functionals are then cut into
+    one contiguous range per thread, whose survivors are concatenated in
+    order, so the result does not depend on the thread count.
+    """
+    top = 1 << len(rows)
+    light = _light_hits(rows, n, d_min, 1, top)
+    if light is None:
+        return []
+    system, hits = light
+    parts = max(1, min(threads, top // 2))
+    bounds = [max(1, top * i // parts) for i in range(parts + 1)]
+    jobs = [
+        (rows, n, system, _cut(hits, lo, hi), lo, hi) for lo, hi in zip(bounds, bounds[1:])
+    ]
+    found: List[LinearCode] = []
+    for part in run_parts(_survey_range, jobs, threads):
+        found.extend(part)
     return found
 
 
@@ -292,24 +371,15 @@ def extremal_neighbor_survey(
     """Classify the neighbors of c with minimum weight >= d_min, dropping
     classes already represented in `known`.
 
-    Enumeration is cut into one contiguous functional range per thread,
-    whose survivors are concatenated in order and classified in one final
-    stage, so the result does not depend on the thread count.
+    The survivors are classified in one final stage, after the light
+    vectors' hits are freed.
     """
     _all_one_check(c)
     if c.k - 1 > SURVEY_BUDGET_LOG and not extended:
         raise ResourceLimitError(
             f"surveying 2^{c.k - 1} hyperplanes needs the extended budget"
         )
-    rows = c.rows
-    top = 1 << c.k
-    parts = max(1, min(threads, top // 2))
-    bounds = [max(1, top * i // parts) for i in range(parts + 1)]
-    jobs = [(rows, c.n, d_min, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    found: List[LinearCode] = []
-    for part in run_parts(_survey_range, jobs, threads):
-        found.extend(part)
-    classes = classify(found)
+    classes = classify(_survivors(c.rows, c.n, d_min, threads))
     fresh = []
     for cl in classes:
         if any(are_equivalent(cl.representative, k) for k in known):

@@ -227,28 +227,28 @@ def shadow_distribution(c: LinearCode) -> ShadowDistribution:
 
 
 def _shadow_counts(n: int, counts: Sequence[int]) -> Tuple[int, ...]:
-    """B_0..B_n from the weight distribution of a self-dual code.
+    """B_0..B_n from the weight distribution of a self-dual code:
+    2^(n/2) B_j = sum_i (-1)^(i/2) A_i K_j(i).
 
     For a doubly even code the transform returns the distribution itself.
     """
     scale = 1 << (n // 2)
-    terms = [(i, a) for i, a in enumerate(counts) if a]
+    terms = [(i, (-1) ** (i // 2) * a) for i, a in enumerate(counts) if a]
     out = []
-    for row in _signed_krawtchouk(n):
+    for j, row in enumerate(_krawtchouk_table(n)):
         t = sum(a * row[i] for i, a in terms)
         q, r = divmod(t, scale)
         if r or q < 0:
             raise IntegrityError(
-                f"shadow coefficient B_{len(out)} = {t}/2^{n // 2} is not a non-negative integer"
+                f"shadow coefficient B_{j} = {t}/2^{n // 2} is not a non-negative integer"
             )
         out.append(q)
     return tuple(out)
 
 
 @lru_cache(maxsize=MAX_LEN)
-def _signed_krawtchouk(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Row j holds (-1)^(i/2) K_j(i) for i = 0..n, the shadow transform's
-    coefficient of A_i in 2^(n/2) B_j.
+def _krawtchouk_table(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Row j holds the Krawtchouk values K_j(i) for i = 0..n.
 
     sum_j K_j(i) z^j = (1-z)^i (1+z)^(n-i), so (1+z) times column i+1 is
     (1-z) times column i: K_j(i+1) = K_j(i) - K_{j-1}(i) - K_{j-1}(i+1).
@@ -259,9 +259,7 @@ def _signed_krawtchouk(n: int) -> Tuple[Tuple[int, ...], ...]:
         for j in range(1, n + 1):
             col.append(prev[j] - prev[j - 1] - col[j - 1])
         cols.append(col)
-    return tuple(
-        tuple((-1) ** (i // 2) * cols[i][j] for i in range(n + 1)) for j in range(n + 1)
-    )
+    return tuple(zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -573,20 +571,13 @@ def _span_iter(rows: Sequence[int]):
 # ---------------------------------------------------------------------------
 # MacWilliams self-check
 
-@lru_cache(maxsize=None)
-def _krawtchouk(j: int, i: int, n: int) -> int:
-    return sum(
-        (-1) ** l * math.comb(i, l) * math.comb(n - i, j - l)
-        for l in range(max(0, j - (n - i)), min(i, j) + 1)
-    )
-
-
 def macwilliams_check(w: WeightDistribution, k: int) -> bool:
     """True iff transforming w by W(x+y, x-y)/2^k reproduces w exactly."""
     n = w.n
     scale = 1 << k
-    for j in range(n + 1):
-        t = sum(a * _krawtchouk(j, i, n) for i, a in enumerate(w.counts) if a)
+    terms = [(i, a) for i, a in enumerate(w.counts) if a]
+    for j, row in enumerate(_krawtchouk_table(n)):
+        t = sum(a * row[i] for i, a in terms)
         q, r = divmod(t, scale)
         if r or q != w.counts[j]:
             return False

@@ -13,6 +13,7 @@ neighbour.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -102,6 +103,14 @@ def all_neighbor_codes(code_words: Set[int], n: int) -> Set[Tuple[int, ...]]:
             neighbor = np.sort(np.concatenate([sub, sub ^ block[rows]], axis=1), axis=1)
             found.update(row.tobytes() for row in neighbor)
     return {tuple(np.frombuffer(b, dtype=np.uint64).tolist()) for b in found}
+
+
+def krawtchouk(j: int, i: int, n: int) -> int:
+    """K_j(i) for length n, summed from its definition."""
+    return sum(
+        (-1) ** l * math.comb(i, l) * math.comb(n - i, j - l)
+        for l in range(max(0, j - (n - i)), min(i, j) + 1)
+    )
 
 
 def survey_by_min_weight(rows: Sequence[int], n: int, d_min: int, start: int, stop: int) -> list:

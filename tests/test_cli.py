@@ -241,6 +241,15 @@ def test_neighbors_survey_budget(tmp_path):
     assert main(["neighbors", "--code", str(path), "--dmin", "8"]) == EXIT_RESOURCE
 
 
+def test_neighbors_survey_memory_limit(tmp_path, capsys):
+    rows = ["".join("1" if j in (2 * i, 2 * i + 1) else "0" for j in range(60))
+            for i in range(30)]
+    path = write_code(tmp_path, "wide", rows)
+    argv = ["neighbors", "--code", str(path), "--dmin", "12", "--extended", "--threads", "1"]
+    assert main(argv) == EXIT_RESOURCE
+    assert "over the 1024 MiB limit" in capsys.readouterr().err
+
+
 def test_analyze_dimension_budget(tmp_path, capsys):
     path = tmp_path / "k35.json"
     save_code(LinearCode.from_int_rows([1 << i for i in range(35)], 64), path)

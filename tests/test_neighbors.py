@@ -2,7 +2,9 @@
 
 import random
 import sys
+import tracemalloc
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -16,6 +18,7 @@ from sdcodes import (
     min_weight,
     parts,
     permuted_code,
+    search_four_circulant,
     subtract_coordinates,
     wenum,
 )
@@ -159,6 +162,12 @@ def survey_code():
     return permuted_code(base, images)
 
 
+def survey_window(rows, n, d_min, lo, hi):
+    """The survey's survivors over the functionals lo..hi-1."""
+    light = neighbors._light_hits(rows, n, d_min, lo, hi)
+    return [] if light is None else neighbors._survey_range(rows, n, *light, lo, hi)
+
+
 def test_survey_range_matches_the_min_weight_oracle():
     """Same survivors, same order, as building every neighbour and reading
     its minimum weight: whole ranges and windows that cut the parts."""
@@ -173,14 +182,14 @@ def test_survey_range_matches_the_min_weight_oracle():
         else:
             lo = rng.randrange(1, top)
             hi = rng.randrange(lo, top + 1)
-        got = neighbors._survey_range(c.rows, n, d_min, lo, hi)
+        got = survey_window(c.rows, n, d_min, lo, hi)
         assert got == survey_by_min_weight(c.rows, n, d_min, lo, hi)
 
 
 @pytest.mark.parametrize("d_min", [4, 6, 8])
 def test_survey_range_matches_the_oracle_on_the_survey_code(d_min):
     c = survey_code()
-    got = neighbors._survey_range(c.rows, c.n, d_min, 1, 1 << c.k)
+    got = survey_window(c.rows, c.n, d_min, 1, 1 << c.k)
     assert got == survey_by_min_weight(c.rows, c.n, d_min, 1, 1 << c.k)
     assert len(got) == {4: 7868, 6: 864, 8: 0}[d_min]
 
@@ -197,10 +206,62 @@ def test_survey_above_the_rains_bound_walks_nothing(monkeypatch):
 
     monkeypatch.setattr(neighbors, "_level_words", no_walk)
     c = survey_code()
-    assert neighbors._survey_range(c.rows, c.n, 9, 1, 1 << c.k) == []
+    assert survey_window(c.rows, c.n, 9, 1, 1 << c.k) == []
     assert extremal_neighbor_survey(c, 100) == []
     with pytest.raises(AssertionError, match="walked"):
-        neighbors._survey_range(c.rows, c.n, 8, 1, 1 << c.k)
+        survey_window(c.rows, c.n, 8, 1, 1 << c.k)
+
+
+def pairs_code(n):
+    """The self-dual [n, n/2, 2] code spanned by the coordinate pairs."""
+    return LinearCode.from_int_rows([0b11 << i for i in range(0, n, 2)], n)
+
+
+def test_survey_over_the_memory_limit_fails_before_walking(monkeypatch):
+    """At length 60 a walk to weight 10 passes the limit, extended or not;
+    above Rains' bound nothing is walked, so nothing is refused."""
+    def no_walk(*args):
+        raise AssertionError("walked the light vectors")
+
+    monkeypatch.setattr(neighbors, "_level_words", no_walk)
+    with pytest.raises(ResourceLimitError, match="MiB"):
+        extremal_neighbor_survey(pairs_code(60), 12, extended=True)
+    assert neighbors._walk_bytes(60, 10) > 1 << neighbors.SURVEY_MEMORY_LOG
+    assert extremal_neighbor_survey(pairs_code(60), 14, extended=True) == []
+
+
+def test_light_walk_stays_within_its_estimate():
+    """A [32,16,8] code has no light codeword, so d_min 8 walks to weight 6
+    in full."""
+    c = build_four_circulant(search_four_circulant(8, 8)[0])
+    assert min_weight(c) == 8
+    tracemalloc.start()
+    try:
+        system, hits = neighbors._light_hits(c.rows, c.n, 8, 1, 1 << c.k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    light = sum(comb(c.n, w) for w in (2, 4, 6))
+    assert system == [] and sum(map(len, hits)) == light
+    assert peak <= neighbors._walk_bytes(c.n, 6) + 16 * light
+
+
+def test_walk_stops_once_no_hyperplane_is_free(monkeypatch):
+    """At d_min 8 the survey code's light codewords leave <p, w> = 1 with
+    no solution partway through the walk to weight 6, which stops there."""
+    level_words = neighbors._level_words
+    walked = []
+
+    def counted(rows, top):
+        for vals in level_words(rows, top):
+            walked.append(len(vals))
+            yield vals
+
+    monkeypatch.setattr(neighbors, "_level_words", counted)
+    c = survey_code()
+    assert neighbors._light_hits(c.rows, c.n, 8, 1, 1 << c.k) is None
+    whole = 2 * sum(map(len, level_words([1 << i for i in range(c.n)], 6)))
+    assert 0 < sum(walked) < whole / 2
 
 
 def random_code_past_length_64(rng, n):
@@ -237,7 +298,7 @@ def test_survey_range_past_length_64_matches_the_membership_oracle():
     p = sum(((light[0] >> q) & 1) << j for j, q in enumerate(pivots))
     for v in rng.sample([v for v in pairs if (syndrome(v) & p).bit_count() % 2], 2):
         lo = syndrome(v) - 16
-        got = neighbors._survey_range(c.rows, n, 4, lo, lo + 32)
+        got = survey_window(c.rows, n, 4, lo, lo + 32)
         assert got == survey_by_membership(c.rows, n, 4, lo, lo + 32)
         assert 0 < len(got) < 32
 
@@ -319,12 +380,23 @@ def test_survey_workers_are_capped_by_the_usable_cpus(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    walks = []
+    level_words = neighbors._level_words
+
+    def counted(rows, top):
+        walks.append(top)
+        return level_words(rows, top)
+
     monkeypatch.setattr(parts, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(parts, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(neighbors, "_level_words", counted)
     c = fourteen_code()
     got = survey_record(c, 1000)
     assert asked == [2]
     assert got == survey_record(c, 1)
+    # the light vectors are walked once per survey, not once per part: two
+    # lanes to the largest even weight below d_min 4
+    assert walks == [2, 2, 2, 2]
 
 
 def test_survey_budget_needs_extended_flag():
