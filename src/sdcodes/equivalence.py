@@ -18,15 +18,21 @@ depth until the colors are discrete) is refined a depth at a time, when the
 search first reaches it, and `classify` refines its members' paths once
 each, stacked in blocks, and holds each in its member's memo while
 comparing it.  The second code keeps in its memo the refinement
-nodes of its paths that ended in a verified leaf, refined lazily, so a
-class representative is refined once.  The colors are isomorphism-invariant
+nodes of its paths that ended in a verified leaf, refined lazily, so the
+first member of a class is refined once while `classify` compares others
+with it; `classify` drops those nodes when it returns, since they are
+keyed by that member's coordinates and the representative it returns is
+the lexicographically least member.  The colors are isomorphism-invariant
 and give the partitions of a joint refinement of both codes, so an
 exhausted search proves inequivalence and the first verified leaf, hence
 the certificate, is the joint search's.  At a leaf the coordinate matching
-is read off as a permutation and checked by generator-row membership before
-being returned, so a positive answer never depends on the refinement being
-correct.  A "distinct" verdict names the first separating invariant, or
-records that the refined search space was exhausted.
+is read off as a permutation and checked before being returned: the 0/1
+matrix of the first code's generator rows, its columns permuted, times the
+transpose of the second code's parity-check matrix must be even in every
+entry.  That test shares no code with refinement, so a positive answer
+never depends on the refinement being correct.  A "distinct" verdict names
+the first separating invariant, or records that the refined search space
+was exhausted.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy as np
 
 from .codes import LinearCode, ParityClass, is_self_dual, parity_class
 from .errors import DomainError, IntegrityError
-from .gf2core import format01, permute_word, pivots_of_rref_raw, reduce_raw
+from .gf2core import format01, kernel_raw
 from .wenum import (
     _check_dimension,
     codewords_of_weight,
@@ -160,21 +166,36 @@ def identity_certificate(n: int) -> EquivalenceCertificate:
     return EquivalenceCertificate(tuple(range(1, n + 1)))
 
 
-def _maps_into(a: LinearCode, images: Sequence[int], b_rows: Sequence[int], b_piv: Sequence[int]) -> bool:
-    for r in a.rows:
-        if reduce_raw(permute_word(r, images), b_rows, b_piv) != 0:
-            return False
-    return True
+def _bits(rows: Sequence[int], n: int) -> np.ndarray:
+    """The rows x n 0/1 matrix of packed rows, as float64, unpacked from
+    their 64-bit lanes."""
+    mask = (1 << 64) - 1
+    lanes = np.array([[(r >> s) & mask for r in rows] for s in range(0, n, 64)], dtype="<u8")
+    packed = np.ascontiguousarray(lanes.T).view(np.uint8)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float64)
+
+
+def _maps_into(a: LinearCode, images: Sequence[int], b: LinearCode) -> bool:
+    """Whether the permutation sends every generator row of a into b: a's
+    rows, coordinate i sent to images[i-1], times the transpose of b's
+    parity-check matrix H, kept in b's memo, must be even in every entry.
+    The entries are integers of at most n <= 128, so float64 products
+    (multiplied through BLAS) are exact."""
+    h = b.memo.get("parity checks")
+    if h is None:
+        h = b.memo["parity checks"] = _bits(kernel_raw(b.rows, b.n), b.n)
+    g = _bits(a.rows, a.n)
+    return not ((g @ h[:, np.asarray(images) - 1].T) % 2).any()
 
 
 def verify_certificate(a: LinearCode, b: LinearCode, cert: EquivalenceCertificate) -> bool:
     """Membership check: the images form a permutation of 1..n, and the
-    permuted generator rows of a all land in b."""
+    permuted generator rows of a all meet b's parity checks evenly."""
     if cert.perm is None or a.n != b.n or a.k != b.k:
         return False
     if sorted(cert.perm) != list(range(1, a.n + 1)):
         return False
-    return _maps_into(a, cert.perm, b.rows, pivots_of_rref_raw(b.rows))
+    return _maps_into(a, cert.perm, b)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +259,19 @@ def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, List[bytes]]:
         rows.view(np.dtype((np.void, rows.shape[2]))).ravel(), return_inverse=True, return_counts=True
     )
     names = inverse.reshape(c, r)
-    # a code's distinct rows are contiguous, from the rank of its least row
-    least = names.min(axis=1, keepdims=True)
-    offsets = least.ravel().tolist() + [len(distinct)]
+    offsets = [0, len(distinct)]
+    if head:
+        # a code's distinct rows are contiguous, from the rank of its least row
+        least = names.min(axis=1, keepdims=True)
+        offsets[:1] = least.ravel().tolist()
+        names = names - least
     stripped = distinct.view(np.uint8).reshape(len(distinct), -1)[:, head:]
     width = w.to_bytes(8, "little")
     digests = [
         hashlib.blake2b(width + counts[lo:hi].tobytes() + stripped[lo:hi].tobytes(), digest_size=8).digest()
         for lo, hi in zip(offsets, offsets[1:])
     ]
-    return names - least, digests
+    return names, digests
 
 
 def _shifted(word_coords: np.ndarray, coord_words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -257,20 +281,27 @@ def _shifted(word_coords: np.ndarray, coord_words: np.ndarray) -> Tuple[np.ndarr
     return word_coords + code * (coord_words.shape[1] + 1), coord_words + code * (word_coords.shape[1] + 1)
 
 
+def _pad(colors: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Colors (codes x m) as dtype, with a column of -1 appended."""
+    out = np.empty((len(colors), colors.shape[1] + 1), dtype)
+    out[:, :-1] = colors
+    out[:, -1] = -1
+    return out
+
+
 def _round(word_index: np.ndarray, coord_index: np.ndarray, current: np.ndarray) -> Tuple[List[bytes], np.ndarray]:
     """One round on a stack of codes of one incidence shape, from their
-    coordinate colors (codes x n) and `_shifted` indexes: each word is
-    colored by the sorted colors of its coordinates, whose -1 padding
-    shows its weight class, then each coordinate by (color, sorted colors
-    of its words), each by the rank of its key row among its code's.
-    Returns each code's profile digest and the new colors."""
-    pad = np.full((len(current), 1), -1, current.dtype)
-    gathered = np.concatenate((current, pad), axis=1).ravel()[word_index]
+    `_pad`ded coordinate colors (codes x n+1) and `_shifted` indexes: each
+    word is colored by the sorted colors of its coordinates, whose -1
+    padding shows its weight class, then each coordinate by (color, sorted
+    colors of its words), each by the rank of its key row among its
+    code's.  Returns each code's profile digest and the new colors."""
+    gathered = current.ravel()[word_index]
     gathered.sort(axis=2)
     names, word_digests = _ranked(gathered)
-    gathered = np.concatenate((names.astype(current.dtype), pad), axis=1).ravel()[coord_index]
+    gathered = _pad(names, current.dtype).ravel()[coord_index]
     gathered.sort(axis=2)
-    names, coord_digests = _ranked(np.concatenate((current[:, :, None], gathered), axis=2))
+    names, coord_digests = _ranked(np.concatenate((current[:, :-1, None], gathered), axis=2))
     return [x + y for x, y in zip(word_digests, coord_digests)], names
 
 
@@ -286,7 +317,7 @@ Rounds = Iterator[Tuple[bytes, List[int]]]  # (profile digest, coordinate colors
 def _rounds(inc: _Incidence, colors: List[int]) -> Rounds:
     """Refine the coordinate colors of one code, one round per item, until
     their number stops growing."""
-    current = np.array([colors], dtype=inc.dtype)
+    current = _pad(np.array([colors]), inc.dtype)
     seen = len(set(colors))
     while True:  # a lone code's indexes need no shift
         digests, names = _round(inc.word_coords[None], inc.coord_words[None], current)
@@ -294,7 +325,8 @@ def _rounds(inc: _Incidence, colors: List[int]) -> Rounds:
         top = names.max() + 1
         if top == seen:
             return
-        seen, current = top, names.astype(inc.dtype)
+        seen = top
+        current[:, :-1] = names
 
 
 # One depth of a first path: the round digests, the final colors, and the
@@ -351,12 +383,12 @@ def _first_paths(incs: Sequence[_Incidence]) -> List[List[Depth]]:
     n, dtype = coord_words.shape[1], incs[0].dtype
     paths: List[List[Depth]] = [[] for _ in incs]
     active = np.arange(len(incs))  # codes whose path goes deeper
-    current = np.zeros((len(incs), n), dtype)
+    current = _pad(np.zeros((len(incs), n)), dtype)
     while len(active):
         digests: List[List[bytes]] = [[] for _ in active]
         final = np.empty((len(active), n), np.int64)
         at = np.arange(len(active))  # positions in `active` still refining
-        seen = _color_count(current)
+        seen = _color_count(current[:, :-1])
         word_index, coord_index = _shifted(word_coords[active], coord_words[active])
         while True:
             got, names = _round(word_index, coord_index, current)
@@ -370,7 +402,7 @@ def _first_paths(incs: Sequence[_Incidence]) -> List[List[Depth]]:
             if done.any():
                 at, names, top = at[~done], names[~done], top[~done]
                 word_index, coord_index = _shifted(word_coords[active[at]], coord_words[active[at]])
-            seen, current = top, names.astype(dtype)
+            seen, current = top, _pad(names, dtype)
         deeper = []
         for pos, code in enumerate(active):
             colors = final[pos].tolist()
@@ -379,7 +411,7 @@ def _first_paths(incs: Sequence[_Incidence]) -> List[List[Depth]]:
             if i is not None:
                 final[pos, i] = n  # no rank reaches n, so it individualizes
                 deeper.append(pos)
-        active, current = active[deeper], final[deeper].astype(dtype)
+        active, current = active[deeper], _pad(final[deeper], dtype)
     return paths
 
 
@@ -455,10 +487,9 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
         added.append(path)
 
     a_path = a.memo.get(_FIRST_PATH)
-    b_piv = pivots_of_rref_raw(b.rows)
     found = _match(
         _lazy_path(a) if a_path is None else a_path.__getitem__, (), node((), [0] * b.n), node,
-        lambda images: _maps_into(a, images, b.rows, b_piv),
+        lambda images: _maps_into(a, images, b),
     )
     for path in added:
         if found is None or found[1][: len(path)] != path:
@@ -552,6 +583,11 @@ def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:
 
     out = []
     for members, certs_to_first in classes:
+        # the first member's refinement tree is keyed by its coordinates,
+        # so it cannot serve the representative; drop it
+        memo = codes[members[0]].memo
+        for key in [key for key in memo if isinstance(key, tuple) and key[0] == "refinement"]:
+            del memo[key]
         lex = min(members, key=lambda idx: _serialized(codes[idx]))
         lex_pos = members.index(lex)
         to_first_inv = certs_to_first[lex_pos].inverse()

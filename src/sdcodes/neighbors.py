@@ -165,9 +165,11 @@ def _all_one_check(c: LinearCode) -> None:
 
 
 def _hyperplane_pair(
-    rows: Sequence[int], pivots: Sequence[int], n: int, w: int
-) -> Tuple[LinearCode, LinearCode]:
-    """The two self-dual codes beside c over the hyperplane ker(w).
+    rows: Sequence[int], pivots: Sequence[int], n: int, w: int,
+    first: bool = True, second: bool = True,
+) -> Tuple[LinearCode, ...]:
+    """The two self-dual codes beside c over the hyperplane ker(w), or
+    those of them that `first` and `second` ask for, in that order.
 
     w gives a functional by its values on the generator rows; the
     hyperplane contains the all-one vector exactly when w has even
@@ -186,9 +188,8 @@ def _hyperplane_pair(
                 sub.append(rows[j] ^ rows[t])
         else:
             sub.append(rows[j])
-    first = LinearCode.from_int_rows(sub + [y], n)
-    second = LinearCode.from_int_rows(sub + [y ^ rows[t]], n)
-    return first, second
+    leaders = [x for x, keep in ((y, first), (y ^ rows[t], second)) if keep]
+    return tuple(LinearCode.from_int_rows(sub + [x], n) for x in leaders)
 
 
 def _neighbors_in_range(
@@ -333,8 +334,7 @@ def _survey_range(
         free = free[:, w - np.uint64(lo)]
         live = free[0] | free[1]
         for f, first, second in zip(w[live].tolist(), *free[:, live].tolist()):
-            pair = _hyperplane_pair(rows, pivots, n, f)
-            found.extend(nb for nb, ok in zip(pair, (first, second)) if ok)
+            found.extend(_hyperplane_pair(rows, pivots, n, f, first, second))
     return found
 
 

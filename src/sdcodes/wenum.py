@@ -7,16 +7,21 @@ Gleason's theorem its enumerator is an integer combination of
 (x^2+y^2)^(n/2-4j) * (x^2 y^2 (x^2-y^2)^2)^j, j = 0..n//8, and the
 combination is unit-triangular in A_0, A_2, ..., A_{2(n//8)}.  So only the
 words of weight <= 2(n//8) (14 at n = 58 and 60) are counted, and the rest
-is solved for exactly.  Every other code is enumerated: the generator rows
-split into an inner block, materialized once as packed-word numpy arrays,
-and an outer block walked in Gray order, so each outer step is one
-vectorized xor + popcount + histogram pass.
+is solved for exactly.  Every other code is enumerated by one span
+engine, `_span_lanes`: the generator rows split into an inner block,
+materialized once as packed-word numpy arrays, and an outer block walked
+in Gray order, so each outer step yields the block's words as 64-bit
+lanes for one vectorized xor + popcount pass.  The full histogram is a
+bincount over it, and the words of a given weight in a code of dimension
+below 16 (a span of at most 2^15 words) or of length above 64 are
+filtered from it.
 
 Low-weight words come from one walk, `_low_weight_words`: XOR
 combinations of a systematic basis level by level, or of two bases on
 disjoint information sets, each word of weight <= top seen exactly once.
-The Gleason counts and the words of a given weight are read off it; the
-minimum weight uses the same level walk with a stopping bound.
+The Gleason counts and the words of a given weight in the remaining codes
+are read off it; the minimum weight uses the same level walk with a
+stopping bound.
 
 The shadow distribution of a singly even self-dual code is the transform
 S(x, y) = W(x+y, i(x-y)) / 2^(n/2) of its weight distribution.  Every
@@ -147,18 +152,22 @@ def _check_dimension(c: LinearCode, what: str) -> None:
 # enumeration engine
 
 def _span_lane(rows: List[int], seed: int) -> np.ndarray:
-    arr = np.array([seed], dtype=np.uint64)
-    for r in rows:
-        arr = np.concatenate([arr, arr ^ np.uint64(r)])
+    """Entry i is seed ^ the XOR of the rows at the set bits of i."""
+    arr = np.empty(1 << len(rows), dtype=np.uint64)
+    arr[0] = seed
+    for i, r in enumerate(rows):
+        np.bitwise_xor(arr[: 1 << i], np.uint64(r), out=arr[1 << i : 2 << i])
     return arr
 
 
-def _histogram_words(rows: Sequence[int], n: int, offset: int = 0) -> List[int]:
-    """Weight histogram of {offset ^ v : v in span(rows)} as exact ints.
+def _span_lanes(rows: Sequence[int], n: int, offset: int = 0):
+    """The words {offset ^ v : v in span(rows)}, each once, as 64-bit lanes.
 
-    Rows must be linearly independent; dependent rows would count words
-    with multiplicity.  Words are split into 64-bit lanes (two at most,
-    since n <= 128) whose popcounts are summed.
+    The first _INNER_LOG rows span an inner block materialized once per
+    lane; the rest are walked in Gray order, and each outer step yields
+    one list of uint64 arrays, lane i holding bits 64i..64i+63 of the
+    block's words (two lanes at most, since n <= 128).  The arrays are
+    reused by the next step and must not be written to.
     """
     k = len(rows)
     inner_k = min(k, _INNER_LOG)
@@ -169,20 +178,34 @@ def _histogram_words(rows: Sequence[int], n: int, offset: int = 0) -> List[int]:
         for s in shifts
     ]
     outer = [[np.uint64((r >> s) & mask) for s in shifts] for r in rows[inner_k:]]
+    yield inner
     word = [np.uint64(0)] * len(inner)
-    buf = np.empty_like(inner[0])
-    lane_w = np.empty(buf.shape, dtype=np.uint8)
-    weights = np.empty(buf.shape, dtype=np.uint8)
+    lanes = [np.empty_like(lane) for lane in inner]
+    for idx in range(1, 1 << (k - inner_k)):
+        flip = outer[(idx & -idx).bit_length() - 1]
+        word = [a ^ b for a, b in zip(word, flip)]
+        for lane, w, out in zip(inner, word, lanes):
+            np.bitwise_xor(lane, w, out=out)
+        yield lanes
+
+
+def _lane_weights(lanes: Sequence[np.ndarray]) -> np.ndarray:
+    """The weight of each word split into lanes, as uint8."""
+    weights = np.bitwise_count(lanes[0])
+    for lane in lanes[1:]:
+        weights += np.bitwise_count(lane)
+    return weights
+
+
+def _histogram_words(rows: Sequence[int], n: int, offset: int = 0) -> List[int]:
+    """Weight histogram of {offset ^ v : v in span(rows)} as exact ints.
+
+    Rows must be linearly independent; dependent rows would count words
+    with multiplicity.
+    """
     counts = np.zeros(n + 1, dtype=np.int64)
-    for idx in range(1 << (k - inner_k)):
-        if idx:
-            flip = outer[(idx & -idx).bit_length() - 1]
-            word = [a ^ b for a, b in zip(word, flip)]
-        weights.fill(0)
-        for lane, w in zip(inner, word):
-            np.bitwise_xor(lane, w, out=buf)
-            weights += np.bitwise_count(buf, out=lane_w)
-        counts += np.bincount(weights, minlength=n + 1)
+    for lanes in _span_lanes(rows, n, offset):
+        counts += np.bincount(_lane_weights(lanes), minlength=n + 1)
     return [int(x) for x in counts]
 
 
@@ -525,9 +548,12 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
 def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
     """All codewords of exactly weight w, as sorted packed ints.
 
-    For n <= 64 they are filtered from the low-weight walk over one
-    systematic basis, or two on disjoint information sets, which yields
-    every word of weight <= w once; longer codes walk the whole span.
+    A code of dimension below _INNER_LOG, whose span is one array of at
+    most 2^15 words, and a code longer than 64 (k <= 22) filter their
+    span's lanes by popcount.  Other codes filter the low-weight walk over
+    one systematic basis, or two on disjoint information sets, which
+    yields every word of weight <= w once; from k = 16 on it was measured
+    faster than building the span.
     """
     if not 0 <= w <= c.n:
         raise DomainError(f"weight {w} outside 0..{c.n}")
@@ -542,14 +568,14 @@ def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
 
 
 def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
-    if c.n > 64:
-        if c.k > _FULL_SPAN_MAX_K:
-            raise ResourceLimitError(
-                f"codeword collection past length 64 walks the whole span and is "
-                f"limited to k <= {_FULL_SPAN_MAX_K}, got k={c.k}"
-            )
-        return sorted(v for v in _span_iter(c.rows) if v.bit_count() == w)
+    if c.n > 64 and c.k > _FULL_SPAN_MAX_K:
+        raise ResourceLimitError(
+            f"codeword collection past length 64 walks the whole span and is "
+            f"limited to k <= {_FULL_SPAN_MAX_K}, got k={c.k}"
+        )
     _check_dimension(c, "codeword collection")
+    if c.n > 64 or c.k < _INNER_LOG:
+        return _span_words(c.rows, c.n, w)
     bases = _disjoint_information_bases(c)
     if len(bases) < 2 and c.k > _FULL_SPAN_MAX_K:
         raise ResourceLimitError(
@@ -560,12 +586,18 @@ def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
     return np.sort(np.concatenate(hits)).tolist()
 
 
-def _span_iter(rows: Sequence[int]):
-    word = 0
-    yield 0
-    for idx in range(1, 1 << len(rows)):
-        word ^= rows[(idx & -idx).bit_length() - 1]
-        yield word
+def _span_words(rows: Sequence[int], n: int, w: int) -> List[int]:
+    """The words of weight w in span(rows), sorted, read off its lanes."""
+    hits: List[List[np.ndarray]] = [[] for _ in range(0, n, 64)]
+    for lanes in _span_lanes(rows, n):
+        keep = _lane_weights(lanes) == w
+        for got, lane in zip(hits, lanes):
+            got.append(lane[keep])
+    low, *high = (np.concatenate(got) for got in hits)
+    if not high:
+        return np.sort(low).tolist()
+    order = np.lexsort((low, high[0]))
+    return [(h << 64) | x for h, x in zip(high[0][order].tolist(), low[order].tolist())]
 
 
 # ---------------------------------------------------------------------------

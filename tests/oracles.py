@@ -8,7 +8,8 @@ vector and every permutation.  The color refinement round keys words and
 coordinates by sorted Python tuples.  The neighbour survey's references
 build every neighbour, as the survey did before it filtered syndromes: one
 reads each minimum weight, the other reduces each light vector into each
-neighbour.
+neighbour.  The certificate reference permutes each row bit by bit and
+reduces it into the other code.
 """
 
 from __future__ import annotations
@@ -146,6 +147,15 @@ def permute_bits(v: int, n: int, images: Sequence[int]) -> int:
         if (v >> i) & 1:
             out |= 1 << (images[i] - 1)
     return out
+
+
+def maps_into_by_reduction(a_rows: Sequence[int], images: Sequence[int], b_rows: Sequence[int], n: int) -> bool:
+    """Whether every row of a, coordinate i sent to images[i-1], lies in
+    the span of b's reduced echelon rows: each row is permuted bit by bit
+    and reduced against b's pivots.  The reference for the parity-check
+    test behind `verify_certificate`."""
+    pivots = pivots_of_rref_raw(b_rows)
+    return all(reduce_raw(permute_bits(r, n, images), b_rows, pivots) == 0 for r in a_rows)
 
 
 def circulant_rows(first_row: int, n: int) -> List[int]:

@@ -43,7 +43,9 @@ from sdcodes.tables import named_code
 from sdcodes.wenum import codewords_of_weight, min_weight
 from oracles import (
     equivalent_by_all_permutations,
+    maps_into_by_reduction,
     permute_bits,
+    random_matrix_rows,
     random_self_dual_words,
     refinement_rounds_by_tuples,
     span_set,
@@ -170,6 +172,42 @@ def test_verify_certificate_needs_a_permutation():
     for images in [(1, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3), (1, 2, 3, 4, 5)]:
         assert not verify_certificate(a, b, EquivalenceCertificate(images))
     assert verify_certificate(a, permuted_code(a, (3, 1, 2, 4)), EquivalenceCertificate((3, 1, 2, 4)))
+
+
+def test_certificates_agree_with_the_reduction_oracle():
+    # true certificates, random permutations and single transpositions of
+    # true certificates, on codes up to length 128 and of any dimension
+    rng = random.Random(1511)
+    codes = [
+        survey_code(),
+        code_from_words(random_self_dual_words(rng, 18, steps=8), 18),
+        named_code("C58_1"),
+        LinearCode.from_int_rows([0b11 << i for i in range(0, 128, 2)], 128),
+    ]
+    codes += [LinearCode.from_int_rows(random_matrix_rows(rng, k, n), n) for n, k in ((70, 9), (100, 60), (128, 40), (128, 127))]
+    outcomes = {True: 0, False: 0}
+    for a in codes:
+        n = a.n
+        images = shuffled_images(rng, n)
+        b = permuted_code(a, images)
+        perms = [tuple(images)] + [tuple(shuffled_images(rng, n)) for _ in range(4)]
+        swaps = [rng.sample(range(n), 2) for _ in range(12)]
+        if n == 128 and a.k == 64:  # swapping a pair's coordinates fixes the pairs code
+            swaps += [(i, i + 1) for i in rng.sample(range(0, n, 2), 4)]
+        for i, j in swaps:
+            p = list(images)
+            p[i], p[j] = p[j], p[i]
+            perms.append(tuple(p))
+        for p in perms:
+            want = maps_into_by_reduction(a.rows, p, b.rows, n)
+            assert verify_certificate(a, b, EquivalenceCertificate(p)) == want, (n, a.k)
+            outcomes[want] += 1
+        assert maps_into_by_reduction(a.rows, images, b.rows, n)
+    assert outcomes[True] > len(codes) and outcomes[False] > len(codes)
+    # a code of the same shape that is no permutation of a
+    a, b = (LinearCode.from_int_rows(random_matrix_rows(rng, 30, 100), 100) for _ in range(2))
+    assert not maps_into_by_reduction(a.rows, tuple(range(1, 101)), b.rows, 100)
+    assert not verify_certificate(a, b, identity_certificate(100))
 
 
 def test_certificate_inverse_carries_code_back():
@@ -418,33 +456,60 @@ def verified_path(a, b):
     return set(refinement_tree(bare))
 
 
-def test_memo_keeps_only_paths_that_ended_in_a_verified_leaf(neighbour_classes):
-    # classify compares each member with its class's first member; that
-    # tree is the union of the members' verified paths, and ends at leaves
-    firsts = [cl.members[0] for cl in neighbour_classes]
-    for cl, first in zip(neighbour_classes, firsts):
-        tree = refinement_tree(first)
-        assert set(tree) == set().union(*(verified_path(m, first) for m in cl.members[1:]))
+def test_memo_keeps_only_paths_that_ended_in_a_verified_leaf(neighbour_classes, monkeypatch):
+    # classify compares each member with its class's first member; while
+    # it runs, that tree is the union of the members' verified paths, and
+    # ends at leaves, and a negative call adds no node to it
+    classes = [[LinearCode(m.n, m.rows) for m in cl.members] for cl in neighbour_classes]
+    firsts = [members[0] for members in classes]
+    trees, negatives = {}, []
+    compare = equivalence.are_equivalent
+
+    def recorded_compare(a, b):
+        before = dict(refinement_tree(b))
+        cert = compare(a, b)
+        if not cert.equivalent:
+            assert refinement_tree(b) == before
+            negatives.append(cert.distinct_reason)
+        trees[id(b)] = dict(refinement_tree(b))
+        return cert
+
+    monkeypatch.setattr(equivalence, "are_equivalent", recorded_compare)
+    classify([m for members in classes for m in members])
+    monkeypatch.undo()
+    assert "exhausted coordinate matching" in negatives
+    for members, first in zip(classes, firsts):
+        tree = trees.get(id(first), {})
+        assert set(tree) == set().union(*(verified_path(m, first) for m in members[1:]))
         for path in tree:
             if not any(q[: len(path)] == path and q != path for q in tree):
                 assert len(set(tree[path][1])) == first.n
-    assert sum(len(refinement_tree(f)) > 1 for f in firsts) >= 4
-    # a negative call keeps no node: a first member keeps its verified
-    # paths, a code with an empty memo stays without any
+    assert sum(len(trees.get(id(f), {})) > 1 for f in firsts) >= 4
+    # a code with an empty memo stays without any node after a negative call
     exhausted = 0
     for x in firsts:
         for y in firsts:
             if x is y or signature(x) != signature(y):
                 continue
-            before = dict(refinement_tree(y))
-            cert = are_equivalent(x, y)
+            bare = LinearCode(y.n, y.rows)
+            cert = are_equivalent(x, bare)
             assert not cert.equivalent
             exhausted += cert.distinct_reason == "exhausted coordinate matching"
-            assert refinement_tree(y) == before
-            bare = LinearCode(y.n, y.rows)
-            assert not are_equivalent(x, bare).equivalent
             assert not refinement_tree(bare)
     assert exhausted
+
+
+def test_classify_drops_refinement_trees():
+    # the trees live on each class's first-seen member while classify
+    # compares; none outlives it, and the certificates do not move
+    c = code_from_words(random_self_dual_words(random.Random(2), 18, steps=8), 18)
+    classes = extremal_neighbor_survey(c, 2)
+    assert len(classes) == 8
+    for cl in classes:
+        for m in cl.members:
+            assert not [key for key in m.memo if isinstance(key, tuple) and key[0] == "refinement"]
+    report = classification_report(classes)
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == NEIGHBOUR_REPORT_DIGEST
 
 
 def test_stacked_first_paths_equal_each_code_alone():

@@ -304,8 +304,8 @@ def test_survey_range_past_length_64_matches_the_membership_oracle():
 
 
 def test_survey_builds_only_surviving_hyperplanes(monkeypatch):
-    """One _hyperplane_pair call per hyperplane with a survivor, and no
-    minimum-weight scan anywhere in the survey."""
+    """One _hyperplane_pair call per hyperplane with a survivor, building
+    the survivors only, and no minimum-weight scan anywhere in the survey."""
     original = wenum.min_weight
 
     def no_scan(*args, **kwargs):
@@ -319,8 +319,8 @@ def test_survey_builds_only_surviving_hyperplanes(monkeypatch):
     built = []
     pair = neighbors._hyperplane_pair
 
-    def counted(rows, pivots, n, w):
-        built.append((w, pair(rows, pivots, n, w)))
+    def counted(rows, pivots, n, w, *sides):
+        built.append((w, pair(rows, pivots, n, w, *sides)))
         return built[-1][1]
 
     monkeypatch.setattr(neighbors, "_hyperplane_pair", counted)
@@ -331,6 +331,7 @@ def test_survey_builds_only_surviving_hyperplanes(monkeypatch):
     ids = {id(m) for m in members}
     kept = [sum(id(nb) in ids for nb in codes) for _, codes in built]
     assert min(kept) >= 1 and sum(kept) == len(members)
+    assert sum(len(codes) for _, codes in built) == len(members)
 
 
 def test_survey_drops_known_classes():

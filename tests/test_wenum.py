@@ -7,6 +7,7 @@ import pytest
 
 from sdcodes import (
     BalanceStatus,
+    CirculantPair,
     DomainError,
     FamilyTag,
     LinearCode,
@@ -25,6 +26,8 @@ from sdcodes import (
     parity_class,
     shadow_distribution,
     solve_shadow_balance,
+    build_four_circulant,
+    subtract_coordinates,
     weight_distribution,
 )
 from sdcodes import wenum
@@ -43,6 +46,7 @@ from sdcodes.wenum import (
     _min_weight_staged,
     _shadow_basis,
     _shadow_counts,
+    _span_words,
     family_profile,
 )
 
@@ -568,6 +572,90 @@ def test_codewords_of_weight_past_length_64():
     assert big.k > 22
     with pytest.raises(ResourceLimitError, match="length 64"):
         codewords_of_weight(big, 4)
+
+
+def walk_words(c, w):
+    """The words of weight w, filtered from the low-weight walk."""
+    vals = _low_weight_words(_disjoint_information_bases(c), w)
+    return sorted(v for chunk in vals for v in chunk.tolist() if v.bit_count() == w)
+
+
+def words_of(words, w):
+    return sorted(v for v in words if v.bit_count() == w)
+
+
+def pairs_code(pairs, n):
+    """Disjoint coordinate pairs as rows: the words of weight 2j are the
+    unions of j pairs, and there are no others."""
+    rows = [(1 << a) | (1 << b) for a, b in pairs]
+    return LinearCode.from_int_rows(rows, n), rows
+
+
+def test_span_walk_and_oracle_agree_below_dimension_16():
+    rng = random.Random(422)
+    codes = [random_self_dual_code(rng, n) for n in (20, 26, 30)]
+    codes += [LinearCode.from_int_rows(independent_rows(rng, k, n), n) for k, n in ((3, 9), (11, 33), (15, 47), (14, 64))]
+    for c in codes:
+        assert c.k <= 15 and c.n <= 64
+        words = span_set(c.rows)
+        d = min(v.bit_count() for v in words if v)
+        for w in sorted({1, d, d + 1, d + 2, rng.randrange(1, c.n + 1)}):
+            want = words_of(words, w)
+            assert _span_words(c.rows, c.n, w) == walk_words(c, w) == want, (c.n, c.k, w)
+            assert codewords_of_weight(LinearCode(c.n, c.rows), w) == want
+
+
+def test_span_and_walk_agree_at_dimensions_17_to_22():
+    # span_set holds 2^k Python ints, so it checks k <= 18 only
+    rng = random.Random(423)
+    for k, n in ((17, 34), (18, 40), (20, 44), (22, 48)):
+        c = LinearCode.from_int_rows(independent_rows(rng, k, n), n)
+        assert c.k == k
+        words = span_set(c.rows) if k <= 18 else None
+        d = min_weight(c)
+        for w in (d, d + 1, d + 2):
+            got = _span_words(c.rows, n, w)
+            assert got == walk_words(c, w) == codewords_of_weight(c, w), (n, k, w)
+            if words is not None:
+                assert got == words_of(words, w)
+    c, rows = pairs_code([(i, i + 32) for i in range(22)], 64)
+    for j in (1, 2, 3):
+        want = sorted(reduce(xor, pick, 0) for pick in combinations(rows, j))
+        assert _span_words(c.rows, 64, 2 * j) == walk_words(c, 2 * j) == want
+        assert _span_words(c.rows, 64, 2 * j + 1) == []
+
+
+def test_span_collects_words_past_length_64():
+    rng = random.Random(424)
+    for k, n in ((5, 65), (12, 100), (16, 128), (18, 97)):
+        c = LinearCode.from_int_rows(independent_rows(rng, k, n), n)
+        words = span_set(c.rows)
+        present = sorted({v.bit_count() for v in words})
+        for w in {present[1], present[len(present) // 2], present[-1], n}:
+            assert codewords_of_weight(c, w) == words_of(words, w), (n, k, w)
+    # k = 22: 22 pairs, each with one coordinate in either 64-bit lane
+    c, rows = pairs_code([(3 * i, 3 * i + 64) for i in range(22)], 128)
+    assert c.k == 22
+    for j in (1, 2, 3, 21, 22):
+        want = sorted(reduce(xor, pick, 0) for pick in combinations(rows, j))
+        assert codewords_of_weight(c, 2 * j) == want
+    assert codewords_of_weight(c, 5) == []
+
+
+def test_small_codes_read_the_span_and_large_ones_the_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other engine ran")
+
+    survey = subtract_coordinates(build_four_circulant(CirculantPair.parse("0001000;1100101")), 11, 24)
+    assert survey.k == 13
+    monkeypatch.setattr(wenum, "_low_weight_words", refuse)
+    assert len(codewords_of_weight(survey, 6)) == weight_distribution(survey).counts[6]
+    monkeypatch.undo()
+    big = named_code("C58_1")
+    big = LinearCode(big.n, big.rows)
+    assert big.k == 29
+    monkeypatch.setattr(wenum, "_span_lanes", refuse)
+    assert len(codewords_of_weight(big, 10)) == weight_distribution(big).counts[10]
 
 
 # ---------------------------------------------------------------------------
