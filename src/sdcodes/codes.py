@@ -3,11 +3,12 @@
 A LinearCode is its canonical int rows: the reduced-echelon basis, with
 coordinate i in bit i-1.  Every constructor reduces the rows it is given,
 so equal codes compare equal; rows are '0'/'1' strings only in JSON code
-files and `from_strings`.  Facts computed about a code (weight and shadow
-distributions, minimum weight, codewords of a weight, the invariant
-signature) are memoised on the code itself and freed with it.  On top of that sit the
-dual, the parity classes of self-dual codes, the doubly-even subcode with
-its shadow cosets, and the two-coordinate subtraction construction.
+files and `from_strings`.  Facts computed about a code (self-duality,
+weight and shadow distributions, minimum weight, codewords of a weight,
+the invariant signature) are memoised on the code itself and freed with
+it.  On top of that sit the dual, the parity classes of self-dual codes,
+the doubly-even subcode with its shadow cosets, and the two-coordinate
+subtraction construction.
 """
 
 from __future__ import annotations
@@ -162,9 +163,15 @@ def dual(c: LinearCode) -> LinearCode:
 
 
 def is_self_dual(c: LinearCode) -> bool:
-    if 2 * c.k != c.n:
-        return False
-    rows = c.rows
+    """Whether c is its own dual; the verdict is memoised on c."""
+    got = c.memo.get("self dual")
+    if got is None:
+        got = c.memo["self dual"] = 2 * c.k == c.n and _rows_orthogonal(c.rows)
+    return got
+
+
+def _rows_orthogonal(rows: Sequence[int]) -> bool:
+    """Whether every two rows, and each row with itself, meet evenly."""
     for i, a in enumerate(rows):
         for b in rows[i:]:
             if (a & b).bit_count() & 1:

@@ -3,42 +3,45 @@
 Coordinates are matched through the incidence structure of low-weight
 codewords by color refinement of one code at a time: a round colors words
 by (class, sorted colors of their coordinates), then coordinates by (color,
-sorted colors of their words).  Keys are rows of one NumPy array, and each
-is named by the rank of its bytes among the code's distinct rows, which
-`np.unique` gives exactly; rounds of a stack of codes of one shape run in
-one set of NumPy calls, each row prefixed by its code's index.  Rank names
-are canonical, so two codes compare through one profile digest per round, a
-blake2b of the distinct rows and their counts that no hash seed or stack
-changes, and the first that differs prunes a branch; a digest collision
-could only let a hopeless branch go deeper.  When a color class stays
-ambiguous, one coordinate is individualized and refinement re-run.  The
-first code's side depends on it alone: its first path (the root refinement,
-then the first coordinate of the smallest open cell individualized at each
-depth until the colors are discrete) is refined a depth at a time, when the
-search first reaches it, and `classify` refines its members' paths once
-each, stacked in blocks, and holds each in its member's memo while
-comparing it.  The second code keeps in its memo the refinement
-nodes of its paths that ended in a verified leaf, refined lazily, so the
-first member of a class is refined once while `classify` compares others
-with it; `classify` drops those nodes when it returns, since they are
-keyed by that member's coordinates and the representative it returns is
-the lexicographically least member.  The colors are isomorphism-invariant
-and give the partitions of a joint refinement of both codes, so an
-exhausted search proves inequivalence and the first verified leaf, hence
-the certificate, is the joint search's.  At a leaf the coordinate matching
-is read off as a permutation and checked before being returned: the 0/1
-matrix of the first code's generator rows, its columns permuted, times the
-transpose of the second code's parity-check matrix must be even in every
-entry.  That test shares no code with refinement, so a positive answer
-never depends on the refinement being correct.  A "distinct" verdict names
-the first separating invariant, or records that the refined search space
-was exhausted.
+sorted colors of their words).  The incidence and the signature's
+co-occurrence counts come from one 0/1 matrix, unpacked in one call from
+the words `wenum` memoises as 64-bit lanes.  Keys are rows of one NumPy
+array, and each is named by the rank of its bytes among the code's distinct
+rows, which `np.unique` gives exactly; rounds of a stack of codes of one
+shape run in one set of NumPy calls, each row prefixed by its code's index
+in as few bytes as the stack needs.  A prefixed row of at most 8 bytes is
+ranked as one big-endian integer, which orders as its bytes do, and a wider
+one as a void row.  Rank names are canonical, so two codes compare through
+one profile digest per round, a blake2b of the distinct rows and their
+counts that no hash seed or stack changes, and the first that differs
+prunes a branch; a digest collision could only let a hopeless branch go
+deeper.  When a color class stays ambiguous, one coordinate is
+individualized and refinement re-run.  The first code's side depends on it
+alone: its first path (the root refinement, then the first coordinate of
+the smallest open cell individualized at each depth until the colors are
+discrete) is refined a depth at a time, when the search first reaches it,
+and `classify` refines its members' paths once each, stacked in blocks, and
+holds each in its member's memo while comparing it.  The second code keeps
+in its memo the refinement nodes of its paths that ended in a verified
+leaf, refined lazily, so the first member of a class is refined once while
+`classify` compares others with it; `classify` drops those nodes when it
+returns, since they are keyed by that member's coordinates and the
+representative it returns is the lexicographically least member.  The
+colors are isomorphism-invariant and give the partitions of a joint
+refinement of both codes, so an exhausted search proves inequivalence and
+the first verified leaf, hence the certificate, is the joint search's.  At
+a leaf the coordinate matching is read off as a permutation and checked
+before being returned: the 0/1 matrix of the first code's generator rows,
+its columns permuted, times the transpose of the second code's parity-check
+matrix must be even in every entry.  That test shares no code with
+refinement, so a positive answer never depends on the refinement being
+correct.  A "distinct" verdict names the first separating invariant, or
+records that the refined search space was exhausted.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import repeat, zip_longest
@@ -51,7 +54,8 @@ from .errors import DomainError, IntegrityError
 from .gf2core import format01, kernel_raw
 from .wenum import (
     _check_dimension,
-    codewords_of_weight,
+    _word_levels,
+    _words,
     shadow_distribution,
     weight_distribution,
 )
@@ -105,8 +109,8 @@ def signature(c: LinearCode) -> InvariantSignature:
         shadow_prefix = tuple(s.counts[shadow_min : min(shadow_min + 9, c.n + 1)])
     # G = M^T M for the words x coordinates 0/1 matrix M of the weight-d
     # words: G[i, i] counts words through i, G[i, j] those through i and j
-    m = _word_matrix(codewords_of_weight(c, d), c.n)
-    g = m.T.astype(np.int64) @ m
+    m = _unpacked(_words(c, d), c.n).astype(np.float64)
+    g = (m.T @ m).astype(np.int64)  # entries are at most A_d, so exact
     sig = InvariantSignature(
         c.n,
         c.k,
@@ -115,17 +119,26 @@ def signature(c: LinearCode) -> InvariantSignature:
         shadow_min,
         shadow_prefix,
         tuple(np.sort(np.diag(g)).tolist()),
-        tuple(np.sort(g[np.triu_indices(c.n, 1)]).tolist()),
+        tuple(np.sort(g[_upper_triangle(c.n)]).tolist()),
     )
     c.memo["signature"] = sig
     return sig
 
 
-def _word_matrix(words: Sequence[int], n: int) -> np.ndarray:
-    """The words x coordinates 0/1 matrix of packed words."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in words), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(words), width), axis=1, count=n, bitorder="little")
+@cache
+def _upper_triangle(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The indexes of the entries above the diagonal of an n x n matrix,
+    read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _unpacked(lanes: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 matrix (uint8) of words given as rows of uint64 lanes, lane
+    i holding bits 64i..64i+63."""
+    packed = np.ascontiguousarray(lanes, dtype="<u8").view(np.uint8)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +217,10 @@ def verify_certificate(a: LinearCode, b: LinearCode, cert: EquivalenceCertificat
 def _padded(m: np.ndarray) -> np.ndarray:
     """Read-only: row r lists the nonzero columns of row r of m in order,
     padded with the column count."""
-    rows, cols = np.nonzero(m)
-    per_row = np.count_nonzero(m, axis=1)
-    out = np.full((len(m), per_row.max(initial=0)), m.shape[1])
-    out[rows, np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]] = cols
+    n = m.shape[1]
+    cols = np.where(m, np.arange(n, dtype=np.int32), n)
+    cols.sort(axis=1)
+    out = cols[:, : np.count_nonzero(m, axis=1).max(initial=0)].copy()  # not a view of all of cols
     out.flags.writeable = False
     return out
 
@@ -218,46 +231,42 @@ class _Incidence:
     signed dtype that holds every color of a round and -1."""
 
     def __init__(self, c: LinearCode, levels: Sequence[int]):
-        m = _word_matrix([v for w in levels for v in codewords_of_weight(c, w)], c.n)
+        m = _unpacked(np.concatenate([_words(c, w) for w in levels]), c.n)
         self.dtype = np.min_scalar_type(-1 - max(m.shape))
         self.word_coords, self.coord_words = _padded(m), _padded(m.T)
-
-
-def _word_levels(c: LinearCode) -> List[int]:
-    """Weight classes used for matching: the minimum-weight class, extended
-    upward while the word set stays small relative to n."""
-    counts = weight_distribution(c).counts
-    levels: List[int] = []
-    total = 0
-    for w in range(1, c.n + 1):
-        if counts[w]:
-            levels.append(w)
-            total += counts[w]
-            if total >= 2 * c.n:
-                break
-    return levels
-
-
-# code index prefixed to every key row of a stack of codes, big-endian so
-# that byte order sorts each code's rows together and in code order
-_PREFIX = np.dtype(">u4")
 
 
 def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, List[bytes]]:
     """For a stack of key arrays (codes x rows x width), each row's rank
     among its code's distinct rows, in byte order, and per code a digest
     of those rows and their counts.  Both are canonical: they depend on
-    the multiset of that code's rows alone, whatever else is stacked."""
+    the multiset of that code's rows alone, whatever else is stacked.
+
+    Each row is prefixed by its code's index in as few big-endian bytes as
+    the stack needs (none for one code), so byte order sorts each code's
+    rows together and in code order.  A prefixed row of at most 8 bytes,
+    zero-padded on the right, is ranked as one big-endian uint64, which
+    orders as its bytes do; wider rows are ranked as void rows."""
     c, r, w = keys.shape
     rows = np.ascontiguousarray(keys).view(np.uint8)
-    # one code needs no prefix, and ranks a quarter faster without it
-    head = _PREFIX.itemsize if c > 1 else 0
-    if head:
-        prefix = np.arange(c, dtype=_PREFIX).view(np.uint8).reshape(c, 1, head)
-        rows = np.concatenate((np.broadcast_to(prefix, (c, r, head)), rows), axis=2)
-    distinct, inverse, counts = np.unique(
-        rows.view(np.dtype((np.void, rows.shape[2]))).ravel(), return_inverse=True, return_counts=True
-    )
+    width = rows.shape[2]
+    head = ((c - 1).bit_length() + 7) // 8
+    prefix = np.arange(c, dtype=">u8").view(np.uint8).reshape(c, 1, 8)[:, :, 8 - head :]
+    if head + width <= 8:
+        packed = np.zeros((c, r, 8), np.uint8)
+        packed[:, :, :head] = prefix
+        packed[:, :, head : head + width] = rows
+        distinct, inverse, counts = np.unique(
+            packed.view(">u8").astype(np.uint64).ravel(), return_inverse=True, return_counts=True
+        )
+        distinct = distinct.astype(">u8").view(np.uint8).reshape(len(distinct), 8)
+    else:
+        if head:
+            rows = np.concatenate((np.broadcast_to(prefix, (c, r, head)), rows), axis=2)
+        distinct, inverse, counts = np.unique(
+            rows.view(np.dtype((np.void, head + width))).ravel(), return_inverse=True, return_counts=True
+        )
+        distinct = distinct.view(np.uint8).reshape(len(distinct), head + width)
     names = inverse.reshape(c, r)
     offsets = [0, len(distinct)]
     if head:
@@ -265,10 +274,14 @@ def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, List[bytes]]:
         least = names.min(axis=1, keepdims=True)
         offsets[:1] = least.ravel().tolist()
         names = names - least
-    stripped = distinct.view(np.uint8).reshape(len(distinct), -1)[:, head:]
-    width = w.to_bytes(8, "little")
+    tally = counts.tobytes()
+    stripped = np.ascontiguousarray(distinct[:, head : head + width]).tobytes()
+    size = w.to_bytes(8, "little")
     digests = [
-        hashlib.blake2b(width + counts[lo:hi].tobytes() + stripped[lo:hi].tobytes(), digest_size=8).digest()
+        hashlib.blake2b(
+            size + tally[lo * counts.itemsize : hi * counts.itemsize] + stripped[lo * width : hi * width],
+            digest_size=8,
+        ).digest()
         for lo, hi in zip(offsets, offsets[1:])
     ]
     return names, digests
@@ -334,14 +347,16 @@ def _rounds(inc: _Incidence, colors: List[int]) -> Rounds:
 Depth = Tuple[Tuple[bytes, ...], List[int], Optional[int]]
 
 
-def _target(colors: List[int]) -> Optional[int]:
-    """The first coordinate of the smallest open cell, ties broken by first
-    index, or None if every cell is a single coordinate."""
-    counts = Counter(colors)
-    open_colors = [col for col, m in counts.items() if m > 1]
-    if not open_colors:
-        return None
-    return colors.index(min(open_colors, key=lambda col: (counts[col], colors.index(col))))
+def _targets(colors: np.ndarray) -> List[Optional[int]]:
+    """For each row of colors (codes x n, each color below n), the first
+    coordinate of the smallest open cell, ties broken by first index, or
+    None if every cell is a single coordinate.  That coordinate has the
+    least (cell size, index) among the coordinates of open cells."""
+    codes, n = colors.shape
+    sizes = np.bincount((colors + n * np.arange(codes)[:, None]).ravel(), minlength=codes * n)
+    size = sizes.reshape(codes, n)[np.arange(codes)[:, None], colors]
+    key = np.where(size > 1, size * n + np.arange(n), n * (n + 1))
+    return [i if size[row, i] > 1 else None for row, i in enumerate(key.argmin(axis=1).tolist())]
 
 
 def _path_depths(c: LinearCode) -> Iterator[Depth]:
@@ -352,7 +367,7 @@ def _path_depths(c: LinearCode) -> Iterator[Depth]:
         digests = []
         for digest, final in _rounds(inc, colors):
             digests.append(digest)
-        i = _target(final)
+        i = _targets(np.array([final]))[0]
         yield tuple(digests), final, i
         if i is None:
             return
@@ -404,9 +419,7 @@ def _first_paths(incs: Sequence[_Incidence]) -> List[List[Depth]]:
                 word_index, coord_index = _shifted(word_coords[active[at]], coord_words[active[at]])
             seen, current = top, _pad(names, dtype)
         deeper = []
-        for pos, code in enumerate(active):
-            colors = final[pos].tolist()
-            i = _target(colors)
+        for pos, (code, colors, i) in enumerate(zip(active.tolist(), final.tolist(), _targets(final))):
             paths[code].append((tuple(digests[pos]), colors, i))
             if i is not None:
                 final[pos, i] = n  # no rank reaches n, so it individualizes
@@ -465,7 +478,8 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
     if a.rows == b.rows:
         return identity_certificate(a.n)
     levels = tuple(_word_levels(a))
-    if [len(codewords_of_weight(a, w)) for w in levels] != [len(codewords_of_weight(b, w)) for w in levels]:
+    wa, wb = weight_distribution(a).counts, weight_distribution(b).counts
+    if [wa[w] for w in levels] != [wb[w] for w in levels]:
         return EquivalenceCertificate(None, distinct_reason="weight class sizes")
     # b's nodes (round digests, final colors) keyed by the path of
     # individualized coordinates; only those on verified paths stay

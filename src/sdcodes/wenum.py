@@ -13,8 +13,13 @@ materialized once as packed-word numpy arrays, and an outer block walked
 in Gray order, so each outer step yields the block's words as 64-bit
 lanes for one vectorized xor + popcount pass.  The full histogram is a
 bincount over it, and the words of a given weight in a code of dimension
-below 16 (a span of at most 2^15 words) or of length above 64 are
-filtered from it.
+below 16 or of length above 64 are filtered from it.  A code of length
+<= 64 and dimension below 16 has its whole span in one `_span_lane`
+array; the one pass over it that gives W also memoises the words of each
+weight class that `_word_levels` names for equivalence, so a signature
+and a refinement of the code build its span once.  Words are held as
+rows of 64-bit lanes, and `codewords_of_weight` turns them into packed
+ints.
 
 Low-weight words come from one walk, `_low_weight_words`: XOR
 combinations of a systematic basis level by level, or of two bases on
@@ -24,9 +29,12 @@ are read off it; the minimum weight uses the same level walk with a
 stopping bound.
 
 The shadow distribution of a singly even self-dual code is the transform
-S(x, y) = W(x+y, i(x-y)) / 2^(n/2) of its weight distribution.  Every
-count is an exact Python int, and derived counts are re-checked (integral,
-non-negative, symmetric, summing to 2^k) before they are returned.
+S(x, y) = W(x+y, i(x-y)) / 2^(n/2) of its weight distribution, and the
+MacWilliams self-check is W(x+y, x-y) / 2^k; both are one Krawtchouk
+matrix product, in int64 when it provably cannot overflow and over Python
+ints otherwise.  Every count is an exact Python int, and derived counts
+are re-checked (integral, non-negative, symmetric, summing to 2^k) before
+they are returned.
 """
 
 from __future__ import annotations
@@ -214,12 +222,22 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
 
     Self-dual codes with n <= 64 and k > 22 count their words of weight
     <= 2(n//8) and take the rest from Gleason's theorem; every other code
-    is enumerated in full.
+    is enumerated in full.  A code whose span is one array (n <= 64,
+    k < 16) also memoises the words of its `_word_levels` classes.
     """
     cached = c.memo.get("weights")
     if cached is not None:
         return cached
     _check_dimension(c, "weight distribution")
+    if _one_lane_span(c):
+        span = _span_lane(list(c.rows), 0)
+        weights = np.bitwise_count(span)
+        counts = tuple(np.bincount(weights, minlength=c.n + 1).tolist())
+        dist = c.memo["weights"] = WeightDistribution(c.n, counts)
+        # the same pass yields the word classes that equivalence reads
+        for w in _word_levels(c):
+            c.memo[("words", w)] = np.sort(span[weights == w])[:, None]
+        return dist
     if c.k > _FULL_SPAN_MAX_K and c.n <= 64 and is_self_dual(c):
         low = _low_weight_counts(c.n, _disjoint_information_bases(c))
         counts, shadow = _gleason_distribution(c.n, c.k, low)
@@ -229,6 +247,27 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
         counts = tuple(_histogram_words(c.rows, c.n))
     dist = c.memo["weights"] = WeightDistribution(c.n, counts)
     return dist
+
+
+def _one_lane_span(c: LinearCode) -> bool:
+    """Whether c's whole span is one `_span_lane` array: n <= 64 and at
+    most 2^15 words."""
+    return c.n <= 64 and c.k < _INNER_LOG
+
+
+def _word_levels(c: LinearCode) -> List[int]:
+    """Weight classes used for matching: the minimum-weight class, extended
+    upward while the word set stays small relative to n."""
+    counts = weight_distribution(c).counts
+    levels: List[int] = []
+    total = 0
+    for w in range(1, c.n + 1):
+        if counts[w]:
+            levels.append(w)
+            total += counts[w]
+            if total >= 2 * c.n:
+                break
+    return levels
 
 
 def shadow_distribution(c: LinearCode) -> ShadowDistribution:
@@ -256,10 +295,9 @@ def _shadow_counts(n: int, counts: Sequence[int]) -> Tuple[int, ...]:
     For a doubly even code the transform returns the distribution itself.
     """
     scale = 1 << (n // 2)
-    terms = [(i, (-1) ** (i // 2) * a) for i, a in enumerate(counts) if a]
+    signed = [(-1) ** (i // 2) * a for i, a in enumerate(counts)]
     out = []
-    for j, row in enumerate(_krawtchouk_table(n)):
-        t = sum(a * row[i] for i, a in terms)
+    for j, t in enumerate(_krawtchouk_transform(n, signed)):
         q, r = divmod(t, scale)
         if r or q < 0:
             raise IntegrityError(
@@ -267,6 +305,27 @@ def _shadow_counts(n: int, counts: Sequence[int]) -> Tuple[int, ...]:
             )
         out.append(q)
     return tuple(out)
+
+
+def _krawtchouk_transform(n: int, coeffs: Sequence[int]) -> List[int]:
+    """sum_i coeffs[i] K_j(i) for j = 0..n, as exact ints.
+
+    |K_j(i)| <= C(n, j) <= C(n, n//2), so when sum |coeffs| times that
+    bound stays below 2^63 one int64 product is exact; otherwise the
+    product runs over Python ints.
+    """
+    live = [i for i, a in enumerate(coeffs) if a]
+    terms = [coeffs[i] for i in live]
+    dtype = np.int64 if sum(map(abs, terms)) * math.comb(n, n // 2) < 1 << 63 else object
+    return _krawtchouk_matrix(n, dtype)[:, live].dot(np.array(terms, dtype=dtype)).tolist()
+
+
+@lru_cache(maxsize=MAX_LEN)
+def _krawtchouk_matrix(n: int, dtype: type) -> np.ndarray:
+    """`_krawtchouk_table(n)` as a read-only array of dtype."""
+    table = np.array(_krawtchouk_table(n), dtype=dtype)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=MAX_LEN)
@@ -548,12 +607,13 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
 def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
     """All codewords of exactly weight w, as sorted packed ints.
 
-    A code of dimension below _INNER_LOG, whose span is one array of at
-    most 2^15 words, and a code longer than 64 (k <= 22) filter their
-    span's lanes by popcount.  Other codes filter the low-weight walk over
-    one systematic basis, or two on disjoint information sets, which
-    yields every word of weight <= w once; from k = 16 on it was measured
-    faster than building the span.
+    A code of length <= 64 and dimension below _INNER_LOG reads them off
+    the span pass of `weight_distribution`, which keeps the words of the
+    classes `_word_levels` names; its other classes, and a code longer
+    than 64 (k <= 22), filter the span's lanes by popcount.  Other codes
+    filter the low-weight walk over one systematic basis, or two on
+    disjoint information sets, which yields every word of weight <= w
+    once; from k = 16 on it was measured faster than building the span.
     """
     if not 0 <= w <= c.n:
         raise DomainError(f"weight {w} outside 0..{c.n}")
@@ -561,13 +621,30 @@ def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
         return [0]
     if c.k == 0:
         return []
-    got = c.memo.get(("words", w))
+    return _ints(_words(c, w))
+
+
+def _ints(lanes: np.ndarray) -> List[int]:
+    """Words given as rows of uint64 lanes, as packed ints."""
+    low = lanes[:, 0].tolist()
+    if lanes.shape[1] == 1:
+        return low
+    return [(h << 64) | x for h, x in zip(lanes[:, 1].tolist(), low)]
+
+
+def _words(c: LinearCode, w: int) -> np.ndarray:
+    """The codewords of weight w >= 1 in increasing order, one row of
+    uint64 lanes each (lane i holds bits 64i..64i+63), memoised on c."""
+    key = ("words", w)
+    if key not in c.memo and _one_lane_span(c):
+        weight_distribution(c)
+    got = c.memo.get(key)
     if got is None:
-        got = c.memo[("words", w)] = _codewords_of_weight(c, w)
-    return list(got)
+        got = c.memo[key] = _codewords_of_weight(c, w)
+    return got
 
 
-def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
+def _codewords_of_weight(c: LinearCode, w: int) -> np.ndarray:
     if c.n > 64 and c.k > _FULL_SPAN_MAX_K:
         raise ResourceLimitError(
             f"codeword collection past length 64 walks the whole span and is "
@@ -575,7 +652,7 @@ def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
         )
     _check_dimension(c, "codeword collection")
     if c.n > 64 or c.k < _INNER_LOG:
-        return _span_words(c.rows, c.n, w)
+        return _span_hits(c.rows, c.n, w)
     bases = _disjoint_information_bases(c)
     if len(bases) < 2 and c.k > _FULL_SPAN_MAX_K:
         raise ResourceLimitError(
@@ -583,21 +660,24 @@ def _codewords_of_weight(c: LinearCode, w: int) -> List[int]:
         )
     hits = [np.zeros(0, dtype=np.uint64)]
     hits += [vals[np.bitwise_count(vals) == w] for vals in _low_weight_words(bases, w)]
-    return np.sort(np.concatenate(hits)).tolist()
+    return np.sort(np.concatenate(hits))[:, None]
 
 
 def _span_words(rows: Sequence[int], n: int, w: int) -> List[int]:
     """The words of weight w in span(rows), sorted, read off its lanes."""
+    return _ints(_span_hits(rows, n, w))
+
+
+def _span_hits(rows: Sequence[int], n: int, w: int) -> np.ndarray:
+    """The words of weight w in span(rows) in increasing order, one row of
+    lanes each."""
     hits: List[List[np.ndarray]] = [[] for _ in range(0, n, 64)]
     for lanes in _span_lanes(rows, n):
         keep = _lane_weights(lanes) == w
         for got, lane in zip(hits, lanes):
             got.append(lane[keep])
-    low, *high = (np.concatenate(got) for got in hits)
-    if not high:
-        return np.sort(low).tolist()
-    order = np.lexsort((low, high[0]))
-    return [(h << 64) | x for h, x in zip(high[0][order].tolist(), low[order].tolist())]
+    lanes = [np.concatenate(got) for got in hits]
+    return np.stack(lanes, axis=1)[np.lexsort(lanes)]
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +685,8 @@ def _span_words(rows: Sequence[int], n: int, w: int) -> List[int]:
 
 def macwilliams_check(w: WeightDistribution, k: int) -> bool:
     """True iff transforming w by W(x+y, x-y)/2^k reproduces w exactly."""
-    n = w.n
     scale = 1 << k
-    terms = [(i, a) for i, a in enumerate(w.counts) if a]
-    for j, row in enumerate(_krawtchouk_table(n)):
-        t = sum(a * row[i] for i, a in terms)
-        q, r = divmod(t, scale)
-        if r or q != w.counts[j]:
-            return False
-    return True
+    return all(t == scale * a for t, a in zip(_krawtchouk_transform(w.n, w.counts), w.counts))
 
 
 # ---------------------------------------------------------------------------

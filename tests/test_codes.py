@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from sdcodes import codes
 from sdcodes.codes import (
     LinearCode,
     ParityClass,
@@ -199,6 +200,22 @@ class TestSelfDualityAndParity:
     def test_unequal_dimension_is_not_self_dual(self):
         c = LinearCode.from_strings(["1100", "0011", "1010"])
         assert not is_self_dual(c)
+
+    def test_self_duality_is_checked_once_per_code(self, monkeypatch):
+        # signature, the shadow and W each ask; the pairwise row check runs once
+        checked = []
+        check = codes._rows_orthogonal
+        monkeypatch.setattr(codes, "_rows_orthogonal", lambda rows: checked.append(rows) or check(rows))
+        c = code_from_words(singly_even_self_dual_words(random.Random(19), 16), 16)
+        signature(c)
+        shadow_distribution(c)
+        weight_distribution(c)
+        assert is_self_dual(c) and is_self_dual(c.with_name("again"))
+        assert checked == [c.rows]
+        assert c.memo["self dual"] is True
+        # a code of the wrong dimension never reaches the row check
+        assert not is_self_dual(LinearCode.from_strings(["1100"]))
+        assert checked == [c.rows]
 
     def test_random_self_dual_words_really_are(self):
         rng = random.Random(13)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sdcodes
+import sdcodes.codes as codes_module
 import sdcodes.equivalence as equivalence
 from sdcodes import (
     CirculantPair,
@@ -301,14 +302,45 @@ def test_neighbour_classification_report_is_pinned(neighbour_classes):
     assert digest == NEIGHBOUR_REPORT_DIGEST
 
 
-def test_survey_classification_report_is_pinned():
+@pytest.fixture(scope="module")
+def survey_classes():
+    """The survey benchmark's code under one seeded permutation, surveyed
+    at d >= 6, and the rows of every code whose self-duality was checked."""
     base = survey_code()
     images = list(range(1, base.n + 1))
     random.Random(13).shuffle(images)
-    report = classification_report(extremal_neighbor_survey(permuted_code(base, images), 6))
+    checked = []
+    check = codes_module._rows_orthogonal
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes_module, "_rows_orthogonal", lambda rows: checked.append(rows) or check(rows))
+        classes = extremal_neighbor_survey(permuted_code(base, images), 6)
+    return classes, checked
+
+
+def test_survey_classification_report_is_pinned(survey_classes):
+    report = classification_report(survey_classes[0])
     assert [len(cl["members"]) for cl in report["classes"]] == [864]
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == SURVEY_REPORT_DIGEST
+
+
+def test_survey_checks_self_duality_once_per_code(survey_classes):
+    classes, checked = survey_classes
+    members = [m for cl in classes for m in cl.members]
+    assert len(checked) == len(set(checked)) == len(members) + 1  # and the surveyed code
+    assert {m.rows for m in members} < set(checked)
+
+
+def test_survey_members_keep_only_their_facts(survey_classes):
+    # no word matrix, incidence or refinement outlives classification; the
+    # parity checks stay on the codes certificates were checked against
+    for cl in survey_classes[0]:
+        targets = {id(cl.members[0]), id(cl.representative)}
+        for m in cl.members:
+            facts = {"self dual", "weights", "shadow", "signature", ("words", signature(m).d)}
+            if id(m) in targets:
+                facts.add("parity checks")
+            assert set(m.memo) == facts
 
 
 def test_rounds_commute_with_permutations():
@@ -383,6 +415,27 @@ def test_stacked_ranks_equal_each_code_ranked_alone():
             assert names[k].tolist() == alone_names.tolist() == want_names.tolist()
             assert digests[k] == alone_digest == want_digest
         assert digests[0] == digests[1] != digests[2]
+
+
+def test_integer_and_void_ranks_agree_at_every_stack_size():
+    # stacks of 1, 2, 255, 256 and 257 codes take a code-index prefix of 0,
+    # 1, 1, 1 and 2 bytes; rows of 6 to 10 bytes, the prefix included,
+    # straddle the 8 bytes ranked as one integer
+    rng = np.random.default_rng(1616)
+    for dtype, widths in ((np.int8, (6, 7, 8, 9)), (np.int16, (3, 4, 5))):
+        for width in widths:
+            for size in (1, 2, 255, 256, 257):
+                stack = rng.integers(-1, 3, size=(size, 7, width)).astype(dtype)
+                stack[size // 2, :3] = 120  # rows no other code has
+                stack[-1] = stack[0]  # one code twice
+                names, digests = _ranked(stack)
+                assert names.shape == stack.shape[:2] and len(digests) == size
+                for k, keys in enumerate(stack):
+                    alone_names, alone_digest = ranked_alone(keys)
+                    want_names, want_digest = ranked_by_definition(keys)
+                    assert names[k].tolist() == alone_names.tolist() == want_names.tolist()
+                    assert digests[k] == alone_digest == want_digest
+                assert digests[0] == digests[-1]
 
 
 def test_round_digests_do_not_depend_on_the_hash_seed():

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import reduce
 from itertools import combinations
@@ -32,10 +33,10 @@ from sdcodes import (
 )
 from sdcodes import wenum
 from sdcodes.codes import shadow_parts
-from sdcodes.equivalence import signature
+from sdcodes.equivalence import _Incidence, _word_levels, signature
 from sdcodes.errors import IntegrityError
 from sdcodes.neighbors import neighbor
-from sdcodes.tables import named_code
+from sdcodes.tables import known_code_names, named_code
 from sdcodes.wenum import (
     _disjoint_information_bases,
     _gleason_distribution,
@@ -398,6 +399,32 @@ def test_krawtchouk_table_matches_the_sums():
         )
 
 
+def test_one_exact_transform_serves_the_shadow_and_macwilliams():
+    # the registry's distributions take the Python-int product, the random
+    # codes below length 40 the int64 one
+    rng = random.Random(1616)
+    dists = {weight_distribution(named_code(name)) for name in known_code_names()}
+    dists |= {weight_distribution(random_self_dual_code(rng, n)) for n in (8, 18, 26, 34, 40, 48, 64)}
+    fits = [sum(w.counts) * math.comb(w.n, w.n // 2) < 1 << 63 for w in dists]
+    assert any(fits) and not all(fits)
+    table = {}
+    for w in dists:
+        n = w.n
+        if n not in table:
+            table[n] = [[krawtchouk(j, i, n) for i in range(n + 1)] for j in range(n + 1)]
+        signed = [(-1) ** (i // 2) * a for i, a in enumerate(w.counts)]
+        for coeffs in (list(w.counts), signed):
+            want = [sum(a * row[i] for i, a in enumerate(coeffs)) for row in table[n]]
+            assert wenum._krawtchouk_transform(n, coeffs) == want, n
+        assert [b << (n // 2) for b in _shadow_counts(n, w.counts)] == want
+        assert macwilliams_check(w, n // 2)
+        assert not macwilliams_check(WeightDistribution(n, (w.counts[0] + 1,) + w.counts[1:]), n // 2)
+        # sums past 2^63, which a wrapping int64 product would get wrong
+        coeffs = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(n + 1)]
+        want = [sum(a * row[i] for i, a in enumerate(coeffs)) for row in table[n]]
+        assert wenum._krawtchouk_transform(n, coeffs) == want, n
+
+
 def test_shadow_transform_rejects_inconsistent_distributions():
     # 1 + 2y^2 gives B = (-1, 6, -1)/2; 1 + 3y^2 gives B = (-1, 4, -1)
     for counts in ((1, 0, 2), (1, 0, 3)):
@@ -589,6 +616,34 @@ def pairs_code(pairs, n):
     unions of j pairs, and there are no others."""
     rows = [(1 << a) | (1 << b) for a, b in pairs]
     return LinearCode.from_int_rows(rows, n), rows
+
+
+def test_small_code_builds_its_span_once(monkeypatch):
+    # below dimension 16 W, the signature's words and the incidence's words
+    # all come from one span array
+    built = []
+    lane = wenum._span_lane
+    monkeypatch.setattr(wenum, "_span_lane", lambda rows, seed: built.append(len(rows)) or lane(rows, seed))
+    rng = random.Random(1617)
+    codes = [random_self_dual_code(rng, n) for n in (12, 18, 26, 30)]
+    codes += [LinearCode.from_int_rows(independent_rows(rng, k, n), n) for k, n in ((7, 20), (15, 64))]
+    for c in codes:
+        assert c.k < 16 and c.n <= 64
+        built.clear()
+        signature(c)
+        levels = _word_levels(c)
+        _Incidence(c, levels)
+        d = weight_distribution(c).min_weight
+        assert codewords_of_weight(c, d) == codewords_of_weight(c, d)
+        assert built == [c.k], (c.n, c.k)
+        words = span_set(c.rows)
+        assert list(weight_distribution(c).counts) == weight_histogram_direct(c.rows, c.n)
+        for w in levels:
+            assert codewords_of_weight(c, w) == words_of(words, w)
+        # a class outside the levels is filtered from a span built again
+        w = next(w for w in range(1, c.n + 1) if w not in levels)
+        assert codewords_of_weight(c, w) == words_of(words, w)
+        assert built == [c.k, c.k]
 
 
 def test_span_walk_and_oracle_agree_below_dimension_16():
