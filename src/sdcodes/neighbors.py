@@ -14,10 +14,12 @@ at their pivots.  A light codeword (s = 0) lies in both neighbors over the
 functional w exactly when <p, w> = 0, so the survivors solve the affine
 system <p, w> = 1 over the light codewords.  A light vector outside C
 lies in a neighbor over w only when s = w: in the first when <p, s> = 0,
-in the second otherwise.  Only the survivors are built.  No self-dual code
-beats Rains' bound, so a d_min above it has no survivors and walks nothing.
-A survey whose walk and hits would need more than 2^SURVEY_MEMORY_LOG
-bytes fails with ResourceLimitError before it walks.
+in the second otherwise, so the walk clears that side's mark in one
+boolean array of two marks per functional.  Only the survivors are built.
+No self-dual code beats Rains' bound, so a d_min above it has no
+survivors and walks nothing.  A survey whose walk and marks would need
+more than 2^SURVEY_MEMORY_LOG bytes fails with ResourceLimitError before
+it walks.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ __all__ = [
 
 # hyperplane counts above 2^20 are survey-scale and need the extended flag
 SURVEY_BUDGET_LOG = 20
-# a survey whose light-vector walk and hits need more than 2^30 bytes
+# a survey whose light-vector walk and marks need more than 2^30 bytes
 # fails early, extended or not
 SURVEY_MEMORY_LOG = 30
 # a survey tests its functionals this many at a time
@@ -255,31 +257,29 @@ def _light_hits(rows: Sequence[int], n: int, d_min: int, start: int, stop: int):
     rule out every one.
 
     Returns the affine system of the light codewords, as (a, b) pairs
-    that a surviving functional w meets with <a, w> = b, and two sorted
-    uint64 arrays: the functionals in range whose first (second) neighbor
-    holds a light vector outside C, once for each such vector.
+    that a surviving functional w meets with <a, w> = b, and a boolean
+    array free of shape (2, stop - start): free[0, w - start] (free[1, w -
+    start]) is False when the first (second) neighbor over w holds a light
+    vector outside C.
     """
     if d_min > _rains_bound(n):
         return None
     # an odd-weight vector lies in no self-dual code
     top = (d_min - 1) & ~1
-    # each hit is held twice at most: in its walk chunk and in the sorted
-    # array, or in the sorted array and in a pool worker's slice of it.
-    # The tracemalloc peaks of walks to weight 4..8 at lengths 20..66 with
-    # their hits came to 0.5 to 0.7 times this estimate.
-    light = sum(math.comb(n, w) for w in range(2, top + 1, 2))
-    need = _walk_bytes(n, top) + 16 * light
+    # the marks are held twice at most: here, and in a pool worker's copy
+    # of its slice
+    need = _walk_bytes(n, top) + 4 * (stop - start)
     if need > 1 << SURVEY_MEMORY_LOG:
         raise ResourceLimitError(
-            f"a survey of length {n} at d_min {d_min} needs about {need >> 20} MiB "
-            f"for its light vectors, over the {1 << (SURVEY_MEMORY_LOG - 20)} MiB limit"
+            f"a survey of length {n} at d_min {d_min} needs about {-(-need >> 20)} MiB "
+            f"for its light walk and marks, over the {1 << (SURVEY_MEMORY_LOG - 20)} MiB limit"
         )
     k = len(rows)
     pivots = pivots_of_rref_raw(rows)
     # bit k of each equation holds its right-hand side
     rhs = 1 << k
     equations: List[int] = []
-    hits: Tuple[list, list] = ([np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.uint64)])
+    free = np.ones((2, stop - start), dtype=bool)
     for s, p in _light_syndromes(rows, pivots, n, top):
         in_code = s == 0
         if in_code.any():
@@ -292,34 +292,24 @@ def _light_hits(rows: Sequence[int], n: int, d_min: int, start: int, stop: int):
         # an odd-weight vector has a syndrome of odd popcount, never a functional
         keep = (s >= start) & (s < stop) & (np.bitwise_count(s) % 2 == 0)
         s = s[keep]
-        odd = np.bitwise_count(s & p[keep]) % 2 == 1
-        hits[0].append(s[~odd])
-        hits[1].append(s[odd])
+        odd = np.bitwise_count(s & p[keep]) % 2
+        free[odd, s - np.uint64(start)] = False
     system = [(np.uint64(e & (rhs - 1)), e >> k) for e in equations]
-    arrays = []
-    for chunks in hits:
-        h = np.concatenate(chunks)
-        chunks.clear()
-        h.sort()
-        arrays.append(h)
-    return system, tuple(arrays)
-
-
-def _cut(hits: Sequence[np.ndarray], lo: int, hi: int) -> Tuple[np.ndarray, ...]:
-    """The entries of each sorted array that lie in lo..hi-1."""
-    return tuple(h[np.searchsorted(h, lo) : np.searchsorted(h, hi)] for h in hits)
+    return system, free
 
 
 def _survey_range(
     rows: Sequence[int],
     n: int,
     system: Sequence[Tuple[np.uint64, int]],
-    hits: Sequence[np.ndarray],
+    free: np.ndarray,
     start: int,
     stop: int,
 ) -> List[LinearCode]:
     """The neighbors that _light_hits leaves over the hyperplanes through
-    1 whose functionals lie in start..stop-1, in functional order."""
+    1 whose functionals lie in start..stop-1, in functional order: over
+    each functional that meets the system, the sides still marked free.
+    Column i of free belongs to functional start + i."""
     pivots = pivots_of_rref_raw(rows)
     found: List[LinearCode] = []
     for lo in range(start, stop, _FUNCTIONAL_CHUNK):
@@ -328,12 +318,9 @@ def _survey_range(
         w = w[np.bitwise_count(w) % 2 == 0]
         for a, b in system:
             w = w[np.bitwise_count(w & a) % 2 == b]
-        free = np.ones((2, hi - lo), dtype=bool)
-        for i, h in enumerate(_cut(hits, lo, hi)):
-            free[i, h - np.uint64(lo)] = False
-        free = free[:, w - np.uint64(lo)]
-        live = free[0] | free[1]
-        for f, first, second in zip(w[live].tolist(), *free[:, live].tolist()):
+        sides = free[:, w - np.uint64(start)]
+        live = sides[0] | sides[1]
+        for f, first, second in zip(w[live].tolist(), *sides[:, live].tolist()):
             found.extend(_hyperplane_pair(rows, pivots, n, f, first, second))
     return found
 
@@ -349,11 +336,11 @@ def _survivors(rows: Sequence[int], n: int, d_min: int, threads: int) -> List[Li
     light = _light_hits(rows, n, d_min, 1, top)
     if light is None:
         return []
-    system, hits = light
+    system, free = light
     parts = max(1, min(threads, top // 2))
     bounds = [max(1, top * i // parts) for i in range(parts + 1)]
     jobs = [
-        (rows, n, system, _cut(hits, lo, hi), lo, hi) for lo, hi in zip(bounds, bounds[1:])
+        (rows, n, system, free[:, lo - 1 : hi - 1], lo, hi) for lo, hi in zip(bounds, bounds[1:])
     ]
     found: List[LinearCode] = []
     for part in run_parts(_survey_range, jobs, threads):
@@ -372,7 +359,7 @@ def extremal_neighbor_survey(
     classes already represented in `known`.
 
     The survivors are classified in one final stage, after the light
-    vectors' hits are freed.
+    vectors' marks are freed.
     """
     _all_one_check(c)
     if c.k - 1 > SURVEY_BUDGET_LOG and not extended:

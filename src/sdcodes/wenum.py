@@ -458,68 +458,44 @@ def _disjoint_information_bases(c: LinearCode) -> Tuple[Tuple[int, ...], ...]:
     return bases
 
 
-class _LevelState:
-    """Size-w XOR combinations of k generator rows, grouped by largest index."""
-
-    def __init__(self, rows: Sequence[int]):
-        self.rows_np = np.array(rows, dtype=np.uint64)
-        self.k = len(rows)
-        self.vals = self.rows_np.copy()
-        self.last = np.arange(self.k, dtype=np.int32)
-
-    def _prefix_sizes(self) -> np.ndarray:
-        """For j = 1..k-1, how many current combinations use only rows
-        below j; those are the ones row j extends."""
-        return np.searchsorted(self.last, np.arange(1, self.k))
-
-    def chunks(self):
-        """The size-(w+1) combinations without storing them: one
-        (j, array) pair per largest row index j."""
-        for j, p in enumerate(self._prefix_sizes().tolist(), start=1):
-            if p:
-                yield j, self.vals[:p] ^ self.rows_np[j]
-
-    def extend(self) -> bool:
-        """Replace the combinations by the next level's, in chunks() order."""
-        sizes = self._prefix_sizes()
-        total = int(sizes.sum())
-        if not total:
-            return False
-        last = np.repeat(np.arange(1, self.k, dtype=np.int32), sizes)
-        # in place where possible: a level near 2^20 words is megabytes
-        pos = np.arange(total)
-        pos -= np.repeat(np.cumsum(sizes) - sizes, sizes)
-        vals = self.vals[pos]
-        del pos
-        vals ^= self.rows_np[last]
-        self.vals, self.last = vals, last
-        return True
-
-    def level_min(self) -> int:
-        return int(np.bitwise_count(self.vals).min())
-
-
 def _level_words(rows: Sequence[int], top: int):
     """The XOR combinations of 1..top rows, each once, as uint64 arrays.
 
-    Levels up to top-2 are materialized; the last two are streamed one
-    largest index j1 at a time, so level top is never held whole.
+    Levels 1..top-2 are yielded whole, in order, until one is empty; the
+    last two are streamed one largest index j at a time (level top-1's
+    combinations ending at j, then level top's whose second-largest index
+    is j), so level top is never held whole.  The arrays must not be
+    written to.
     """
     if top < 1 or not rows:
         return
-    st = _LevelState(rows)
-    yield st.vals
-    level = 1
-    while level < top - 2:
-        if not st.extend():
+    k = len(rows)
+    basis = np.array(rows, dtype=np.uint64)
+    # the current level's combinations, grouped by their largest row index
+    vals, last = basis, np.arange(k, dtype=np.int32)
+    yield vals
+    for _ in range(top - 3):
+        # row j extends the combinations that use only rows below j
+        sizes = np.searchsorted(last, np.arange(1, k))
+        total = int(sizes.sum())
+        if not total:
             return
-        level += 1
-        yield st.vals
-    if level < top:
-        for j1, vals in st.chunks():
-            yield vals
-            if level + 2 == top:
-                yield (vals[:, None] ^ st.rows_np[None, j1 + 1 :]).ravel()
+        last = np.repeat(np.arange(1, k, dtype=np.int32), sizes)
+        # in place where possible: a level near 2^20 words is megabytes
+        pos = np.arange(total)
+        pos -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+        vals = vals[pos]
+        del pos
+        vals ^= basis[last]
+        yield vals
+    if top < 2:
+        return
+    for j, p in enumerate(np.searchsorted(last, np.arange(1, k)).tolist(), start=1):
+        if p:
+            chunk = vals[:p] ^ basis[j]
+            yield chunk
+            if top > 2:
+                yield (chunk[:, None] ^ basis[None, j + 1 :]).ravel()
 
 
 def _low_weight_words(bases: Sequence[Sequence[int]], top: int):
@@ -550,26 +526,19 @@ def _min_weight_staged(
 ) -> int:
     """Minimum weight of the length-n code spanned by each of the bases:
     one systematic basis, or two on disjoint information sets."""
-    states = [_LevelState(b) for b in bases]
-    nsets = len(states)
     k = len(bases[0])
     best = n + 1
-    w = 0
-    while w < k:
-        w += 1
-        if w > 1:
-            live = [st for st in states if st.extend()]
-            if not live:
-                break
-            states = live
-        for st in states:
-            best = min(best, st.level_min())
+    # a walk to k + 2 yields every level 1..k whole
+    walks = zip(*(_level_words(b, k + 2) for b in bases))
+    for w, levels in enumerate(walks, start=1):
+        for vals in levels:
+            best = min(best, int(np.bitwise_count(vals).min()))
             if target is not None and best < target:
                 return best
         # anything not yet seen has more than w ones in each pivot set
-        if best <= nsets * (w + 1):
+        if best <= len(bases) * (w + 1):
             return best
-        if states and states[0].vals.size > (1 << 23):
+        if levels[0].size > (1 << 23):
             # combination arrays are ballooning; finish with the full histogram
             code = LinearCode.from_int_rows(bases[0], n)
             for i, x in enumerate(weight_distribution(code).counts):
@@ -661,11 +630,6 @@ def _codewords_of_weight(c: LinearCode, w: int) -> np.ndarray:
     hits = [np.zeros(0, dtype=np.uint64)]
     hits += [vals[np.bitwise_count(vals) == w] for vals in _low_weight_words(bases, w)]
     return np.sort(np.concatenate(hits))[:, None]
-
-
-def _span_words(rows: Sequence[int], n: int, w: int) -> List[int]:
-    """The words of weight w in span(rows), sorted, read off its lanes."""
-    return _ints(_span_hits(rows, n, w))
 
 
 def _span_hits(rows: Sequence[int], n: int, w: int) -> np.ndarray:

@@ -4,8 +4,8 @@ import random
 import sys
 import tracemalloc
 from itertools import combinations
-from math import comb
 
+import numpy as np
 import pytest
 
 from sdcodes import (
@@ -219,7 +219,8 @@ def pairs_code(n):
 
 def test_survey_over_the_memory_limit_fails_before_walking(monkeypatch):
     """At length 60 a walk to weight 10 passes the limit, extended or not;
-    above Rains' bound nothing is walked, so nothing is refused."""
+    at k = 29 the marks alone take 2 GiB, so even a walk to weight 2 is
+    refused; above Rains' bound nothing is walked, so nothing is refused."""
     def no_walk(*args):
         raise AssertionError("walked the light vectors")
 
@@ -227,23 +228,43 @@ def test_survey_over_the_memory_limit_fails_before_walking(monkeypatch):
     with pytest.raises(ResourceLimitError, match="MiB"):
         extremal_neighbor_survey(pairs_code(60), 12, extended=True)
     assert neighbors._walk_bytes(60, 10) > 1 << neighbors.SURVEY_MEMORY_LOG
+    with pytest.raises(ResourceLimitError, match="MiB"):
+        extremal_neighbor_survey(pairs_code(58), 4, extended=True)
     assert extremal_neighbor_survey(pairs_code(60), 14, extended=True) == []
 
 
 def test_light_walk_stays_within_its_estimate():
     """A [32,16,8] code has no light codeword, so d_min 8 walks to weight 6
-    in full."""
+    in full, and each light vector clears the mark of the one neighbour
+    that holds it."""
     c = build_four_circulant(search_four_circulant(8, 8)[0])
     assert min_weight(c) == 8
+    stop = 1 << c.k
     tracemalloc.start()
     try:
-        system, hits = neighbors._light_hits(c.rows, c.n, 8, 1, 1 << c.k)
+        system, free = neighbors._light_hits(c.rows, c.n, 8, 1, stop)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    light = sum(comb(c.n, w) for w in (2, 4, 6))
-    assert system == [] and sum(map(len, hits)) == light
-    assert peak <= neighbors._walk_bytes(c.n, 6) + 16 * light
+    assert system == []
+    assert peak <= neighbors._walk_bytes(c.n, 6) + 4 * (stop - 1)
+    # each light vector from its support: its syndrome s against the rows,
+    # and the side <p, s> of the neighbour over s that holds it
+    pivots = pivots_of_rref_raw(c.rows)
+    marked = np.zeros((2, stop - 1), dtype=bool)
+    for w in range(1, 7):
+        support = np.array(list(combinations(range(c.n), w)), dtype=np.uint64)
+        v = np.bitwise_or.reduce(np.uint64(1) << support, axis=1)
+        s = np.zeros_like(v)
+        p = np.zeros_like(v)
+        for j, (r, q) in enumerate(zip(c.rows, pivots)):
+            s |= (np.bitwise_count(v & np.uint64(r)).astype(np.uint64) & np.uint64(1)) << np.uint64(j)
+            p |= ((v >> np.uint64(q)) & np.uint64(1)) << np.uint64(j)
+        # the functionals of the hyperplanes through the all-one vector
+        even = np.bitwise_count(s) % 2 == 0
+        s, p = s[even], p[even]
+        marked[np.bitwise_count(s & p) % 2, s - np.uint64(1)] = True
+    assert np.array_equal(~free, marked)
 
 
 def test_walk_stops_once_no_hyperplane_is_free(monkeypatch):

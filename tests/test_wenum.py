@@ -41,13 +41,14 @@ from sdcodes.wenum import (
     _disjoint_information_bases,
     _gleason_distribution,
     _histogram_words,
-    _LevelState,
+    _ints,
+    _level_words,
     _low_weight_counts,
     _low_weight_words,
     _min_weight_staged,
     _shadow_basis,
     _shadow_counts,
-    _span_words,
+    _span_hits,
     family_profile,
 )
 
@@ -462,20 +463,18 @@ def test_staged_min_weight_matches_histogram():
         assert _min_weight_staged(_disjoint_information_bases(c), c.n, None) == expect
 
 
-def test_level_state_walks_every_combination_once():
+def test_level_words_walks_every_combination_once():
     rng = random.Random(415)
-    rows = [rng.getrandbits(40) for _ in range(9)]
-    st = _LevelState(rows)
-    for w in range(1, 10):
-        if w > 1:
-            streamed = list(st.chunks())
-            assert st.extend()
-            # extend() stores exactly what chunks() streams, in that order
-            assert [int(v) for _, vals in streamed for v in vals] == st.vals.tolist()
-            assert [j for j, vals in streamed for _ in vals] == st.last.tolist()
-        expect = sorted(reduce(xor, combo) for combo in combinations(rows, w))
-        assert sorted(st.vals.tolist()) == expect
-    assert not st.extend()
+    k = 9
+    rows = [rng.getrandbits(40) for _ in range(k)]
+    levels = {w: sorted(reduce(xor, combo) for combo in combinations(rows, w)) for w in range(1, k + 1)}
+    for top in range(1, k + 3):
+        got = list(_level_words(rows, top))
+        expect = sorted(v for w in range(1, min(top, k) + 1) for v in levels[w])
+        assert sorted(v for vals in got for v in vals.tolist()) == expect, top
+        # levels 1..top-2 come first, each whole
+        for w in range(1, top - 1):
+            assert sorted(got[w - 1].tolist()) == levels[w], (top, w)
 
 
 def test_staged_min_weight_on_self_dual_direct_sum():
@@ -655,7 +654,7 @@ def test_span_walk_and_oracle_agree_below_dimension_16():
         d = min(v.bit_count() for v in words if v)
         for w in sorted({1, d, d + 1, d + 2, rng.randrange(1, c.n + 1)}):
             want = words_of(words, w)
-            assert _span_words(c.rows, c.n, w) == walk_words(c, w) == want, (c.n, c.k, w)
+            assert _ints(_span_hits(c.rows, c.n, w)) == walk_words(c, w) == want, (c.n, c.k, w)
             assert codewords_of_weight(LinearCode(c.n, c.rows), w) == want
 
 
@@ -668,15 +667,15 @@ def test_span_and_walk_agree_at_dimensions_17_to_22():
         words = span_set(c.rows) if k <= 18 else None
         d = min_weight(c)
         for w in (d, d + 1, d + 2):
-            got = _span_words(c.rows, n, w)
+            got = _ints(_span_hits(c.rows, n, w))
             assert got == walk_words(c, w) == codewords_of_weight(c, w), (n, k, w)
             if words is not None:
                 assert got == words_of(words, w)
     c, rows = pairs_code([(i, i + 32) for i in range(22)], 64)
     for j in (1, 2, 3):
         want = sorted(reduce(xor, pick, 0) for pick in combinations(rows, j))
-        assert _span_words(c.rows, 64, 2 * j) == walk_words(c, 2 * j) == want
-        assert _span_words(c.rows, 64, 2 * j + 1) == []
+        assert _ints(_span_hits(c.rows, 64, 2 * j)) == walk_words(c, 2 * j) == want
+        assert _ints(_span_hits(c.rows, 64, 2 * j + 1)) == []
 
 
 def test_span_collects_words_past_length_64():
