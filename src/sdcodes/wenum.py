@@ -5,9 +5,13 @@ Weight distributions come from one of two engines.  A self-dual code of
 length n <= 64 and dimension above 22 is never enumerated in full: by
 Gleason's theorem its enumerator is an integer combination of
 (x^2+y^2)^(n/2-4j) * (x^2 y^2 (x^2-y^2)^2)^j, j = 0..n//8, and the
-combination is unit-triangular in A_0, A_2, ..., A_{2(n//8)}.  So only the
-words of weight <= 2(n//8) (14 at n = 58 and 60) are counted, and the rest
-is solved for exactly.  Every other code is enumerated by one span
+combination is unit-triangular in A_0, A_2, ..., A_{2(n//8)}.  The shadow
+of term j starts at y^(n/2-4j), so the last coefficient is also fixed by
+the shadow count B_{n/2-4(n//8)}, a weight of at most 3 that is counted
+directly off the generator.  So only the words of weight <= 2(n//8) - 2
+(12 at n = 58 and 60) are counted, and the rest is solved for exactly; the
+same walk memoises the words of the code's `_word_levels` classes up to
+that weight.  Every other code is enumerated by one span
 engine, `_span_lanes`: the generator rows split into an inner block,
 materialized once as packed-word numpy arrays, and an outer block walked
 in Gray order, so each outer step yields the block's words as 64-bit
@@ -24,9 +28,9 @@ ints.
 Low-weight words come from one walk, `_low_weight_words`: XOR
 combinations of a systematic basis level by level, or of two bases on
 disjoint information sets, each word of weight <= top seen exactly once.
-The Gleason counts and the words of a given weight in the remaining codes
-are read off it; the minimum weight uses the same level walk with a
-stopping bound.
+The Gleason counts and words, and the words of any other weight in the
+remaining codes, are read off it; the minimum weight uses the same level
+walk with a stopping bound.
 
 The shadow distribution of a singly even self-dual code is the transform
 S(x, y) = W(x+y, i(x-y)) / 2^(n/2) of its weight distribution, and the
@@ -221,9 +225,11 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     """Exact A_0..A_n; budget k <= 34.
 
     Self-dual codes with n <= 64 and k > 22 count their words of weight
-    <= 2(n//8) and take the rest from Gleason's theorem; every other code
-    is enumerated in full.  A code whose span is one array (n <= 64,
-    k < 16) also memoises the words of its `_word_levels` classes.
+    <= 2(n//8) - 2 and one shadow coefficient, and take the rest from
+    Gleason's theorem; every other code is enumerated in full.  Both a
+    Gleason code and a code whose span is one array (n <= 64, k < 16) also
+    memoise the words of their `_word_levels` classes that the same pass
+    reaches.
     """
     cached = c.memo.get("weights")
     if cached is not None:
@@ -239,10 +245,10 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
             c.memo[("words", w)] = np.sort(span[weights == w])[:, None]
         return dist
     if c.k > _FULL_SPAN_MAX_K and c.n <= 64 and is_self_dual(c):
-        low = _low_weight_counts(c.n, _disjoint_information_bases(c))
-        counts, shadow = _gleason_distribution(c.n, c.k, low)
+        counts, shadow, words = _gleason_counts(c)
         if any(counts[2::4]):  # singly even: keep the checked shadow
             c.memo["shadow"] = ShadowDistribution(c.n, shadow)
+        c.memo.update((("words", w), x) for w, x in words.items())
     else:
         counts = tuple(_histogram_words(c.rows, c.n))
     dist = c.memo["weights"] = WeightDistribution(c.n, counts)
@@ -258,14 +264,19 @@ def _one_lane_span(c: LinearCode) -> bool:
 def _word_levels(c: LinearCode) -> List[int]:
     """Weight classes used for matching: the minimum-weight class, extended
     upward while the word set stays small relative to n."""
-    counts = weight_distribution(c).counts
+    return _levels(weight_distribution(c).counts, c.n)
+
+
+def _levels(counts: Sequence[int], n: int) -> List[int]:
+    """The nonzero weights of counts from weight 1 up, until they hold 2n
+    words."""
     levels: List[int] = []
     total = 0
-    for w in range(1, c.n + 1):
+    for w in range(1, len(counts)):
         if counts[w]:
             levels.append(w)
             total += counts[w]
-            if total >= 2 * c.n:
+            if total >= 2 * n:
                 break
     return levels
 
@@ -385,8 +396,9 @@ def _gleason_distribution(
     A_0..A_{2(n//8)}, or from fewer counts and its shadow coefficients
     B_{n/2-4j} = head, j = n//8, n//8-1, ... down to where the counts stop.
     Raises IntegrityError unless the result is integral, non-negative, zero
-    at odd weights, symmetric, sums to 2^k, reproduces every given entry and
-    has a shadow transform of non-negative integers.
+    at odd weights, symmetric, sums to 2^k, reproduces every given count,
+    and has a shadow transform of non-negative integers that reproduces
+    every given shadow coefficient.
     """
     t = n // 8
     if 2 * k != n or len(low) + 2 * len(head) != 2 * t + 1:
@@ -423,19 +435,65 @@ def _gleason_distribution(
             f"Gleason reconstruction for length {n} gave " + ", ".join(problems)
         )
     counts = tuple(int(x) for x in counts)
-    return counts, _shadow_counts(n, counts)
+    shadow_counts = _shadow_counts(n, counts)
+    if [shadow_counts[n // 2 - 4 * i] for i in high] != list(head):
+        raise IntegrityError(
+            f"Gleason reconstruction for length {n} gave a shadow that does not reproduce {list(head)}"
+        )
+    return counts, shadow_counts
 
 
-def _low_weight_counts(n: int, bases: Sequence[Sequence[int]]) -> List[int]:
-    """A_0..A_{2(n//8)} of a self-dual code from two complementary
-    systematic bases."""
-    top = 2 * (n // 8)
+def _gleason_counts(
+    c: LinearCode,
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Dict[int, np.ndarray]]:
+    """A_0..A_n and B_0..B_n of a self-dual code of length <= 64, and the
+    words of its `_word_levels` classes of weight <= 2(n//8) - 2, keyed by
+    weight in the layout of `_words`.
+
+    The counts A_0..A_{2(n//8)-2} fix every Gleason coefficient but the
+    last, and B_{n/2-4(n//8)}, read off the generator, fixes that one.  One
+    walk gives the counts and the words.
+    """
+    n, top = c.n, 2 * (c.n // 8) - 2
     hist = np.zeros(n + 1, dtype=np.int64)
-    for vals in _low_weight_words(bases, top):
-        hist += np.bincount(np.bitwise_count(vals), minlength=n + 1)
-    low = [int(x) for x in hist[: top + 1]]
-    low[0] = 1  # the zero word
-    return low
+    light = [np.zeros(0, dtype=np.uint64)]
+    cap = top  # words above cap can no longer lie in a level
+    for vals in _low_weight_words(_disjoint_information_bases(c), top):
+        weights = np.bitwise_count(vals)
+        hist += np.bincount(weights, minlength=n + 1)
+        light.append(vals[weights <= cap])
+        # a stand-in word at weight top keeps every weight open until the
+        # lighter words counted so far fill the levels
+        cap = _levels([*hist[:top].tolist(), 1], n)[-1]
+    low = [1] + hist[1 : top + 1].tolist()
+    counts, shadow = _gleason_distribution(n, c.k, low, [_lowest_shadow_count(c)])
+    words = np.concatenate(light)
+    weights = np.bitwise_count(words)
+    levels = [w for w in _levels(counts, n) if w <= top]
+    return counts, shadow, {w: np.sort(words[weights == w])[:, None] for w in levels}
+
+
+def _lowest_shadow_count(c: LinearCode) -> int:
+    """B_w, w = n/2 - 4(n//8) in 0..3, of a self-dual code, from its
+    generator rows.
+
+    On a self-dual code wt(x)/2 mod 2 is linear, so v lies in the shadow
+    exactly when v . r = wt(r)/2 mod 2 for every row r: when the XOR of the
+    generator columns on v's support is the vector of those halves.  At
+    most C(64, 3) supports are tried.
+    """
+    n = c.n
+    rows = np.array(c.rows, dtype=np.uint64)
+    bits = (rows[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    cols = np.bitwise_or.reduce(bits << np.arange(c.k, dtype=np.uint64)[:, None], axis=0)
+    halves = sum((r.bit_count() >> 1 & 1) << i for i, r in enumerate(c.rows))
+    # each support is extended by a coordinate above its last one
+    sums, last = np.array([halves], dtype=np.uint64), np.array([-1])
+    for _ in range(n // 2 - 4 * (n // 8)):
+        grow = np.arange(n) > last[:, None]
+        sums = (sums[:, None] ^ cols)[grow]
+        last = np.nonzero(grow)[1]
+    return int(np.count_nonzero(sums == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +637,12 @@ def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
     A code of length <= 64 and dimension below _INNER_LOG reads them off
     the span pass of `weight_distribution`, which keeps the words of the
     classes `_word_levels` names; its other classes, and a code longer
-    than 64 (k <= 22), filter the span's lanes by popcount.  Other codes
-    filter the low-weight walk over one systematic basis, or two on
-    disjoint information sets, which yields every word of weight <= w
+    than 64 (k <= 22), filter the span's lanes by popcount.  Once the
+    Gleason walk of `weight_distribution` has run on a self-dual code of
+    length <= 64 and dimension above 22, its classes up to weight
+    2(n//8) - 2 are read off that walk in the same way.  Other words are
+    filtered from the low-weight walk over one systematic basis, or two
+    on disjoint information sets, which yields every word of weight <= w
     once; from k = 16 on it was measured faster than building the span.
     """
     if not 0 <= w <= c.n:

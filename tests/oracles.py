@@ -9,7 +9,10 @@ coordinates by sorted Python tuples.  The neighbour survey's references
 build every neighbour, as the survey did before it filtered syndromes: one
 reads each minimum weight, the other reduces each light vector into each
 neighbour.  The certificate reference permutes each row bit by bit and
-reduces it into the other code.
+reduces it into the other code.  The Gleason reference solves for the
+weight distribution from the counts A_0..A_{2(n//8)} alone, with no
+shadow coefficient given; it shares the low-weight walk with the code
+under test, which other tests check against whole spans.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Set, Tupl
 
 import numpy as np
 
+from sdcodes.codes import LinearCode
 from sdcodes.gf2core import pivots_of_rref_raw, reduce_raw
 from sdcodes.neighbors import _neighbors_in_range
-from sdcodes.wenum import min_weight
+from sdcodes.wenum import _disjoint_information_bases, _gleason_distribution, _low_weight_words, min_weight
 
 
 def span_set(rows: Sequence[int]) -> Set[int]:
@@ -112,6 +116,22 @@ def krawtchouk(j: int, i: int, n: int) -> int:
         (-1) ** l * math.comb(i, l) * math.comb(n - i, j - l)
         for l in range(max(0, j - (n - i)), min(i, j) + 1)
     )
+
+
+def gleason_low_counts(c: LinearCode) -> List[int]:
+    """A_0..A_{2(n//8)} of a self-dual code, filtered from its low-weight
+    walk."""
+    top = 2 * (c.n // 8)
+    counts = np.zeros(c.n + 1, dtype=np.int64)
+    for vals in _low_weight_words(_disjoint_information_bases(c), top):
+        counts += np.bincount(np.bitwise_count(vals), minlength=c.n + 1)
+    return [1] + counts[1 : top + 1].tolist()
+
+
+def gleason_from_low_counts(c: LinearCode) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """A_0..A_n and B_0..B_n of a self-dual code from A_0..A_{2(n//8)}
+    alone, with no shadow coefficient given."""
+    return _gleason_distribution(c.n, c.k, gleason_low_counts(c))
 
 
 def survey_by_min_weight(rows: Sequence[int], n: int, d_min: int, start: int, stop: int) -> list:

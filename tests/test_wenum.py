@@ -39,12 +39,13 @@ from sdcodes.neighbors import neighbor
 from sdcodes.tables import known_code_names, named_code
 from sdcodes.wenum import (
     _disjoint_information_bases,
+    _gleason_counts,
     _gleason_distribution,
     _histogram_words,
     _ints,
     _level_words,
-    _low_weight_counts,
     _low_weight_words,
+    _lowest_shadow_count,
     _min_weight_staged,
     _shadow_basis,
     _shadow_counts,
@@ -53,6 +54,8 @@ from sdcodes.wenum import (
 )
 
 from oracles import (
+    gleason_from_low_counts,
+    gleason_low_counts,
     gray_weight_histogram,
     krawtchouk,
     random_matrix_rows,
@@ -238,8 +241,16 @@ def extended_hamming_sum(blocks):
     return LinearCode.from_int_rows(rows, 8 * blocks)
 
 
+def extended_hamming_pairs_sum(pairs, blocks):
+    """i_2^pairs + E8^blocks: singly even unless pairs = 0, with lowest
+    shadow weight pairs and B_pairs = 2^pairs."""
+    rows = [0b11 << (2 * i) for i in range(pairs)]
+    rows += [r << (2 * pairs) for r in extended_hamming_sum(blocks).rows]
+    return LinearCode.from_int_rows(rows, 2 * pairs + 8 * blocks)
+
+
 def gleason(c):
-    return _gleason_distribution(c.n, c.k, _low_weight_counts(c.n, _disjoint_information_bases(c)))[0]
+    return _gleason_counts(c)[0]
 
 
 def coset_streamed_shadow(c):
@@ -277,6 +288,44 @@ def test_gleason_matches_full_enumeration_on_registry_codes():
         c = named_code(name)
         assert c.k > 22
         assert list(gleason(c)) == _histogram_words(c.rows, c.n), name
+
+
+def test_gleason_path_matches_the_low_count_reconstruction():
+    # the reconstruction from A_0..A_{2(n//8)}, with no shadow coefficient
+    names = [name for name in known_code_names() if named_code(name).k > 22]
+    assert len(names) > 100
+    for name in random.Random(1801).sample(names, 8):
+        c = named_code(name)
+        c = LinearCode(c.n, c.rows)
+        counts, shadow = gleason_from_low_counts(c)
+        assert _gleason_counts(c)[:2] == (counts, shadow), name
+        assert weight_distribution(c).counts == counts, name
+
+
+def test_lowest_shadow_count_matches_the_full_shadow():
+    rng = random.Random(1802)
+    codes = [random_self_dual_code(rng, n) for n in range(8, 50, 2)]
+    # B_w > 0 in each residue class of n mod 8; (3, 5) has k = 23 and
+    # (0, 6) k = 24, so both take the Gleason path
+    sums = {(1, 1): 2, (2, 1): 4, (3, 1): 8, (1, 5): 2, (2, 5): 4, (3, 5): 8, (4, 5): 0, (0, 6): 1}
+    codes += [extended_hamming_pairs_sum(a, b) for a, b in sums]
+    got = []
+    for c in codes:
+        w = c.n // 2 - 4 * (c.n // 8)
+        if parity_class(c) is ParityClass.SINGLY_EVEN:
+            want = coset_streamed_shadow(c)[w]
+        else:  # the transform of a doubly even code is the code itself
+            want = int(w == 0)
+        got.append(_lowest_shadow_count(c))
+        assert got[-1] == want, (c.n, w)
+    assert got[-len(sums) :] == list(sums.values())
+    assert {c.n % 8 for c, b in zip(codes, got) if b} == {0, 2, 4, 6}
+    for a, b in ((3, 5), (0, 6)):
+        c = extended_hamming_pairs_sum(a, b)
+        assert c.k > 22
+        assert list(weight_distribution(c).counts) == _histogram_words(c.rows, c.n), (a, b)
+        for w in _word_levels(c):
+            assert codewords_of_weight(c, w) == walk_words(c, w), (a, b, w)
 
 
 def assert_light_words_once(c, bases):
@@ -379,10 +428,32 @@ def corrupted(low, idx, delta):
 )
 def test_gleason_rejects_corrupted_low_counts(idx, delta, reason):
     c = named_code("C58_1")
-    low = _low_weight_counts(c.n, _disjoint_information_bases(c))
+    low = gleason_low_counts(c)
     assert low[10] == 63 and low[12] == 3644
     with pytest.raises(IntegrityError, match=reason):
         _gleason_distribution(c.n, c.k, corrupted(low, idx, delta))
+
+
+@pytest.mark.parametrize("name", ["C58_1", "D60_3"])
+def test_gleason_rejects_a_wrong_shadow_head(name):
+    # B_1 at length 58 and B_2 at length 60 are 0 on these codes
+    c = named_code(name)
+    low = gleason_low_counts(c)[:-2]
+    assert _lowest_shadow_count(c) == 0
+    with pytest.raises(IntegrityError):
+        _gleason_distribution(c.n, c.k, low, [1])
+
+
+def test_gleason_checks_its_shadow_against_the_head(monkeypatch):
+    # a shadow transform off by one at the head weight is caught
+    c = named_code("D60_3")
+    low = gleason_low_counts(c)[:-2]
+    transform = wenum._shadow_counts
+    monkeypatch.setattr(
+        wenum, "_shadow_counts", lambda n, counts: tuple(b + (j == 2) for j, b in enumerate(transform(n, counts)))
+    )
+    with pytest.raises(IntegrityError, match="does not reproduce"):
+        _gleason_distribution(c.n, c.k, low, [0])
 
 
 def test_gleason_needs_self_dual_shape():
@@ -642,6 +713,35 @@ def test_small_code_builds_its_span_once(monkeypatch):
         w = next(w for w in range(1, c.n + 1) if w not in levels)
         assert codewords_of_weight(c, w) == words_of(words, w)
         assert built == [c.k, c.k]
+
+
+def test_large_self_dual_code_walks_once(monkeypatch):
+    # W, the signature's words, the incidence's words and the words of
+    # weight d all come from one walk to weight 2(n//8) - 2
+    walks = []
+    walk = wenum._low_weight_words
+    monkeypatch.setattr(wenum, "_low_weight_words", lambda bases, top: walks.append(top) or walk(bases, top))
+    for name in ("C58_1", "D60_3"):
+        walks.clear()
+        c = named_code(name)
+        c = LinearCode(c.n, c.rows)
+        assert c.k > 22
+        top = 2 * (c.n // 8) - 2
+        weight_distribution(c)
+        signature(c)
+        levels = _word_levels(c)
+        _Incidence(c, levels)
+        d = weight_distribution(c).min_weight
+        codewords_of_weight(c, d)
+        assert walks == [top], name
+        assert d in levels and max(levels) <= top, name
+        for w in levels:
+            assert codewords_of_weight(c, w) == walk_words(c, w), (name, w)
+        # a class outside the levels is filtered from a fresh walk
+        w = top + 2
+        words = codewords_of_weight(c, w)
+        assert walks == [top, w], name
+        assert len(words) == weight_distribution(c).counts[w] and all(v.bit_count() == w for v in words)
 
 
 def test_span_walk_and_oracle_agree_below_dimension_16():
