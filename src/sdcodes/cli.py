@@ -46,7 +46,6 @@ from .wenum import (
     classify_enumerator,
     extremal_min_weight,
     family_profile,
-    min_weight,
     shadow_distribution,
     solve_shadow_balance,
     weight_distribution,
@@ -499,7 +498,7 @@ def _reproduce_search_classes(table: str, dmin: int, want_classes: int, threads:
     codes = []
     for key in sorted(reps):
         code = build_four_circulant(reps[key])
-        if min_weight(code) == dmin:
+        if weight_distribution(code).min_weight == dmin:
             codes.append(code)
     sys.stderr.write(f"{table}: {len(codes)} orbit representatives at d={dmin}\n")
     classes = classify(codes)

@@ -9,28 +9,24 @@ combination is unit-triangular in A_0, A_2, ..., A_{2(n//8)}.  The shadow
 of term j starts at y^(n/2-4j), so the last coefficient is also fixed by
 the shadow count B_{n/2-4(n//8)}, a weight of at most 3 that is counted
 directly off the generator.  So only the words of weight <= 2(n//8) - 2
-(12 at n = 58 and 60) are counted, and the rest is solved for exactly; the
-same walk memoises the words of the code's `_word_levels` classes up to
-that weight.  Every other code is enumerated by one span
-engine, `_span_lanes`: the generator rows split into an inner block,
-materialized once as packed-word numpy arrays, and an outer block walked
-in Gray order, so each outer step yields the block's words as 64-bit
-lanes for one vectorized xor + popcount pass.  The full histogram is a
-bincount over it, and the words of a given weight in a code of dimension
-below 16 or of length above 64 are filtered from it.  A code of length
-<= 64 and dimension below 16 has its whole span in one `_span_lane`
-array; the one pass over it that gives W also memoises the words of each
-weight class that `_word_levels` names for equivalence, so a signature
-and a refinement of the code build its span once.  Words are held as
-rows of 64-bit lanes, and `codewords_of_weight` turns them into packed
-ints.
+(12 at n = 58 and 60) are counted, and the rest is solved for exactly.
+Every other code is enumerated by one span engine, `_span_lanes`: the
+generator rows split into an inner block, materialized once as
+packed-word numpy arrays, and an outer block walked in Gray order, so
+each outer step yields the block's words as 64-bit lanes for one
+vectorized xor + popcount pass.  Both engines feed one tally, `_tally`,
+which counts their words and keeps those of each `_word_levels` class it
+reaches, so a signature and a refinement of the code enumerate it once.
+Words are held as rows of 64-bit lanes, and `codewords_of_weight` turns
+them into packed ints.
 
 Low-weight words come from one walk, `_low_weight_words`: XOR
 combinations of a systematic basis level by level, or of two bases on
 disjoint information sets, each word of weight <= top seen exactly once.
-The Gleason counts and words, and the words of any other weight in the
-remaining codes, are read off it; the minimum weight uses the same level
-walk with a stopping bound.
+The Gleason counts and words, and the words of any other weight in a
+code of length <= 64 and dimension 16 or more, are read off it; the
+minimum weight uses the same level walk with a stopping bound.  Other
+codes filter the words of any other weight from the span's lanes.
 
 The shadow distribution of a singly even self-dual code is the transform
 S(x, y) = W(x+y, i(x-y)) / 2^(n/2) of its weight distribution, and the
@@ -48,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -209,16 +205,52 @@ def _lane_weights(lanes: Sequence[np.ndarray]) -> np.ndarray:
     return weights
 
 
-def _histogram_words(rows: Sequence[int], n: int, offset: int = 0) -> List[int]:
-    """Weight histogram of {offset ^ v : v in span(rows)} as exact ints.
+def _histogram_words(
+    rows: Sequence[int], n: int, offset: int = 0
+) -> Tuple[List[int], Dict[int, np.ndarray]]:
+    """The span pass: the weight histogram of {offset ^ v : v in
+    span(rows)} as exact ints, and the `_tally` words of its levels.
 
     Rows must be linearly independent; dependent rows would count words
     with multiplicity.
     """
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for lanes in _span_lanes(rows, n, offset):
-        counts += np.bincount(_lane_weights(lanes), minlength=n + 1)
-    return [int(x) for x in counts]
+    return _tally(_span_lanes(rows, n, offset), n, n)
+
+
+def _tally(
+    chunks: Iterable[Sequence[np.ndarray]], n: int, top: int
+) -> Tuple[List[int], Dict[int, np.ndarray]]:
+    """The weight histogram of the words in chunks, lists of uint64 lanes
+    with no word twice, and the words of each `_levels` class of weight
+    <= top in increasing order, one row of lanes each.
+
+    A running cap, taken after each chunk is counted and before it is
+    filtered, drops the words that can no longer lie in a level: a stand-in
+    word at weight top keeps every weight open until the words counted so
+    far fill the levels, and more counted words can only lower the last.
+    """
+    hist = np.zeros(n + 1, dtype=np.int64)
+    kept = []
+    for lanes in chunks:
+        weights = _lane_weights(lanes)
+        hist += np.bincount(weights, minlength=n + 1)
+        keep = weights <= _levels([*hist[:top].tolist(), 1], n)[-1]
+        if keep.any():
+            kept.append([lane[keep] for lane in lanes])
+    counts = hist.tolist()
+    levels = [w for w in _levels(counts, n) if w <= top]
+    if not levels:  # no word lies in a level, so none was kept
+        return counts, {}
+    words = [np.concatenate(lane) for lane in zip(*kept)]
+    weights = _lane_weights(words)
+    return counts, {w: _sorted_rows([lane[weights == w] for lane in words]) for w in levels}
+
+
+def _sorted_rows(lanes: List[np.ndarray]) -> np.ndarray:
+    """Words split into lanes, as rows of lanes in increasing order."""
+    if len(lanes) == 1:
+        return np.sort(lanes[0])[:, None]
+    return np.stack(lanes, axis=1)[np.lexsort(lanes)]
 
 
 def weight_distribution(c: LinearCode) -> WeightDistribution:
@@ -226,39 +258,23 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
 
     Self-dual codes with n <= 64 and k > 22 count their words of weight
     <= 2(n//8) - 2 and one shadow coefficient, and take the rest from
-    Gleason's theorem; every other code is enumerated in full.  Both a
-    Gleason code and a code whose span is one array (n <= 64, k < 16) also
-    memoise the words of their `_word_levels` classes that the same pass
-    reaches.
+    Gleason's theorem; every other code is enumerated in full by the span
+    pass.  Both memoise the words of the `_word_levels` classes that their
+    pass reaches.
     """
     cached = c.memo.get("weights")
     if cached is not None:
         return cached
     _check_dimension(c, "weight distribution")
-    if _one_lane_span(c):
-        span = _span_lane(list(c.rows), 0)
-        weights = np.bitwise_count(span)
-        counts = tuple(np.bincount(weights, minlength=c.n + 1).tolist())
-        dist = c.memo["weights"] = WeightDistribution(c.n, counts)
-        # the same pass yields the word classes that equivalence reads
-        for w in _word_levels(c):
-            c.memo[("words", w)] = np.sort(span[weights == w])[:, None]
-        return dist
     if c.k > _FULL_SPAN_MAX_K and c.n <= 64 and is_self_dual(c):
         counts, shadow, words = _gleason_counts(c)
         if any(counts[2::4]):  # singly even: keep the checked shadow
             c.memo["shadow"] = ShadowDistribution(c.n, shadow)
-        c.memo.update((("words", w), x) for w, x in words.items())
     else:
-        counts = tuple(_histogram_words(c.rows, c.n))
-    dist = c.memo["weights"] = WeightDistribution(c.n, counts)
+        counts, words = _histogram_words(c.rows, c.n)
+    dist = c.memo["weights"] = WeightDistribution(c.n, tuple(counts))
+    c.memo.update((("words", w), x) for w, x in words.items())
     return dist
-
-
-def _one_lane_span(c: LinearCode) -> bool:
-    """Whether c's whole span is one `_span_lane` array: n <= 64 and at
-    most 2^15 words."""
-    return c.n <= 64 and c.k < _INNER_LOG
 
 
 def _word_levels(c: LinearCode) -> List[int]:
@@ -452,25 +468,13 @@ def _gleason_counts(
 
     The counts A_0..A_{2(n//8)-2} fix every Gleason coefficient but the
     last, and B_{n/2-4(n//8)}, read off the generator, fixes that one.  One
-    walk gives the counts and the words.
+    walk, tallied by `_tally`, gives the counts and the words.
     """
     n, top = c.n, 2 * (c.n // 8) - 2
-    hist = np.zeros(n + 1, dtype=np.int64)
-    light = [np.zeros(0, dtype=np.uint64)]
-    cap = top  # words above cap can no longer lie in a level
-    for vals in _low_weight_words(_disjoint_information_bases(c), top):
-        weights = np.bitwise_count(vals)
-        hist += np.bincount(weights, minlength=n + 1)
-        light.append(vals[weights <= cap])
-        # a stand-in word at weight top keeps every weight open until the
-        # lighter words counted so far fill the levels
-        cap = _levels([*hist[:top].tolist(), 1], n)[-1]
-    low = [1] + hist[1 : top + 1].tolist()
-    counts, shadow = _gleason_distribution(n, c.k, low, [_lowest_shadow_count(c)])
-    words = np.concatenate(light)
-    weights = np.bitwise_count(words)
-    levels = [w for w in _levels(counts, n) if w <= top]
-    return counts, shadow, {w: np.sort(words[weights == w])[:, None] for w in levels}
+    chunks = ([vals] for vals in _low_weight_words(_disjoint_information_bases(c), top))
+    low, words = _tally(chunks, n, top)
+    counts, shadow = _gleason_distribution(n, c.k, [1] + low[1 : top + 1], [_lowest_shadow_count(c)])
+    return counts, shadow, words
 
 
 def _lowest_shadow_count(c: LinearCode) -> int:
@@ -634,15 +638,12 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
 def codewords_of_weight(c: LinearCode, w: int) -> List[int]:
     """All codewords of exactly weight w, as sorted packed ints.
 
-    A code of length <= 64 and dimension below _INNER_LOG reads them off
-    the span pass of `weight_distribution`, which keeps the words of the
-    classes `_word_levels` names; its other classes, and a code longer
-    than 64 (k <= 22), filter the span's lanes by popcount.  Once the
-    Gleason walk of `weight_distribution` has run on a self-dual code of
-    length <= 64 and dimension above 22, its classes up to weight
-    2(n//8) - 2 are read off that walk in the same way.  Other words are
-    filtered from the low-weight walk over one systematic basis, or two
-    on disjoint information sets, which yields every word of weight <= w
+    The pass of `weight_distribution` keeps the words of the
+    `_word_levels` classes it reaches, and a code of dimension below
+    _INNER_LOG runs it first.  Other classes are filtered by popcount from
+    the span's lanes below that dimension or past length 64 (k <= 22), and
+    otherwise from the low-weight walk over one systematic basis, or two on
+    disjoint information sets, which yields every word of weight <= w
     once; from k = 16 on it was measured faster than building the span.
     """
     if not 0 <= w <= c.n:
@@ -666,7 +667,7 @@ def _words(c: LinearCode, w: int) -> np.ndarray:
     """The codewords of weight w >= 1 in increasing order, one row of
     uint64 lanes each (lane i holds bits 64i..64i+63), memoised on c."""
     key = ("words", w)
-    if key not in c.memo and _one_lane_span(c):
+    if key not in c.memo and c.k < _INNER_LOG:
         weight_distribution(c)
     got = c.memo.get(key)
     if got is None:
@@ -690,7 +691,7 @@ def _codewords_of_weight(c: LinearCode, w: int) -> np.ndarray:
         )
     hits = [np.zeros(0, dtype=np.uint64)]
     hits += [vals[np.bitwise_count(vals) == w] for vals in _low_weight_words(bases, w)]
-    return np.sort(np.concatenate(hits))[:, None]
+    return _sorted_rows([np.concatenate(hits)])
 
 
 def _span_hits(rows: Sequence[int], n: int, w: int) -> np.ndarray:
@@ -701,8 +702,7 @@ def _span_hits(rows: Sequence[int], n: int, w: int) -> np.ndarray:
         keep = _lane_weights(lanes) == w
         for got, lane in zip(hits, lanes):
             got.append(lane[keep])
-    lanes = [np.concatenate(got) for got in hits]
-    return np.stack(lanes, axis=1)[np.lexsort(lanes)]
+    return _sorted_rows([np.concatenate(got) for got in hits])
 
 
 # ---------------------------------------------------------------------------

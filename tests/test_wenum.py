@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 from operator import xor
 
+import numpy as np
 import pytest
 
 from sdcodes import (
@@ -44,6 +46,7 @@ from sdcodes.wenum import (
     _histogram_words,
     _ints,
     _level_words,
+    _levels,
     _low_weight_words,
     _lowest_shadow_count,
     _min_weight_staged,
@@ -76,7 +79,7 @@ def code_from_words(words, n):
 
 def test_histogram_small_known():
     # {0000, 1100, 0011, 1111}
-    assert _histogram_words([0b0011, 0b1100], 4) == [1, 0, 2, 0, 1]
+    assert _histogram_words([0b0011, 0b1100], 4)[0] == [1, 0, 2, 0, 1]
 
 
 def independent_rows(rng, nrows, n):
@@ -90,7 +93,7 @@ def test_histogram_matches_direct_oracle():
     for _ in range(40):
         n = rng.randrange(1, 22)
         rows = independent_rows(rng, rng.randrange(0, 9), n)
-        assert _histogram_words(rows, n) == weight_histogram_direct(rows, n)
+        assert _histogram_words(rows, n)[0] == weight_histogram_direct(rows, n)
 
 
 def test_histogram_matches_gray_oracle_midsize():
@@ -98,7 +101,7 @@ def test_histogram_matches_gray_oracle_midsize():
     for _ in range(5):
         n = rng.randrange(30, 61)
         rows = independent_rows(rng, 18, n)
-        assert _histogram_words(rows, n) == gray_weight_histogram(rows, n)
+        assert _histogram_words(rows, n)[0] == gray_weight_histogram(rows, n)
 
 
 def test_histogram_wide_lane():
@@ -106,12 +109,12 @@ def test_histogram_wide_lane():
     rng = random.Random(403)
     for n in (65, 80, 100, 128):
         rows = independent_rows(rng, 9, n)
-        assert _histogram_words(rows, n) == weight_histogram_direct(rows, n)
+        assert _histogram_words(rows, n)[0] == weight_histogram_direct(rows, n)
     # k = 18 is past the inner block, so the outer Gray walk flips both lanes
     for n in (100, 128):
         rows = independent_rows(rng, 18, n)
         assert len(rows) == 18
-        assert _histogram_words(rows, n) == gray_weight_histogram(rows, n)
+        assert _histogram_words(rows, n)[0] == gray_weight_histogram(rows, n)
 
 
 def test_histogram_offset_translates():
@@ -119,7 +122,7 @@ def test_histogram_offset_translates():
     for n in (11, 70):
         rows = independent_rows(rng, 7, n)
         off = rng.getrandbits(n)
-        got = _histogram_words(rows, n, offset=off)
+        got = _histogram_words(rows, n, offset=off)[0]
         direct = [0] * (n + 1)
         for w in {off ^ v for v in span_set(rows)}:
             direct[bin(w).count("1")] += 1
@@ -129,7 +132,7 @@ def test_histogram_offset_translates():
 def test_histogram_crosses_inner_outer_boundary():
     rng = random.Random(405)
     rows = independent_rows(rng, 17, 40)
-    assert _histogram_words(rows, 40) == gray_weight_histogram(rows, 40)
+    assert _histogram_words(rows, 40)[0] == gray_weight_histogram(rows, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +262,7 @@ def coset_streamed_shadow(c):
     rows = parts.c0.rows
     counts = [0] * (c.n + 1)
     for rep in parts.coset_reps:
-        for i, x in enumerate(_histogram_words(rows, c.n, offset=rep)):
+        for i, x in enumerate(_histogram_words(rows, c.n, offset=rep)[0]):
             counts[i] += x
     return counts
 
@@ -271,7 +274,7 @@ def test_gleason_matches_enumeration_on_random_self_dual_codes():
     for c in codes:
         assert len(_disjoint_information_bases(c)) == 2
         got = list(gleason(c))
-        assert got == _histogram_words(c.rows, c.n), c.n
+        assert got == _histogram_words(c.rows, c.n)[0], c.n
         if c.n <= 24:
             assert got == weight_histogram_direct(c.rows, c.n), c.n
 
@@ -287,7 +290,7 @@ def test_gleason_matches_full_enumeration_on_registry_codes():
     for name in ("C58_4", "C60_9"):
         c = named_code(name)
         assert c.k > 22
-        assert list(gleason(c)) == _histogram_words(c.rows, c.n), name
+        assert list(gleason(c)) == _histogram_words(c.rows, c.n)[0], name
 
 
 def test_gleason_path_matches_the_low_count_reconstruction():
@@ -323,7 +326,7 @@ def test_lowest_shadow_count_matches_the_full_shadow():
     for a, b in ((3, 5), (0, 6)):
         c = extended_hamming_pairs_sum(a, b)
         assert c.k > 22
-        assert list(weight_distribution(c).counts) == _histogram_words(c.rows, c.n), (a, b)
+        assert list(weight_distribution(c).counts) == _histogram_words(c.rows, c.n)[0], (a, b)
         for w in _word_levels(c):
             assert codewords_of_weight(c, w) == walk_words(c, w), (a, b, w)
 
@@ -689,59 +692,84 @@ def pairs_code(pairs, n):
 
 
 def test_small_code_builds_its_span_once(monkeypatch):
-    # below dimension 16 W, the signature's words and the incidence's words
-    # all come from one span array
-    built = []
-    lane = wenum._span_lane
-    monkeypatch.setattr(wenum, "_span_lane", lambda rows, seed: built.append(len(rows)) or lane(rows, seed))
+    # up to dimension 22, W, the signature's words, the incidence's words
+    # and the words of weight d all come from one span pass, past length 64
+    # and over more than one 2^16-word chunk too
+    passes, walks = [], []
+    span, walk = wenum._span_lanes, wenum._low_weight_words
+    monkeypatch.setattr(wenum, "_span_lanes", lambda rows, n, offset=0: passes.append(len(rows)) or span(rows, n, offset))
+    monkeypatch.setattr(wenum, "_low_weight_words", lambda bases, top: walks.append(top) or walk(bases, top))
     rng = random.Random(1617)
-    codes = [random_self_dual_code(rng, n) for n in (12, 18, 26, 30)]
-    codes += [LinearCode.from_int_rows(independent_rows(rng, k, n), n) for k, n in ((7, 20), (15, 64))]
+    codes = [random_self_dual_code(rng, n) for n in (12, 18, 26, 30, 36, 44)]
+    codes += [LinearCode.from_int_rows(independent_rows(rng, k, n), n) for k, n in ((7, 20), (15, 64), (17, 64), (12, 70), (18, 90))]
+    # the first chunk, span(rows[:16]), holds levels [2, 4]; the second
+    # adds 16 words of weight 2, so the running cap drops to 2 partway
+    heavy = ((1 << 32) - 1) << 32
+    drop = LinearCode.from_int_rows([(1 << i) | heavy for i in range(17)], 64)
+    assert _levels(gray_weight_histogram(drop.rows[:16], 64), 64) == [2, 4]
+    codes.append(drop)
     for c in codes:
-        assert c.k < 16 and c.n <= 64
-        built.clear()
+        assert c.k <= 22, (c.n, c.k)
+        passes.clear()
+        walks.clear()
         signature(c)
         levels = _word_levels(c)
         _Incidence(c, levels)
+        counts = weight_distribution(c).counts
         codewords_of_weight(c, weight_distribution(c).min_weight)
-        assert built == [c.k], (c.n, c.k)
-        words = span_set(c.rows)
-        assert list(weight_distribution(c).counts) == weight_histogram_direct(c.rows, c.n)
+        assert passes == [c.k] and walks == [], (c.n, c.k)
         for w in levels:
-            assert codewords_of_weight(c, w) == words_of(words, w)
-        # a class outside the levels is filtered from a span built again
-        w = next(w for w in range(1, c.n + 1) if w not in levels)
-        assert codewords_of_weight(c, w) == words_of(words, w)
-        assert built == [c.k, c.k]
+            assert np.array_equal(c.memo[("words", w)], _span_hits(c.rows, c.n, w)), (c.n, c.k, w)
+        if c.k <= 18:
+            words = span_set(c.rows)
+            weights = Counter(v.bit_count() for v in words)
+            assert list(counts) == [weights[i] for i in range(c.n + 1)]
+            for w in levels:
+                assert codewords_of_weight(c, w) == words_of(words, w), (c.n, c.k, w)
+        # a class outside the levels comes from a span pass of its own below
+        # dimension 16 and past length 64, and from a walk otherwise
+        passes.clear()
+        w = next(w for w in range(max(levels) + 1, c.n + 1) if counts[w])
+        got = codewords_of_weight(c, w)
+        assert (passes, walks) == (([c.k], []) if c.k < 16 or c.n > 64 else ([], [w])), (c.n, c.k)
+        assert got == _ints(_span_hits(c.rows, c.n, w)) and len(got) == counts[w], (c.n, c.k, w)
+    assert drop.memo[("words", 2)].shape == (136, 1)
 
 
 def test_large_self_dual_code_walks_once(monkeypatch):
     # W, the signature's words, the incidence's words and the words of
-    # weight d all come from one walk to weight 2(n//8) - 2
+    # weight d all come from one walk to weight 2(n//8) - 2; a level above
+    # that weight (10 in the [46,23] code, whose walk stops at 8) takes one
+    # walk of its own
     walks = []
     walk = wenum._low_weight_words
     monkeypatch.setattr(wenum, "_low_weight_words", lambda bases, top: walks.append(top) or walk(bases, top))
-    for name in ("C58_1", "D60_3"):
+    codes = [named_code(name) for name in ("C58_1", "D60_3")]
+    codes.append(random_self_dual_code(random.Random(1900), 46, steps=30))
+    for c in codes:
         walks.clear()
-        c = named_code(name)
         c = LinearCode(c.n, c.rows)
         assert c.k > 22
         top = 2 * (c.n // 8) - 2
         weight_distribution(c)
-        signature(c)
         levels = _word_levels(c)
+        # W memoises exactly the levels its walk reaches
+        above = [w for w in levels if w > top]
+        assert [w for w in levels if ("words", w) in c.memo] == [w for w in levels if w <= top], c.n
+        signature(c)
         _Incidence(c, levels)
         d = weight_distribution(c).min_weight
         codewords_of_weight(c, d)
-        assert walks == [top], name
-        assert d in levels and max(levels) <= top, name
+        assert walks == [top] + above, c.n
+        assert d in levels and d <= top, c.n
         for w in levels:
-            assert codewords_of_weight(c, w) == walk_words(c, w), (name, w)
+            assert codewords_of_weight(c, w) == walk_words(c, w), (c.n, w)
         # a class outside the levels is filtered from a fresh walk
-        w = top + 2
+        w = max(top, *levels) + 2
         words = codewords_of_weight(c, w)
-        assert walks == [top, w], name
+        assert walks == [top] + above + [w], c.n
         assert len(words) == weight_distribution(c).counts[w] and all(v.bit_count() == w for v in words)
+    assert above
 
 
 def test_span_walk_and_oracle_agree_below_dimension_16():
