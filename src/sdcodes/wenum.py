@@ -206,15 +206,15 @@ def _lane_weights(lanes: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _histogram_words(
-    rows: Sequence[int], n: int, offset: int = 0
+    rows: Sequence[int], n: int
 ) -> Tuple[List[int], Dict[int, np.ndarray]]:
-    """The span pass: the weight histogram of {offset ^ v : v in
-    span(rows)} as exact ints, and the `_tally` words of its levels.
+    """The span pass: the weight histogram of span(rows) as exact ints,
+    and the `_tally` words of its levels.
 
     Rows must be linearly independent; dependent rows would count words
     with multiplicity.
     """
-    return _tally(_span_lanes(rows, n, offset), n, n)
+    return _tally(_span_lanes(rows, n), n, n)
 
 
 def _tally(
@@ -234,15 +234,14 @@ def _tally(
     for lanes in chunks:
         weights = _lane_weights(lanes)
         hist += np.bincount(weights, minlength=n + 1)
-        keep = weights <= _levels([*hist[:top].tolist(), 1], n)[-1]
-        if keep.any():
-            kept.append([lane[keep] for lane in lanes])
+        keep = np.flatnonzero(weights <= _levels([*hist[:top].tolist(), 1], n)[-1])
+        if keep.size:
+            kept.append([weights[keep], *(lane[keep] for lane in lanes)])
     counts = hist.tolist()
     levels = [w for w in _levels(counts, n) if w <= top]
     if not levels:  # no word lies in a level, so none was kept
         return counts, {}
-    words = [np.concatenate(lane) for lane in zip(*kept)]
-    weights = _lane_weights(words)
+    weights, *words = [np.concatenate(part) for part in zip(*kept)]
     return counts, {w: _sorted_rows([lane[weights == w] for lane in words]) for w in levels}
 
 

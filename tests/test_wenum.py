@@ -45,6 +45,7 @@ from sdcodes.wenum import (
     _gleason_distribution,
     _histogram_words,
     _ints,
+    _lane_weights,
     _level_words,
     _levels,
     _low_weight_words,
@@ -53,6 +54,7 @@ from sdcodes.wenum import (
     _shadow_basis,
     _shadow_counts,
     _span_hits,
+    _span_lanes,
     family_profile,
 )
 
@@ -117,12 +119,21 @@ def test_histogram_wide_lane():
         assert _histogram_words(rows, n)[0] == gray_weight_histogram(rows, n)
 
 
+def coset_histogram(rows, n, offset):
+    """The weight histogram of {offset ^ v : v in span(rows)}, straight
+    from the span's lanes."""
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for lanes in _span_lanes(rows, n, offset):
+        hist += np.bincount(_lane_weights(lanes), minlength=n + 1)
+    return hist.tolist()
+
+
 def test_histogram_offset_translates():
     rng = random.Random(404)
     for n in (11, 70):
         rows = independent_rows(rng, 7, n)
         off = rng.getrandbits(n)
-        got = _histogram_words(rows, n, offset=off)[0]
+        got = coset_histogram(rows, n, off)
         direct = [0] * (n + 1)
         for w in {off ^ v for v in span_set(rows)}:
             direct[bin(w).count("1")] += 1
@@ -262,7 +273,7 @@ def coset_streamed_shadow(c):
     rows = parts.c0.rows
     counts = [0] * (c.n + 1)
     for rep in parts.coset_reps:
-        for i, x in enumerate(_histogram_words(rows, c.n, offset=rep)[0]):
+        for i, x in enumerate(coset_histogram(rows, c.n, rep)):
             counts[i] += x
     return counts
 
@@ -733,6 +744,8 @@ def test_small_code_builds_its_span_once(monkeypatch):
         got = codewords_of_weight(c, w)
         assert (passes, walks) == (([c.k], []) if c.k < 16 or c.n > 64 else ([], [w])), (c.n, c.k)
         assert got == _ints(_span_hits(c.rows, c.n, w)) and len(got) == counts[w], (c.n, c.k, w)
+        if c.k <= 18:
+            assert got == words_of(words, w), (c.n, c.k, w)
     assert drop.memo[("words", 2)].shape == (136, 1)
 
 
@@ -760,6 +773,8 @@ def test_large_self_dual_code_walks_once(monkeypatch):
         _Incidence(c, levels)
         d = weight_distribution(c).min_weight
         codewords_of_weight(c, d)
+        # only the random [46,23] code has a level above its walk's top
+        assert (c.n == 46) == bool(above), c.n
         assert walks == [top] + above, c.n
         assert d in levels and d <= top, c.n
         for w in levels:
@@ -769,7 +784,6 @@ def test_large_self_dual_code_walks_once(monkeypatch):
         words = codewords_of_weight(c, w)
         assert walks == [top] + above + [w], c.n
         assert len(words) == weight_distribution(c).counts[w] and all(v.bit_count() == w for v in words)
-    assert above
 
 
 def test_span_walk_and_oracle_agree_below_dimension_16():
