@@ -5,17 +5,19 @@ codewords by color refinement of one code at a time: a round colors words
 by (class, sorted colors of their coordinates), then coordinates by (color,
 sorted colors of their words).  The incidence and the signature's
 co-occurrence counts come from one 0/1 matrix, unpacked in one call from
-the words `wenum` memoises as 64-bit lanes.  Keys are rows of one NumPy
-array, and each is named by the rank of its bytes among the code's distinct
-rows, which `np.unique` gives exactly; rounds of a stack of codes of one
-shape run in one set of NumPy calls, each row prefixed by its code's index
-in as few bytes as the stack needs.  A prefixed row of at most 8 bytes is
-ranked as one big-endian integer, which orders as its bytes do, and a wider
-one as a void row.  Rank names are canonical, so two codes compare through
-one profile digest per round, a blake2b of the distinct rows and their
-counts that no hash seed or stack changes, and the first that differs
-prunes a branch; a digest collision could only let a hopeless branch go
-deeper.  When a color class stays ambiguous, one coordinate is
+the words `wenum` memoises as 64-bit lanes, for one code or for a block of
+codes with the same word counts.  Keys are rows of one NumPy array, sorted
+by one flat sort when they are short rows of one-byte colors and row by row
+otherwise, and each is named by the rank of its bytes among its code's
+distinct rows.  Rounds of a stack of codes of one shape run in one set of
+NumPy calls.  A row of at most 16 bytes is read as one or two big-endian
+uint64 lanes, which order as its bytes do, and ranked by argsorts along
+each code's rows; a wider one is ranked as a void row by `np.unique`.  Rank
+names are canonical, so two codes compare through one profile digest per
+round, the sums of a splitmix64 hash of each word key and of each
+coordinate key, which no hash seed or stack changes, and the first that
+differs prunes a branch; a digest collision could only let a hopeless
+branch go deeper.  When a color class stays ambiguous, one coordinate is
 individualized and refinement re-run.  The first code's side depends on it
 alone: its first path (the root refinement, then the first coordinate of
 the smallest open cell individualized at each depth until the colors are
@@ -23,7 +25,8 @@ discrete) is refined a depth at a time, when the search first reaches it,
 and `classify` refines its members' paths once each, stacked in blocks, and
 holds each in its member's memo while comparing it.  The second code keeps
 in its memo the refinement nodes of its paths that ended in a verified
-leaf, refined lazily, so the first member of a class is refined once while
+leaf, refined lazily and replayed by one comparison of their digests with
+the first code's, so the first member of a class is refined once while
 `classify` compares others with it; `classify` drops those nodes when it
 returns, since they are keyed by that member's coordinates and the
 representative it returns is the lexicographically least member.  The
@@ -41,11 +44,10 @@ records that the refined search space was exhausted.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import repeat, zip_longest
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import groupby, repeat
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,11 +183,10 @@ def identity_certificate(n: int) -> EquivalenceCertificate:
 
 def _bits(rows: Sequence[int], n: int) -> np.ndarray:
     """The rows x n 0/1 matrix of packed rows, as float64, unpacked from
-    their 64-bit lanes."""
-    mask = (1 << 64) - 1
-    lanes = np.array([[(r >> s) & mask for r in rows] for s in range(0, n, 64)], dtype="<u8")
-    packed = np.ascontiguousarray(lanes.T).view(np.uint8)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float64)
+    their little-endian bytes."""
+    size = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), size), axis=1, count=n, bitorder="little").astype(np.float64)
 
 
 def _maps_into(a: LinearCode, images: Sequence[int], b: LinearCode) -> bool:
@@ -214,77 +215,123 @@ def verify_certificate(a: LinearCode, b: LinearCode, cert: EquivalenceCertificat
 # ---------------------------------------------------------------------------
 # incidence structure and refinement
 
-def _padded(m: np.ndarray) -> np.ndarray:
-    """Read-only: row r lists the nonzero columns of row r of m in order,
-    padded with the column count."""
-    n = m.shape[1]
-    cols = np.where(m, np.arange(n, dtype=np.int32), n)
-    cols.sort(axis=1)
-    out = cols[:, : np.count_nonzero(m, axis=1).max(initial=0)].copy()  # not a view of all of cols
+def _padded(m: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """For a stack of 0/1 matrices (codes x rows x columns), read-only: row
+    r of code i lists the nonzero columns of that row in order, padded with
+    the column count to the longest row of the stack; and each code's
+    longest row."""
+    cols = np.where(m, np.arange(m.shape[2], dtype=np.int32), m.shape[2])
+    cols.sort(axis=2)
+    widths = np.count_nonzero(m, axis=2).max(axis=1, initial=0)
+    out = cols[:, :, : widths.max(initial=0)].copy()  # not a view of all of cols
     out.flags.writeable = False
-    return out
+    return out, widths.tolist()
 
 
-class _Incidence:
-    """Low-weight words against coordinates, read-only: each word's
-    coordinates and the words through each coordinate, and the least
-    signed dtype that holds every color of a round and -1."""
+class _Incidence(NamedTuple):
+    """Low-weight words against coordinates of a stack of codes, read-only
+    (codes x rows x width): each word's coordinates and the words through
+    each coordinate, and the least signed dtype that holds every color of a
+    round and -1."""
 
-    def __init__(self, c: LinearCode, levels: Sequence[int]):
-        m = _unpacked(np.concatenate([_words(c, w) for w in levels]), c.n)
-        self.dtype = np.min_scalar_type(-1 - max(m.shape))
-        self.word_coords, self.coord_words = _padded(m), _padded(m.T)
+    word_coords: np.ndarray
+    coord_words: np.ndarray
+    dtype: np.dtype
 
 
-def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, List[bytes]]:
+def _incidences(codes: Sequence[LinearCode], levels: Sequence[int]) -> Iterator[_Incidence]:
+    """The incidences of codes with the same number of words in each of
+    `levels`, from one unpack of all their words, as stacks of consecutive
+    codes whose rows are padded to the same widths.  Each code's rows are
+    padded as they are when it is alone, so it refines alike in a stack."""
+    n = codes[0].n
+    m = _unpacked(np.concatenate([_words(c, w) for c in codes for w in levels]), n).reshape(len(codes), -1, n)
+    dtype = np.min_scalar_type(-1 - max(m.shape[1:]))
+    word_coords, word_widths = _padded(m)
+    coord_words, coord_widths = _padded(np.ascontiguousarray(m.transpose(0, 2, 1)))
+    lo = 0
+    for (ww, cw), run in groupby(zip(word_widths, coord_widths)):
+        hi = lo + len(list(run))
+        yield _Incidence(word_coords[lo:hi, :, :ww], coord_words[lo:hi, :, :cw], dtype)
+        lo = hi
+
+
+_SPLITMIX = tuple(map(np.uint64, (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)))
+
+
+def _mixed(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of each entry of a uint64 array, in place."""
+    s1, m1, s2, m2, s3 = _SPLITMIX
+    x ^= x >> s1
+    x *= m1
+    x ^= x >> s2
+    x *= m2
+    x ^= x >> s3
+    return x
+
+
+@cache
+def _salts(count: int) -> np.ndarray:
+    """The `_mixed` 1..count, one per lane after the first, as a read-only
+    column."""
+    salts = _mixed(np.arange(1, count + 1, dtype=np.uint64))[:, None, None]
+    salts.flags.writeable = False
+    return salts
+
+
+def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """For a stack of key arrays (codes x rows x width), each row's rank
-    among its code's distinct rows, in byte order, and per code a digest
-    of those rows and their counts.  Both are canonical: they depend on
-    the multiset of that code's rows alone, whatever else is stacked.
+    among its code's distinct rows, in byte order, and per code a uint64
+    fingerprint of the multiset of its rows.  Both are canonical: they
+    depend on that code's rows alone, whatever else is stacked.
 
-    Each row is prefixed by its code's index in as few big-endian bytes as
-    the stack needs (none for one code), so byte order sorts each code's
-    rows together and in code order.  A prefixed row of at most 8 bytes,
-    zero-padded on the right, is ranked as one big-endian uint64, which
-    orders as its bytes do; wider rows are ranked as void rows."""
+    A row's bytes, zero-padded on the right to whole 8-byte lanes, read as
+    big-endian integers order as the bytes do.  A row of one lane is ranked
+    by its lane, and a row of two by its first lane's rank followed by its
+    second lane, as one lane when the rank fits in the second lane's zero
+    padding and as a pair of ranks otherwise; wider rows are ranked as void
+    rows prefixed by their code's index.  A row hashes to the `_mixed` sum
+    of its first lane and its other lanes, each XORed with its position's
+    salt and `_mixed`, and a code to the sum of its rows' hashes and the
+    width, all modulo 2^64."""
     c, r, w = keys.shape
-    rows = np.ascontiguousarray(keys).view(np.uint8)
-    width = rows.shape[2]
-    head = ((c - 1).bit_length() + 7) // 8
-    prefix = np.arange(c, dtype=">u8").view(np.uint8).reshape(c, 1, 8)[:, :, 8 - head :]
-    if head + width <= 8:
-        packed = np.zeros((c, r, 8), np.uint8)
-        packed[:, :, :head] = prefix
-        packed[:, :, head : head + width] = rows
-        distinct, inverse, counts = np.unique(
-            packed.view(">u8").astype(np.uint64).ravel(), return_inverse=True, return_counts=True
-        )
-        distinct = distinct.astype(">u8").view(np.uint8).reshape(len(distinct), 8)
-    else:
-        if head:
-            rows = np.concatenate((np.broadcast_to(prefix, (c, r, head)), rows), axis=2)
-        distinct, inverse, counts = np.unique(
-            rows.view(np.dtype((np.void, head + width))).ravel(), return_inverse=True, return_counts=True
-        )
-        distinct = distinct.view(np.uint8).reshape(len(distinct), head + width)
-    names = inverse.reshape(c, r)
-    offsets = [0, len(distinct)]
-    if head:
-        # a code's distinct rows are contiguous, from the rank of its least row
-        least = names.min(axis=1, keepdims=True)
-        offsets[:1] = least.ravel().tolist()
-        names = names - least
-    tally = counts.tobytes()
-    stripped = np.ascontiguousarray(distinct[:, head : head + width]).tobytes()
-    size = w.to_bytes(8, "little")
-    digests = [
-        hashlib.blake2b(
-            size + tally[lo * counts.itemsize : hi * counts.itemsize] + stripped[lo * width : hi * width],
-            digest_size=8,
-        ).digest()
-        for lo, hi in zip(offsets, offsets[1:])
-    ]
-    return names, digests
+    width = w * keys.itemsize
+    packed = np.zeros((c, r, -(-width // 8) * 8), np.uint8)
+    packed[:, :, :width] = np.ascontiguousarray(keys).view(np.uint8)
+    lanes = np.ascontiguousarray(packed.view(">u8").transpose(2, 0, 1), dtype=np.uint64)  # lanes x codes x rows
+    if len(lanes) == 1:
+        names = _dense_ranks(lanes[0])
+    elif len(lanes) == 2:
+        first = _dense_ranks(lanes[0])
+        spare = 8 * (16 - width)  # the zero bits that end lane 1
+        if r < 1 << spare:  # lane 0's rank takes their place
+            names = _dense_ranks(first.astype(np.uint64) << np.uint64(64 - spare) | lanes[1] >> np.uint64(spare))
+        else:
+            names = _dense_ranks(first * r + _dense_ranks(lanes[1]))
+    else:  # prefixed by its code's index, each code's rows rank together
+        prefix = np.arange(c, dtype=">u8").view(np.uint8).reshape(c, 1, 8)
+        void = np.concatenate((np.broadcast_to(prefix, (c, r, 8)), packed), axis=2)
+        names = np.unique(void.view(np.dtype((np.void, void.shape[2]))).ravel(), return_inverse=True)[1].reshape(c, r)
+        names -= names.min(axis=1, keepdims=True)  # a code's least row ranks 0
+    rows = lanes[0]
+    if len(lanes) > 1:
+        rows = rows + _mixed(lanes[1:] ^ _salts(len(lanes) - 1)).sum(axis=0)
+    return names, _mixed(rows).sum(axis=1) + np.uint64(w)
+
+
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the distinct entries of its row (codes x
+    rows)."""
+    c, r = values.shape
+    order = values.argsort(axis=1)
+    order += np.arange(0, c * r, r)[:, None]  # positions in the flat stack
+    order = order.ravel()
+    ordered = values.ravel()[order].reshape(c, r)
+    new = np.zeros((c, r), bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    ranks = np.empty(c * r, np.int64)
+    ranks[order] = new.cumsum(axis=1).ravel()
+    return ranks.reshape(c, r)
 
 
 def _shifted(word_coords: np.ndarray, coord_words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -302,26 +349,43 @@ def _pad(colors: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return out
 
 
-def _round(word_index: np.ndarray, coord_index: np.ndarray, current: np.ndarray) -> Tuple[List[bytes], np.ndarray]:
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a stack (codes x rows x width) sorted.  One-byte entries
+    are sorted as int32: rows of at most 8 take one flat sort, each value
+    offset by its row's index times 256 so that rows keep apart and the
+    low byte is the value, and longer rows a sort per row.  The offsets
+    fit below 2^31 for up to 2^23 rows; a code of one-byte colors has at
+    most 127 rows, and a block at most max(1, BLOCK_ROWS // words) codes.
+    Wider entries are sorted per row in place."""
+    if rows.itemsize > 1:
+        rows.sort(axis=2)
+        return rows
+    c, r, w = rows.shape
+    wide = rows.astype(np.int32)
+    if w > 8:
+        wide.sort(axis=2)
+    else:
+        wide += (np.arange(c * r, dtype=np.int32) << 8).reshape(c, r, 1)
+        wide.ravel().sort()
+    return wide.astype(np.int8)
+
+
+def _round(word_index: np.ndarray, coord_index: np.ndarray, current: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """One round on a stack of codes of one incidence shape, from their
     `_pad`ded coordinate colors (codes x n+1) and `_shifted` indexes: each
     word is colored by the sorted colors of its coordinates, whose -1
     padding shows its weight class, then each coordinate by (color, sorted
     colors of its words), each by the rank of its key row among its
-    code's.  Returns each code's profile digest and the new colors."""
-    gathered = current.ravel()[word_index]
-    gathered.sort(axis=2)
-    names, word_digests = _ranked(gathered)
-    gathered = _pad(names, current.dtype).ravel()[coord_index]
-    gathered.sort(axis=2)
-    names, coord_digests = _ranked(np.concatenate((current[:, :-1, None], gathered), axis=2))
-    return [x + y for x, y in zip(word_digests, coord_digests)], names
+    code's.  Returns each code's profile digest, the fingerprints of its
+    word and coordinate keys as a row of two uint64, and the new colors."""
+    names, word_prints = _ranked(_sorted_rows(current.ravel()[word_index]))
+    gathered = _sorted_rows(_pad(names, current.dtype).ravel()[coord_index])
+    names, coord_prints = _ranked(np.concatenate((current[:, :-1, None], gathered), axis=2))
+    return np.stack((word_prints, coord_prints), axis=1), names
 
 
-def _color_count(colors: np.ndarray) -> np.ndarray:
-    """The number of distinct colors in each row."""
-    ordered = np.sort(colors, axis=1)
-    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+# a profile digest as one 16-byte value, read from a row of two uint64
+_DIGEST = np.dtype((np.void, 16))
 
 
 Rounds = Iterator[Tuple[bytes, List[int]]]  # (profile digest, coordinate colors)
@@ -333,8 +397,8 @@ def _rounds(inc: _Incidence, colors: List[int]) -> Rounds:
     current = _pad(np.array([colors]), inc.dtype)
     seen = len(set(colors))
     while True:  # a lone code's indexes need no shift
-        digests, names = _round(inc.word_coords[None], inc.coord_words[None], current)
-        yield digests[0], names[0].tolist()
+        digests, names = _round(inc.word_coords, inc.coord_words, current)
+        yield digests.tobytes(), names[0].tolist()
         top = names.max() + 1
         if top == seen:
             return
@@ -361,7 +425,7 @@ def _targets(colors: np.ndarray) -> List[Optional[int]]:
 
 def _path_depths(c: LinearCode) -> Iterator[Depth]:
     """One code's first path, a depth per item, refined as it is read."""
-    inc = _Incidence(c, _word_levels(c))
+    inc = next(_incidences([c], _word_levels(c)))
     colors = [0] * c.n
     while True:
         digests = []
@@ -388,73 +452,74 @@ def _lazy_path(c: LinearCode) -> Callable[[int], Depth]:
     return depth
 
 
-def _first_paths(incs: Sequence[_Incidence]) -> List[List[Depth]]:
-    """Each code's first path, for a stack of incidences of one shape: the
-    root refinement, then one individualization and refinement per depth
-    until the colors are discrete.  Every round runs once for all the
-    codes still refining, and a code leaves the stack when it is done."""
-    word_coords = np.stack([inc.word_coords for inc in incs])
-    coord_words = np.stack([inc.coord_words for inc in incs])
-    n, dtype = coord_words.shape[1], incs[0].dtype
-    paths: List[List[Depth]] = [[] for _ in incs]
-    active = np.arange(len(incs))  # codes whose path goes deeper
-    current = _pad(np.zeros((len(incs), n)), dtype)
+def _first_paths(inc: _Incidence) -> List[List[Depth]]:
+    """The first path of each code of a stacked incidence: the root
+    refinement, then one individualization and refinement per depth until
+    the colors are discrete.  Every round runs once for all the codes still
+    refining, and a code leaves the stack when it is done; each depth's
+    digests are read off as one array."""
+    count, n = inc.coord_words.shape[:2]
+    paths: List[List[Depth]] = [[] for _ in range(count)]
+    active = np.arange(count)  # codes whose path goes deeper
+    current = _pad(np.zeros((count, n)), inc.dtype)
     while len(active):
-        digests: List[List[bytes]] = [[] for _ in active]
+        digests = []  # per round, a row per active code; rows of codes done are not read
+        taken = np.empty(len(active), np.int64)  # rounds each code took
         final = np.empty((len(active), n), np.int64)
         at = np.arange(len(active))  # positions in `active` still refining
-        seen = _color_count(current[:, :-1])
-        word_index, coord_index = _shifted(word_coords[active], coord_words[active])
+        seen = _dense_ranks(current[:, :-1]).max(axis=1) + 1  # distinct colors of each code
+        word_index, coord_index = _shifted(inc.word_coords[active], inc.coord_words[active])
         while True:
             got, names = _round(word_index, coord_index, current)
-            for pos, digest in zip(at, got):
-                digests[pos].append(digest)
+            digests.append(np.empty((len(active), 2), np.uint64))
+            digests[-1][at] = got
             top = names.max(axis=1) + 1
             done = top == seen
             final[at[done]] = names[done]
+            taken[at[done]] = len(digests)
             if done.all():
                 break
             if done.any():
                 at, names, top = at[~done], names[~done], top[~done]
-                word_index, coord_index = _shifted(word_coords[active[at]], coord_words[active[at]])
-            seen, current = top, _pad(names, dtype)
+                word_index, coord_index = _shifted(inc.word_coords[active[at]], inc.coord_words[active[at]])
+            seen, current = top, _pad(names, inc.dtype)
+        rounds = np.stack(digests, axis=1).view(_DIGEST)[:, :, 0].tolist()
         deeper = []
-        for pos, (code, colors, i) in enumerate(zip(active.tolist(), final.tolist(), _targets(final))):
-            paths[code].append((tuple(digests[pos]), colors, i))
+        depths = zip(active.tolist(), rounds, taken.tolist(), final.tolist(), _targets(final))
+        for pos, (code, digests, k, colors, i) in enumerate(depths):
+            paths[code].append((tuple(digests[:k]), colors, i))
             if i is not None:
                 final[pos, i] = n  # no rank reaches n, so it individualizes
                 deeper.append(pos)
-        active, current = active[deeper], _pad(final[deeper], dtype)
+        active, current = active[deeper], _pad(final[deeper], inc.dtype)
     return paths
 
 
 def _match(
-    a_path: Callable[[int], Depth], path: Tuple[int, ...], b_rounds: Rounds,
-    node: Callable[[Tuple[int, ...], List[int]], Rounds], verify: Callable[[Tuple[int, ...]], bool],
+    a_path: Callable[[int], Depth], path: Tuple[int, ...],
+    node: Callable[[Tuple[int, ...], Tuple[bytes, ...]], Optional[List[int]]],
+    verify: Callable[[Tuple[int, ...]], bool],
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """First verified leaf below b's node at `path`, as (images, path).
 
     a's first path at this depth is shared by every candidate of b; b's
-    rounds advance one by one against its digests, and the first that
-    differs prunes the branch.
+    node gives its final colors only if its rounds match a's digests, and
+    the first that differs prunes the branch.
     """
     a_digests, ca, i = a_path(len(path))
-    y = None
-    for x, y in zip_longest(a_digests, b_rounds):
-        if x is None or y is None or x != y[0]:
-            return None
-    cb = y[1]
+    cb = node(path, a_digests)
+    if cb is None:
+        return None
     if i is None:
-        pos_b = {col: j for j, col in enumerate(cb)}
-        images = tuple(pos_b[col] + 1 for col in ca)
+        pos_b = {col: j + 1 for j, col in enumerate(cb)}
+        images = tuple(map(pos_b.__getitem__, ca))
         return (images, path) if verify(images) else None
-    n = len(ca)
-    for j, col in enumerate(cb):
-        if col == ca[i]:
-            deeper = path + (j,)
-            got = _match(a_path, deeper, node(deeper, cb[:j] + [n] + cb[j + 1 :]), node, verify)
-            if got is not None:
-                return got
+    j = -1
+    for _ in range(cb.count(ca[i])):
+        j = cb.index(ca[i], j + 1)
+        got = _match(a_path, path + (j,), node, verify)
+        if got is not None:
+            return got
     return None
 
 
@@ -472,9 +537,10 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
     if a.k == 0:
         return identity_certificate(a.n)
     sig_a, sig_b = signature(a), signature(b)
-    for field in fields(InvariantSignature):  # n and k agree already
-        if getattr(sig_a, field.name) != getattr(sig_b, field.name):
-            return EquivalenceCertificate(None, distinct_reason=field.name)
+    if sig_a != sig_b:
+        for field in fields(InvariantSignature):  # n and k agree already
+            if getattr(sig_a, field.name) != getattr(sig_b, field.name):
+                return EquivalenceCertificate(None, distinct_reason=field.name)
     if a.rows == b.rows:
         return identity_certificate(a.n)
     levels = tuple(_word_levels(a))
@@ -485,24 +551,36 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
     # individualized coordinates; only those on verified paths stay
     tree = b.memo.setdefault(("refinement", levels), {})
     added: List[Tuple[int, ...]] = []
-    inc_b = cache(lambda: _Incidence(b, levels))
+    inc_b: List[_Incidence] = []  # built when a node is first refined
 
-    def node(path: Tuple[int, ...], colors: List[int]) -> Rounds:
-        """b's rounds from `colors`: replayed, or recorded once complete."""
+    def node(path: Tuple[int, ...], want: Tuple[bytes, ...]) -> Optional[List[int]]:
+        """b's final colors at `path` if its rounds there give the digests
+        `want`, else None: replayed, or refined from its parent's colors,
+        the last coordinate of the path individualized, and recorded."""
         if path in tree:
             digests, final = tree[path]
-            yield from ((digest, final) for digest in digests)
-            return
-        digests = []
-        for digest, final in _rounds(inc_b(), colors):
-            digests.append(digest)
-            yield digest, final
-        tree[path] = (tuple(digests), final)
+            return final if digests == want else None
+        if path:
+            colors = list(tree[path[:-1]][1])
+            colors[path[-1]] = b.n
+        else:
+            colors = [0] * b.n
+        if not inc_b:
+            inc_b.extend(_incidences([b], levels))
+        k = 0
+        for digest, final in _rounds(inc_b[0], colors):
+            if k == len(want) or digest != want[k]:
+                return None
+            k += 1
+        if k < len(want):
+            return None
+        tree[path] = (want, final)
         added.append(path)
+        return final
 
     a_path = a.memo.get(_FIRST_PATH)
     found = _match(
-        _lazy_path(a) if a_path is None else a_path.__getitem__, (), node((), [0] * b.n), node,
+        _lazy_path(a) if a_path is None else a_path.__getitem__, (), node,
         lambda images: _maps_into(a, images, b),
     )
     for path in added:
@@ -539,21 +617,22 @@ BLOCK_ROWS = 3328
 
 def _member_paths(members: Sequence[LinearCode]) -> Iterator[List[Depth]]:
     """Each member's first path, in order, refined in blocks of consecutive
-    members of one word levels and incidence shape, up to BLOCK_ROWS
-    stacked word rows; a block's paths are dropped once all are taken."""
-    block: List[_Incidence] = []
-    key = None
-    for c in members:
-        levels = tuple(_word_levels(c))
-        inc = _Incidence(c, levels)
-        shape = (levels, inc.word_coords.shape, inc.coord_words.shape)
-        if block and (shape != key or (len(block) + 1) * len(inc.word_coords) > BLOCK_ROWS):
-            yield from _first_paths(block)
-            block = []
-        block.append(inc)
-        key = shape
-    if block:
-        yield from _first_paths(block)
+    members with the same number of words in the same levels, up to
+    BLOCK_ROWS stacked word rows; a block's paths are dropped once all are
+    taken."""
+    for (levels, counts), run in groupby(members, key=_word_counts):
+        run = list(run)
+        size = max(1, BLOCK_ROWS // sum(counts))
+        for lo in range(0, len(run), size):
+            for inc in _incidences(run[lo : lo + size], levels):
+                yield from _first_paths(inc)
+
+
+def _word_counts(c: LinearCode) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """A code's `_word_levels` and the number of words in each."""
+    levels = tuple(_word_levels(c))
+    counts = weight_distribution(c).counts
+    return levels, tuple(counts[w] for w in levels)
 
 
 def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:

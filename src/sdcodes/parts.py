@@ -6,7 +6,6 @@ depends on the thread count.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def _usable_cpus() -> int:
@@ -20,11 +19,13 @@ def run_parts(fn, jobs, threads):
 
     A pool forks all its workers at once, so at most min(threads,
     len(jobs), usable CPUs) are started; with one, jobs run in this
-    process.
+    process.  The pool module is imported only when a pool starts.
     """
     workers = min(threads, len(jobs), _usable_cpus())
     if workers <= 1:
         yield from map(fn, *zip(*jobs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, *zip(*jobs))

@@ -174,8 +174,8 @@ def _span_lanes(rows: Sequence[int], n: int, offset: int = 0):
     The first _INNER_LOG rows span an inner block materialized once per
     lane; the rest are walked in Gray order, and each outer step yields
     one list of uint64 arrays, lane i holding bits 64i..64i+63 of the
-    block's words (two lanes at most, since n <= 128).  The arrays are
-    reused by the next step and must not be written to.
+    block's words (two lanes at most, since n <= 128).  The arrays must not
+    be written to; the outer steps reuse one set of them.
     """
     k = len(rows)
     inner_k = min(k, _INNER_LOG)
@@ -228,20 +228,29 @@ def _tally(
     filtered, drops the words that can no longer lie in a level: a stand-in
     word at weight top keeps every weight open until the words counted so
     far fill the levels, and more counted words can only lower the last.
+    The first chunk is filtered only once a second follows, so its arrays
+    must stay as they are while the second is made; the levels of a single
+    chunk are read straight from it.
     """
     hist = np.zeros(n + 1, dtype=np.int64)
-    kept = []
-    for lanes in chunks:
-        weights = _lane_weights(lanes)
-        hist += np.bincount(weights, minlength=n + 1)
-        keep = np.flatnonzero(weights <= _levels([*hist[:top].tolist(), 1], n)[-1])
-        if keep.size:
-            kept.append([weights[keep], *(lane[keep] for lane in lanes)])
+    whole, kept = None, []  # each chunk as [weights, *lanes]
+    for i, lanes in enumerate(chunks):
+        chunk = [_lane_weights(lanes), *lanes]
+        hist += np.bincount(chunk[0], minlength=n + 1)
+        if not i:
+            whole = chunk
+            continue
+        cap = _levels([*hist[:top].tolist(), 1], n)[-1]
+        for weights, *words in filter(None, (whole, chunk)):
+            keep = np.flatnonzero(weights <= cap)
+            if keep.size:
+                kept.append([weights[keep], *(lane[keep] for lane in words)])
+        whole = None
     counts = hist.tolist()
     levels = [w for w in _levels(counts, n) if w <= top]
     if not levels:  # no word lies in a level, so none was kept
         return counts, {}
-    weights, *words = [np.concatenate(part) for part in zip(*kept)]
+    weights, *words = whole or [np.concatenate(part) for part in zip(*kept)]
     return counts, {w: _sorted_rows([lane[weights == w] for lane in words]) for w in levels}
 
 

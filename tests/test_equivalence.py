@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,13 @@ from sdcodes import (
 )
 from sdcodes.equivalence import (
     EquivalenceCertificate,
+    _bits,
     _first_paths,
-    _Incidence,
+    _incidences,
     _path_depths,
     _ranked,
     _rounds,
+    _sorted_rows,
     _word_levels,
     are_equivalent,
     classification_report,
@@ -41,17 +43,26 @@ from sdcodes.equivalence import (
     verify_certificate,
 )
 from sdcodes.tables import named_code
-from sdcodes.wenum import codewords_of_weight, min_weight
+from sdcodes.wenum import codewords_of_weight, min_weight, weight_distribution
 from oracles import (
     equivalent_by_all_permutations,
+    key_fingerprint,
     maps_into_by_reduction,
     permute_bits,
     random_matrix_rows,
     random_self_dual_words,
+    ranked_by_void_rows,
     refinement_rounds_by_tuples,
+    sorted_by_row,
     span_set,
     word01,
 )
+
+
+def incidence(c, levels):
+    """The incidence of one code, a stack of one."""
+    (inc,) = _incidences([c], levels)
+    return inc
 
 
 def code_from_words(words, n, name=None):
@@ -173,6 +184,16 @@ def test_verify_certificate_needs_a_permutation():
     for images in [(1, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3), (1, 2, 3, 4, 5)]:
         assert not verify_certificate(a, b, EquivalenceCertificate(images))
     assert verify_certificate(a, permuted_code(a, (3, 1, 2, 4)), EquivalenceCertificate((3, 1, 2, 4)))
+
+
+def test_bits_unpack_rows_bit_by_bit():
+    rng = random.Random(1621)
+    for n in (1, 7, 8, 9, 26, 64, 65, 128):
+        rows = random_matrix_rows(rng, 5, n) + [0, (1 << n) - 1]
+        got = _bits(rows, n)
+        assert got.dtype == np.float64
+        assert got.tolist() == [[(r >> i) & 1 for i in range(n)] for r in rows]
+    assert _bits([], 10).shape == (0, 10)
 
 
 def test_certificates_agree_with_the_reduction_oracle():
@@ -357,8 +378,8 @@ def test_rounds_commute_with_permutations():
             for i, img in enumerate(images):
                 moved[img - 1] = start[i]
             for colors_a, colors_b in ([[0] * n, [0] * n], [start, moved]):
-                got_a = list(_rounds(_Incidence(a, levels), colors_a))
-                got_b = list(_rounds(_Incidence(b, levels), colors_b))
+                got_a = list(_rounds(incidence(a, levels), colors_a))
+                got_b = list(_rounds(incidence(b, levels), colors_b))
                 assert [d for d, _ in got_a] == [d for d, _ in got_b]
                 for (_, ca), (_, cb) in zip(got_a, got_b):
                     assert all(cb[img - 1] == ca[i] for i, img in enumerate(images))
@@ -372,14 +393,9 @@ def ranked_alone(keys):
 
 def ranked_by_definition(keys):
     """Names and digest of one code's key rows straight from their
-    definition: ranks of the distinct rows in byte order, and blake2b of
-    the width, the counts and the distinct rows."""
-    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    distinct, names, counts = np.unique(rows, return_inverse=True, return_counts=True)
-    digest = hashlib.blake2b(keys.shape[1].to_bytes(8, "little"), digest_size=8)
-    digest.update(counts)
-    digest.update(distinct)
-    return names.ravel(), digest.digest()
+    definition: ranks of the distinct rows in byte order, by one np.unique
+    over void rows, and the fingerprint hashed one Python int at a time."""
+    return ranked_by_void_rows(keys[None])[0], key_fingerprint(keys)
 
 
 def test_ranks_name_key_rows_canonically():
@@ -417,25 +433,54 @@ def test_stacked_ranks_equal_each_code_ranked_alone():
         assert digests[0] == digests[1] != digests[2]
 
 
+# one-byte rows of 1, 2 and 3 lanes, straddling the flat sort's 8 entries,
+# and two-byte rows of 1, 2 and 3 lanes
+KEY_WIDTHS = ((np.int8, (7, 8, 9, 16, 17, 30)), (np.int16, (3, 4, 5, 8, 9)))
+# two-byte values past 255 reorder if a sort or a lane keeps only the low
+# byte; word names of the length-58 codes reach 3707
+KEY_VALUES = {np.int8: (-1, 0, 1, 2, 120), np.int16: (-1, 0, 1, 255, 256, 257, 511, 3707)}
+
+
+def key_stack(rng, dtype, size, width):
+    """A stack of key rows with one code twice and rows only one code has."""
+    stack = rng.choice(KEY_VALUES[dtype], size=(size, 7, width)).astype(dtype)
+    stack[size // 2, :3] = 119  # rows no other code has
+    stack[-1] = stack[0]
+    return stack
+
+
 def test_integer_and_void_ranks_agree_at_every_stack_size():
-    # stacks of 1, 2, 255, 256 and 257 codes take a code-index prefix of 0,
-    # 1, 1, 1 and 2 bytes; rows of 6 to 10 bytes, the prefix included,
-    # straddle the 8 bytes ranked as one integer
+    # every key width, stacks of 1, 2, 255, 256 and 257 codes: each code's
+    # names and fingerprint are those it has alone and by definition
     rng = np.random.default_rng(1616)
-    for dtype, widths in ((np.int8, (6, 7, 8, 9)), (np.int16, (3, 4, 5))):
+    for dtype, widths in KEY_WIDTHS:
         for width in widths:
             for size in (1, 2, 255, 256, 257):
-                stack = rng.integers(-1, 3, size=(size, 7, width)).astype(dtype)
-                stack[size // 2, :3] = 120  # rows no other code has
-                stack[-1] = stack[0]  # one code twice
+                stack = key_stack(rng, dtype, size, width)
                 names, digests = _ranked(stack)
                 assert names.shape == stack.shape[:2] and len(digests) == size
+                assert names.tolist() == ranked_by_void_rows(stack).tolist()
                 for k, keys in enumerate(stack):
                     alone_names, alone_digest = ranked_alone(keys)
                     want_names, want_digest = ranked_by_definition(keys)
                     assert names[k].tolist() == alone_names.tolist() == want_names.tolist()
                     assert digests[k] == alone_digest == want_digest
                 assert digests[0] == digests[-1]
+                assert size < 3 or digests[0] != digests[size // 2]
+
+
+def test_sorted_rows_match_the_row_by_row_oracle():
+    # the flat sort of short one-byte rows, the per-row sorts of the rest,
+    # and the ranks of the sorted rows, against sorting one row at a time
+    rng = np.random.default_rng(1620)
+    for dtype, widths in KEY_WIDTHS:
+        for width in widths:
+            for size in (1, 2, 255, 256, 257):
+                stack = key_stack(rng, dtype, size, width)
+                want = sorted_by_row(stack)
+                got = _sorted_rows(stack.copy())
+                assert got.dtype == stack.dtype and np.array_equal(got, want)
+                assert _ranked(got)[0].tolist() == ranked_by_void_rows(want).tolist()
 
 
 def test_round_digests_do_not_depend_on_the_hash_seed():
@@ -443,10 +488,10 @@ def test_round_digests_do_not_depend_on_the_hash_seed():
     src = str(Path(sdcodes.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
-        "from sdcodes.equivalence import _Incidence, _rounds, _word_levels\n"
+        "from sdcodes.equivalence import _incidences, _rounds, _word_levels\n"
         "from sdcodes.tables import named_code\n"
         "c = named_code('C58_1')\n"
-        "for digest, _ in _rounds(_Incidence(c, _word_levels(c)), [0] * c.n):\n"
+        "for digest, _ in _rounds(next(_incidences([c], _word_levels(c))), [0] * c.n):\n"
         "    print(digest.hex())\n"
     )
     outs = [
@@ -488,7 +533,7 @@ def test_rounds_match_the_tuple_oracle_round_by_round():
     codes += [named_code(name) for name in ("C58_1", "D60_3", "J60_5")]
     for c in codes:
         levels = _word_levels(c)
-        inc = _Incidence(c, levels)
+        inc = incidence(c, levels)
         words = [codewords_of_weight(c, w) for w in levels]
         start = [0] * c.n
         start[rng.randrange(c.n)] = c.n
@@ -572,15 +617,64 @@ def test_stacked_first_paths_equal_each_code_alone():
     pool = [code_from_words(random_self_dual_words(rng, 16, steps=10), 16) for _ in range(77)]
     block = [pool[28], pool[76]]
     block += [permuted_code(c, shuffled_images(rng, 16)) for c in (pool[28], pool[76], pool[76])]
-    incs = [_Incidence(c, _word_levels(c)) for c in block]
-    assert len({(inc.word_coords.shape, inc.coord_words.shape) for inc in incs}) == 1
-    alone = [_first_paths([inc])[0] for inc in incs]
+    levels = _word_levels(block[0])
+    (stacked,) = _incidences(block, levels)  # one incidence shape, one stack
+    alone = [_first_paths(incidence(c, levels))[0] for c in block]
     # and the same as one code's path refined lazily, a depth at a time
-    assert _first_paths(incs) == alone == [list(_path_depths(c)) for c in block]
+    assert _first_paths(stacked) == alone == [list(_path_depths(c)) for c in block]
     # one code stops refining a round before the others at depth 2, and
     # leaves the stack a depth before them
     assert len({len(path) for path in alone}) == 2
     assert {len(path[2][0]) for path in alone} == {1, 2}
+
+
+def test_stacked_incidences_pad_each_code_as_alone():
+    # random [12,6] codes with the same number of words in each level, but
+    # not the same number of words through their busiest coordinate: a
+    # wider pad would add -1 entries to a code's keys, and its rounds would
+    # no longer match those of a code refined alone
+    rng = random.Random(5)
+    levels = [2, 3, 4, 5]
+    pool = [LinearCode.from_int_rows(random_matrix_rows(rng, 6, 12), 12) for _ in range(160)]
+    block = [
+        c for c in pool
+        if c.k == 6 and _word_levels(c) == levels
+        and [weight_distribution(c).counts[w] for w in levels] == [1, 4, 7, 12]
+    ]
+    alone = [incidence(c, levels) for c in block]
+    widths = [inc.coord_words.shape[2] for inc in alone]
+    assert len(block) == 3 and len(set(widths)) == 2
+    stacks = list(_incidences(block, levels))
+    assert [len(inc.word_coords) for inc in stacks] == [len(list(run)) for _, run in groupby(widths)]
+    got = [(inc.word_coords[i], inc.coord_words[i], inc.dtype) for inc in stacks for i in range(len(inc.word_coords))]
+    for (word_coords, coord_words, dtype), want in zip(got, alone, strict=True):
+        assert np.array_equal(word_coords, want.word_coords[0]) and np.array_equal(coord_words, want.coord_words[0])
+        assert dtype == want.dtype
+    assert [path for inc in stacks for path in _first_paths(inc)] == [_first_paths(inc)[0] for inc in alone]
+
+
+def test_classes_do_not_depend_on_the_block_size(neighbour_classes, monkeypatch):
+    # the neighbour survey's codes, whose classification makes negative
+    # calls and backtracks, classified with members refined in blocks and
+    # with every member refined alone
+    codes = [m for cl in neighbour_classes for m in cl.members]
+    blocks = []
+    first_paths = equivalence._first_paths
+
+    def counted_first_paths(inc):
+        blocks.append(len(inc.word_coords))
+        return first_paths(inc)
+
+    monkeypatch.setattr(equivalence, "_first_paths", counted_first_paths)
+    runs = []
+    for block_rows in (equivalence.BLOCK_ROWS, 1):
+        monkeypatch.setattr(equivalence, "BLOCK_ROWS", block_rows)
+        blocks.clear()
+        classes = classify([LinearCode(c.n, c.rows) for c in codes])
+        runs.append([(cl.representative.rows, [m.rows for m in cl.members], cl.certificates) for cl in classes])
+        assert max(blocks) > 1 if block_rows > 1 else set(blocks) == {1}
+    assert runs[0] == runs[1]
+    assert sum(len(cl.members) for cl in neighbour_classes) == sum(len(members) for _, members, _ in runs[0])
 
 
 def test_classify_refines_each_member_once(neighbour_classes, monkeypatch):
@@ -590,9 +684,9 @@ def test_classify_refines_each_member_once(neighbour_classes, monkeypatch):
     blocks, passed = [], {}
     first_paths, compare = equivalence._first_paths, equivalence.are_equivalent
 
-    def counted_first_paths(incs):
-        blocks.append(len(incs))
-        return first_paths(incs)
+    def counted_first_paths(inc):
+        blocks.append(len(inc.word_coords))
+        return first_paths(inc)
 
     def recorded_compare(a, b):
         passed.setdefault(id(a), []).append(a.memo[equivalence._FIRST_PATH])

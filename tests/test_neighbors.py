@@ -1,6 +1,9 @@
 """Neighbor constructions against the brute-force x-scan oracle."""
 
+import concurrent.futures
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from itertools import combinations
@@ -384,6 +387,22 @@ def test_survey_threads_agree():
         assert survey_record(c, threads) == serial
 
 
+def test_importing_sdcodes_loads_no_pool_module():
+    # a pool is imported only when one starts, so the CLI and a
+    # one-thread run do not pay for multiprocessing
+    src = os.path.dirname(os.path.dirname(parts.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys, sdcodes, sdcodes.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_survey_workers_are_capped_by_the_usable_cpus(monkeypatch):
     asked = []
 
@@ -409,7 +428,7 @@ def test_survey_workers_are_capped_by_the_usable_cpus(monkeypatch):
         walks.append(top)
         return level_words(rows, top)
 
-    monkeypatch.setattr(parts, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(parts, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(neighbors, "_level_words", counted)
     c = fourteen_code()

@@ -35,7 +35,7 @@ from sdcodes import (
 )
 from sdcodes import wenum
 from sdcodes.codes import shadow_parts
-from sdcodes.equivalence import _Incidence, _word_levels, signature
+from sdcodes.equivalence import _incidences, _word_levels, signature
 from sdcodes.errors import IntegrityError
 from sdcodes.neighbors import neighbor
 from sdcodes.tables import known_code_names, named_code
@@ -725,7 +725,7 @@ def test_small_code_builds_its_span_once(monkeypatch):
         walks.clear()
         signature(c)
         levels = _word_levels(c)
-        _Incidence(c, levels)
+        next(_incidences([c], levels))
         counts = weight_distribution(c).counts
         codewords_of_weight(c, weight_distribution(c).min_weight)
         assert passes == [c.k] and walks == [], (c.n, c.k)
@@ -770,7 +770,7 @@ def test_large_self_dual_code_walks_once(monkeypatch):
         above = [w for w in levels if w > top]
         assert [w for w in levels if ("words", w) in c.memo] == [w for w in levels if w <= top], c.n
         signature(c)
-        _Incidence(c, levels)
+        next(_incidences([c], levels))
         d = weight_distribution(c).min_weight
         codewords_of_weight(c, d)
         # only the random [46,23] code has a level above its walk's top
