@@ -597,6 +597,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            raise ParseError(f"--threads must be at least 1, got {args.threads}")
         _check_out(getattr(args, "out", None))
         return args.func(args)
     except tuple(_EXIT_CODES) as e:

@@ -1,34 +1,37 @@
 """Permutation equivalence of binary codes, with verifiable certificates.
 
 Coordinates are matched through the incidence structure of low-weight
-codewords by color refinement of one code at a time: a round colors words
-by (class, sorted colors of their coordinates), then coordinates by (color,
-sorted colors of their words).  The incidence and the signature's
-co-occurrence counts come from one 0/1 matrix, unpacked in one call from
-the words `wenum` memoises as 64-bit lanes, for one code or for a block of
-codes with the same word counts.  Keys are rows of one NumPy array, sorted
-by one flat sort when they are short rows of one-byte colors and row by row
-otherwise, and each is named by the rank of its bytes among its code's
-distinct rows.  Rounds of a stack of codes of one shape run in one set of
-NumPy calls.  A row of at most 16 bytes is read as one or two big-endian
-uint64 lanes, which order as its bytes do, and ranked by argsorts along
-each code's rows; a wider one is ranked as a void row by `np.unique`.  Rank
-names are canonical, so two codes compare through one profile digest per
-round, the sums of a splitmix64 hash of each word key and of each
-coordinate key, which no hash seed or stack changes, and the first that
-differs prunes a branch; a digest collision could only let a hopeless
-branch go deeper.  When a color class stays ambiguous, one coordinate is
-individualized and refinement re-run.  The first code's side depends on it
-alone: its first path (the root refinement, then the first coordinate of
-the smallest open cell individualized at each depth until the colors are
-discrete) is refined a depth at a time, when the search first reaches it,
-and `classify` refines its members' paths once each, stacked in blocks, and
-holds each in its member's memo while comparing it.  The second code keeps
-in its memo the refinement nodes of its paths that ended in a verified
-leaf, refined lazily and replayed by one comparison of their digests with
-the first code's, so the first member of a class is refined once while
-`classify` compares others with it; `classify` drops those nodes when it
-returns, since they are keyed by that member's coordinates and the
+codewords by color refinement: a round colors words by (class, sorted
+colors of their coordinates), then coordinates by (color, sorted colors of
+their words).  The incidence and the signature's co-occurrence counts come
+from one 0/1 matrix, unpacked in one call from the words `wenum` memoises
+as 64-bit lanes, for one code or for a block of codes with the same word
+counts.  One loop runs every round, on a stack of codes of one incidence
+shape, a lone code being a stack of one, in one set of NumPy calls; a code
+leaves the stack when its number of colors stops growing.  Keys are rows
+of one NumPy array, sorted by one flat sort when they are short rows of
+one-byte colors and row by row otherwise, and each is named by the rank of
+its bytes among its code's distinct rows.  A row read as big-endian uint64
+lanes orders as its bytes do: a row of one or two lanes is ranked by
+argsorts along each code's rows, a wider one by one lexsort over its lanes
+whose primary key is its code.  Rank names are canonical, so two codes
+compare through one profile digest per round, the sums of a splitmix64
+hash of each word key and of each coordinate key, which no hash seed or
+stack changes, and the first that differs prunes a branch; a digest
+collision could only let a hopeless branch go deeper.  When a color class
+stays ambiguous, one coordinate is individualized and refinement re-run.
+The first code's side depends on it alone: its first path (the root
+refinement, then the first coordinate of the smallest open cell
+individualized at each depth until the colors are discrete) comes from
+the one depth loop over a stack, read a depth at a time when the search
+first reaches it, and `classify` refines its members' paths once each
+through the same loop, stacked in blocks, and holds each in its member's
+memo while comparing it.  The second code keeps in its memo the
+refinement nodes of its paths that ended in a verified leaf, refined
+lazily as a stack of one and replayed by one comparison of their digests
+with the first code's, so the first member of a class is refined once
+while `classify` compares others with it; `classify` drops those nodes
+when it returns, since they are keyed by that member's coordinates and the
 representative it returns is the lexicographically least member.  The
 colors are isomorphism-invariant and give the partitions of a joint
 refinement of both codes, so an exhausted search proves inequivalence and
@@ -289,11 +292,11 @@ def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     big-endian integers order as the bytes do.  A row of one lane is ranked
     by its lane, and a row of two by its first lane's rank followed by its
     second lane, as one lane when the rank fits in the second lane's zero
-    padding and as a pair of ranks otherwise; wider rows are ranked as void
-    rows prefixed by their code's index.  A row hashes to the `_mixed` sum
-    of its first lane and its other lanes, each XORed with its position's
-    salt and `_mixed`, and a code to the sum of its rows' hashes and the
-    width, all modulo 2^64."""
+    padding and as a pair of ranks otherwise; wider rows are ranked by all
+    their lanes at once.  A row hashes to the `_mixed` sum of its first
+    lane and its other lanes, each XORed with its position's salt and
+    `_mixed`, and a code to the sum of its rows' hashes and the width, all
+    modulo 2^64."""
     c, r, w = keys.shape
     width = w * keys.itemsize
     packed = np.zeros((c, r, -(-width // 8) * 8), np.uint8)
@@ -308,11 +311,8 @@ def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             names = _dense_ranks(first.astype(np.uint64) << np.uint64(64 - spare) | lanes[1] >> np.uint64(spare))
         else:
             names = _dense_ranks(first * r + _dense_ranks(lanes[1]))
-    else:  # prefixed by its code's index, each code's rows rank together
-        prefix = np.arange(c, dtype=">u8").view(np.uint8).reshape(c, 1, 8)
-        void = np.concatenate((np.broadcast_to(prefix, (c, r, 8)), packed), axis=2)
-        names = np.unique(void.view(np.dtype((np.void, void.shape[2]))).ravel(), return_inverse=True)[1].reshape(c, r)
-        names -= names.min(axis=1, keepdims=True)  # a code's least row ranks 0
+    else:
+        names = _dense_ranks(lanes)
     rows = lanes[0]
     if len(lanes) > 1:
         rows = rows + _mixed(lanes[1:] ^ _salts(len(lanes) - 1)).sum(axis=0)
@@ -320,23 +320,35 @@ def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_ranks(values: np.ndarray) -> np.ndarray:
-    """Each entry's rank among the distinct entries of its row (codes x
-    rows)."""
-    c, r = values.shape
-    order = values.argsort(axis=1)
-    order += np.arange(0, c * r, r)[:, None]  # positions in the flat stack
-    order = order.ravel()
-    ordered = values.ravel()[order].reshape(c, r)
-    new = np.zeros((c, r), bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    """Each row's rank among its code's distinct rows (codes x rows).  Rows
+    of one value (values codes x rows) are ordered by an argsort along each
+    code's rows, and rows of several lanes compared in turn (values lanes x
+    codes x rows) by one lexsort whose primary key is the code's index."""
+    c, r = values.shape[-2:]
+    new = np.zeros(c * r, bool)  # whether a row differs from the one before
+    if values.ndim == 2:
+        order = values.argsort(axis=1)
+        order += np.arange(0, c * r, r)[:, None]  # positions in the flat stack
+        order = order.ravel()
+        ordered = values.ravel()[order]
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    else:
+        flat = values.reshape(len(values), c * r)
+        order = np.lexsort((*flat[::-1], np.arange(c).repeat(r)))
+        ordered = flat.take(order, axis=1)
+        np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=new[1:])
+    new[::r] = False  # each code's least row
     ranks = np.empty(c * r, np.int64)
-    ranks[order] = new.cumsum(axis=1).ravel()
+    ranks[order] = new.reshape(c, r).cumsum(axis=1).ravel()
     return ranks.reshape(c, r)
 
 
 def _shifted(word_coords: np.ndarray, coord_words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """A stack's incidence indexes (codes x rows x width), each code's
-    shifted to its row of the flattened stack of padded colors."""
+    shifted to its row of the flattened stack of padded colors; a lone
+    code's need no shift."""
+    if len(word_coords) == 1:
+        return word_coords, coord_words
     code = np.arange(len(word_coords))[:, None, None]
     return word_coords + code * (coord_words.shape[1] + 1), coord_words + code * (word_coords.shape[1] + 1)
 
@@ -388,22 +400,27 @@ def _round(word_index: np.ndarray, coord_index: np.ndarray, current: np.ndarray)
 _DIGEST = np.dtype((np.void, 16))
 
 
-Rounds = Iterator[Tuple[bytes, List[int]]]  # (profile digest, coordinate colors)
-
-
-def _rounds(inc: _Incidence, colors: List[int]) -> Rounds:
-    """Refine the coordinate colors of one code, one round per item, until
-    their number stops growing."""
-    current = _pad(np.array([colors]), inc.dtype)
-    seen = len(set(colors))
-    while True:  # a lone code's indexes need no shift
-        digests, names = _round(inc.word_coords, inc.coord_words, current)
-        yield digests.tobytes(), names[0].tolist()
-        top = names.max() + 1
-        if top == seen:
-            return
-        seen = top
-        current[:, :-1] = names
+def _rounds(
+    inc: _Incidence, colors: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Refine the coordinate colors of a stack of codes (codes x n), a lone
+    code being a stack of one, one round per item, each code until its
+    number of colors stops growing, when it leaves the stack.  Each item
+    gives the positions in the stack of the codes the round refined, their
+    digests and new colors, and which of them stopped."""
+    at = np.arange(len(colors))  # positions of the codes still refining
+    seen = _dense_ranks(colors).max(axis=1) + 1  # distinct colors of each code
+    current = _pad(colors, inc.dtype)
+    word_index, coord_index = _shifted(inc.word_coords, inc.coord_words)
+    while len(at):
+        digests, names = _round(word_index, coord_index, current)
+        top = names.max(axis=1) + 1
+        done = top == seen
+        yield at, digests, names, done
+        if done.any():
+            at, names, top = at[~done], names[~done], top[~done]
+            word_index, coord_index = _shifted(inc.word_coords[at], inc.coord_words[at])
+        seen, current = top, _pad(names, inc.dtype)
 
 
 # One depth of a first path: the round digests, the final colors, and the
@@ -423,76 +440,51 @@ def _targets(colors: np.ndarray) -> List[Optional[int]]:
     return [i if size[row, i] > 1 else None for row, i in enumerate(key.argmin(axis=1).tolist())]
 
 
-def _path_depths(c: LinearCode) -> Iterator[Depth]:
-    """One code's first path, a depth per item, refined as it is read."""
-    inc = next(_incidences([c], _word_levels(c)))
-    colors = [0] * c.n
-    while True:
-        digests = []
-        for digest, final in _rounds(inc, colors):
-            digests.append(digest)
-        i = _targets(np.array([final]))[0]
-        yield tuple(digests), final, i
-        if i is None:
-            return
-        colors = final[:i] + [c.n] + final[i + 1 :]
+def _first_paths(inc: _Incidence) -> Iterator[List[Tuple[int, Depth]]]:
+    """The first paths of the codes of a stacked incidence, a depth per
+    item, refined as it is read: each code still on its path, by its
+    position in the stack, with its depth.  A path is the root refinement,
+    then one individualization and refinement per depth until the colors
+    are discrete; a code leaves the stack when its path ends."""
+    count, n = inc.coord_words.shape[:2]
+    codes = np.arange(count)  # the codes whose path goes deeper, stacked in inc
+    colors = np.zeros((count, n), np.int64)
+    while len(codes):
+        digests = []  # per round, a row per code; rows of codes done are not read
+        taken = np.empty(len(codes), np.int64)  # rounds each code took
+        final = np.empty((len(codes), n), np.int64)
+        for at, got, names, done in _rounds(inc, colors):
+            digests.append(np.empty((len(codes), 2), np.uint64))
+            digests[-1][at] = got
+            final[at[done]] = names[done]
+            taken[at[done]] = len(digests)
+        rounds = np.stack(digests, axis=1).view(_DIGEST)[:, :, 0].tolist()
+        depth, deeper = [], []
+        paths = zip(codes.tolist(), rounds, taken.tolist(), final.tolist(), _targets(final))
+        for pos, (code, row, k, last, i) in enumerate(paths):
+            depth.append((code, (tuple(row[:k]), last, i)))
+            if i is not None:
+                final[pos, i] = n  # no rank reaches n, so it individualizes
+                deeper.append(pos)
+        yield depth
+        if len(deeper) < len(codes):
+            inc = _Incidence(inc.word_coords[deeper], inc.coord_words[deeper], inc.dtype)
+        codes, colors = codes[deeper], final[deeper]
 
 
 def _lazy_path(c: LinearCode) -> Callable[[int], Depth]:
     """One code's first path by depth, each refined when first read, so a
     search pruned early refines a no deeper than it went."""
     depths: List[Depth] = []
-    more = _path_depths(c)
+    more = _first_paths(next(_incidences([c], _word_levels(c))))
 
     def depth(d: int) -> Depth:
         if d == len(depths):
-            depths.append(next(more))
+            ((_, got),) = next(more)
+            depths.append(got)
         return depths[d]
 
     return depth
-
-
-def _first_paths(inc: _Incidence) -> List[List[Depth]]:
-    """The first path of each code of a stacked incidence: the root
-    refinement, then one individualization and refinement per depth until
-    the colors are discrete.  Every round runs once for all the codes still
-    refining, and a code leaves the stack when it is done; each depth's
-    digests are read off as one array."""
-    count, n = inc.coord_words.shape[:2]
-    paths: List[List[Depth]] = [[] for _ in range(count)]
-    active = np.arange(count)  # codes whose path goes deeper
-    current = _pad(np.zeros((count, n)), inc.dtype)
-    while len(active):
-        digests = []  # per round, a row per active code; rows of codes done are not read
-        taken = np.empty(len(active), np.int64)  # rounds each code took
-        final = np.empty((len(active), n), np.int64)
-        at = np.arange(len(active))  # positions in `active` still refining
-        seen = _dense_ranks(current[:, :-1]).max(axis=1) + 1  # distinct colors of each code
-        word_index, coord_index = _shifted(inc.word_coords[active], inc.coord_words[active])
-        while True:
-            got, names = _round(word_index, coord_index, current)
-            digests.append(np.empty((len(active), 2), np.uint64))
-            digests[-1][at] = got
-            top = names.max(axis=1) + 1
-            done = top == seen
-            final[at[done]] = names[done]
-            taken[at[done]] = len(digests)
-            if done.all():
-                break
-            if done.any():
-                at, names, top = at[~done], names[~done], top[~done]
-                word_index, coord_index = _shifted(inc.word_coords[active[at]], inc.coord_words[active[at]])
-            seen, current = top, _pad(names, inc.dtype)
-        rounds = np.stack(digests, axis=1).view(_DIGEST)[:, :, 0].tolist()
-        deeper = []
-        depths = zip(active.tolist(), rounds, taken.tolist(), final.tolist(), _targets(final))
-        for pos, (code, digests, k, colors, i) in enumerate(depths):
-            paths[code].append((tuple(digests[:k]), colors, i))
-            if i is not None:
-                final[pos, i] = n  # no rank reaches n, so it individualizes
-                deeper.append(pos)
-        active, current = active[deeper], _pad(final[deeper], inc.dtype)
-    return paths
 
 
 def _match(
@@ -560,20 +552,20 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
         if path in tree:
             digests, final = tree[path]
             return final if digests == want else None
+        colors = np.zeros((1, b.n), np.int64)
         if path:
-            colors = list(tree[path[:-1]][1])
-            colors[path[-1]] = b.n
-        else:
-            colors = [0] * b.n
+            colors[0] = tree[path[:-1]][1]
+            colors[0, path[-1]] = b.n
         if not inc_b:
             inc_b.extend(_incidences([b], levels))
         k = 0
-        for digest, final in _rounds(inc_b[0], colors):
-            if k == len(want) or digest != want[k]:
+        for _, digests, names, _ in _rounds(inc_b[0], colors):
+            if k == len(want) or digests.tobytes() != want[k]:
                 return None
             k += 1
         if k < len(want):
             return None
+        final = names[0].tolist()
         tree[path] = (want, final)
         added.append(path)
         return final
@@ -625,7 +617,11 @@ def _member_paths(members: Sequence[LinearCode]) -> Iterator[List[Depth]]:
         size = max(1, BLOCK_ROWS // sum(counts))
         for lo in range(0, len(run), size):
             for inc in _incidences(run[lo : lo + size], levels):
-                yield from _first_paths(inc)
+                paths: List[List[Depth]] = [[] for _ in range(len(inc.word_coords))]
+                for depth in _first_paths(inc):
+                    for code, got in depth:
+                        paths[code].append(got)
+                yield from paths
 
 
 def _word_counts(c: LinearCode) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

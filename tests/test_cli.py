@@ -107,6 +107,27 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--block", "5", "--dmin", "4"],
+    ["neighbors", "--code", "C58_1", "--dmin", "10"],
+    ["reproduce", "T1"],
+])
+def test_threads_below_one_is_input_error(tmp_path, capsys, monkeypatch, argv):
+    # refused before any work, and before --out is written
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --threads was checked")
+
+    for name in ("search_four_circulant", "extremal_neighbor_survey", "_reproduce_rows"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = ["--out", str(tmp_path / "out.txt")] if argv[0] != "reproduce" else []
+    for threads in ("0", "-2"):
+        capsys.readouterr()
+        assert main(argv + ["--threads", threads] + out) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --threads must be at least 1, got {threads}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_library_example_runs():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)

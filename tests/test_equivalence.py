@@ -30,7 +30,7 @@ from sdcodes.equivalence import (
     _bits,
     _first_paths,
     _incidences,
-    _path_depths,
+    _lazy_path,
     _ranked,
     _rounds,
     _sorted_rows,
@@ -63,6 +63,29 @@ def incidence(c, levels):
     """The incidence of one code, a stack of one."""
     (inc,) = _incidences([c], levels)
     return inc
+
+
+def rounds_alone(inc, colors):
+    """`_rounds` of one code, a stack of one: (digest, colors) per round."""
+    return [(digests.tobytes(), names[0].tolist()) for _, digests, names, _ in _rounds(inc, np.array([colors]))]
+
+
+def whole_paths(inc):
+    """Each code's whole first path, collected from `_first_paths`."""
+    paths = [[] for _ in inc.word_coords]
+    for depth in _first_paths(inc):
+        for code, got in depth:
+            paths[code].append(got)
+    return paths
+
+
+def lazy_whole_path(c):
+    """One code's whole first path, read a depth at a time from `_lazy_path`."""
+    depth = _lazy_path(c)
+    path = [depth(0)]
+    while path[-1][2] is not None:
+        path.append(depth(len(path)))
+    return path
 
 
 def code_from_words(words, n, name=None):
@@ -378,8 +401,8 @@ def test_rounds_commute_with_permutations():
             for i, img in enumerate(images):
                 moved[img - 1] = start[i]
             for colors_a, colors_b in ([[0] * n, [0] * n], [start, moved]):
-                got_a = list(_rounds(incidence(a, levels), colors_a))
-                got_b = list(_rounds(incidence(b, levels), colors_b))
+                got_a = rounds_alone(incidence(a, levels), colors_a)
+                got_b = rounds_alone(incidence(b, levels), colors_b)
                 assert [d for d, _ in got_a] == [d for d, _ in got_b]
                 for (_, ca), (_, cb) in zip(got_a, got_b):
                     assert all(cb[img - 1] == ca[i] for i, img in enumerate(images))
@@ -434,8 +457,9 @@ def test_stacked_ranks_equal_each_code_ranked_alone():
 
 
 # one-byte rows of 1, 2 and 3 lanes, straddling the flat sort's 8 entries,
-# and two-byte rows of 1, 2 and 3 lanes
-KEY_WIDTHS = ((np.int8, (7, 8, 9, 16, 17, 30)), (np.int16, (3, 4, 5, 8, 9)))
+# and two-byte rows of 1, 2, 3 and 200 lanes, the last as wide as the
+# coordinate keys of the length-58 codes
+KEY_WIDTHS = ((np.int8, (7, 8, 9, 16, 17, 30)), (np.int16, (3, 4, 5, 8, 9, 800)))
 # two-byte values past 255 reorder if a sort or a lane keeps only the low
 # byte; word names of the length-58 codes reach 3707
 KEY_VALUES = {np.int8: (-1, 0, 1, 2, 120), np.int16: (-1, 0, 1, 255, 256, 257, 511, 3707)}
@@ -488,11 +512,12 @@ def test_round_digests_do_not_depend_on_the_hash_seed():
     src = str(Path(sdcodes.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
+        "import numpy as np\n"
         "from sdcodes.equivalence import _incidences, _rounds, _word_levels\n"
         "from sdcodes.tables import named_code\n"
         "c = named_code('C58_1')\n"
-        "for digest, _ in _rounds(next(_incidences([c], _word_levels(c))), [0] * c.n):\n"
-        "    print(digest.hex())\n"
+        "for _, digests, _, _ in _rounds(next(_incidences([c], _word_levels(c))), np.zeros((1, c.n), int)):\n"
+        "    print(digests.tobytes().hex())\n"
     )
     outs = [
         subprocess.run(
@@ -538,7 +563,7 @@ def test_rounds_match_the_tuple_oracle_round_by_round():
         start = [0] * c.n
         start[rng.randrange(c.n)] = c.n
         for colors in ([0] * c.n, start):
-            got = [partition(cols) for _, cols in _rounds(inc, colors)]
+            got = [partition(cols) for _, cols in rounds_alone(inc, colors)]
             want = [partition(cols) for _, cols in refinement_rounds_by_tuples(words, c.n, colors)]
             assert got == want
 
@@ -610,22 +635,53 @@ def test_classify_drops_refinement_trees():
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == NEIGHBOUR_REPORT_DIGEST
 
 
-def test_stacked_first_paths_equal_each_code_alone():
-    # two inequivalent [16,8] codes of one incidence shape, whose paths
-    # differ in depth and in rounds per depth, and permuted copies of each
+def mixed_block():
+    """Two inequivalent [16,8] codes of one incidence shape, whose paths
+    differ in depth and in rounds per depth, and permuted copies of each."""
     rng = random.Random(1610)
     pool = [code_from_words(random_self_dual_words(rng, 16, steps=10), 16) for _ in range(77)]
     block = [pool[28], pool[76]]
-    block += [permuted_code(c, shuffled_images(rng, 16)) for c in (pool[28], pool[76], pool[76])]
+    return block + [permuted_code(c, shuffled_images(rng, 16)) for c in (pool[28], pool[76], pool[76])]
+
+
+def test_stacked_first_paths_equal_each_code_alone():
+    block = mixed_block()
     levels = _word_levels(block[0])
     (stacked,) = _incidences(block, levels)  # one incidence shape, one stack
-    alone = [_first_paths(incidence(c, levels))[0] for c in block]
+    alone = [whole_paths(incidence(c, levels))[0] for c in block]
     # and the same as one code's path refined lazily, a depth at a time
-    assert _first_paths(stacked) == alone == [list(_path_depths(c)) for c in block]
+    assert whole_paths(stacked) == alone == [lazy_whole_path(c) for c in block]
     # one code stops refining a round before the others at depth 2, and
     # leaves the stack a depth before them
     assert len({len(path) for path in alone}) == 2
     assert {len(path[2][0]) for path in alone} == {1, 2}
+
+
+def test_rounds_of_a_mixed_stack_equal_each_code_alone():
+    # the block above from the colors its paths enter depth 2 with, where
+    # one code stops a round before the others: round by round, each code
+    # gets the digests and colors of a stack of itself, and stops once
+    block = mixed_block()
+    levels = _word_levels(block[0])
+    (stacked,) = _incidences(block, levels)
+    starts = []
+    for path in whole_paths(stacked):
+        _, colors, i = path[1]
+        starts.append(colors[:i] + [len(colors)] + colors[i + 1 :])
+    got = [[] for _ in block]
+    stopped = []
+    for at, digests, names, done in _rounds(stacked, np.array(starts)):
+        assert len(at) == len(digests) == len(names) == len(done) and not set(at.tolist()) & set(stopped)
+        for pos, digest, colors in zip(at.tolist(), digests, names):
+            got[pos].append((digest.tobytes(), colors.tolist()))
+        stopped += at[done].tolist()
+    assert sorted(stopped) == list(range(len(block)))
+    assert len({len(rounds) for rounds in got}) == 2
+    for c, start, rounds in zip(block, starts, got):
+        assert rounds == rounds_alone(incidence(c, levels), start)
+        words = [codewords_of_weight(c, w) for w in levels]
+        *_, (_, want) = refinement_rounds_by_tuples(words, c.n, start)
+        assert partition(rounds[-1][1]) == partition(want)
 
 
 def test_stacked_incidences_pad_each_code_as_alone():
@@ -650,7 +706,7 @@ def test_stacked_incidences_pad_each_code_as_alone():
     for (word_coords, coord_words, dtype), want in zip(got, alone, strict=True):
         assert np.array_equal(word_coords, want.word_coords[0]) and np.array_equal(coord_words, want.coord_words[0])
         assert dtype == want.dtype
-    assert [path for inc in stacks for path in _first_paths(inc)] == [_first_paths(inc)[0] for inc in alone]
+    assert [path for inc in stacks for path in whole_paths(inc)] == [whole_paths(inc)[0] for inc in alone]
 
 
 def test_classes_do_not_depend_on_the_block_size(neighbour_classes, monkeypatch):
@@ -663,7 +719,7 @@ def test_classes_do_not_depend_on_the_block_size(neighbour_classes, monkeypatch)
 
     def counted_first_paths(inc):
         blocks.append(len(inc.word_coords))
-        return first_paths(inc)
+        yield from first_paths(inc)
 
     monkeypatch.setattr(equivalence, "_first_paths", counted_first_paths)
     runs = []
@@ -686,7 +742,7 @@ def test_classify_refines_each_member_once(neighbour_classes, monkeypatch):
 
     def counted_first_paths(inc):
         blocks.append(len(inc.word_coords))
-        return first_paths(inc)
+        yield from first_paths(inc)
 
     def recorded_compare(a, b):
         passed.setdefault(id(a), []).append(a.memo[equivalence._FIRST_PATH])
@@ -697,7 +753,7 @@ def test_classify_refines_each_member_once(neighbour_classes, monkeypatch):
 
     monkeypatch.setattr(equivalence, "_first_paths", counted_first_paths)
     monkeypatch.setattr(equivalence, "are_equivalent", recorded_compare)
-    monkeypatch.setattr(equivalence, "_path_depths", no_lazy_path)
+    monkeypatch.setattr(equivalence, "_lazy_path", no_lazy_path)
     classes = classify(codes)
     assert sorted(len(cl.members) for cl in classes) == [1, 7, 7, 10, 20, 70, 140, 255]
     assert sum(blocks) == len(passed) == len(codes) - len({signature(c) for c in codes})
@@ -713,14 +769,17 @@ def test_a_comparison_refines_a_no_deeper_than_it_searches(neighbour_classes, mo
     # a negative pruned at b's root refines a's root only, an exhausted one
     # no deeper than it searched, and a positive each depth once
     refined = []
-    depths = equivalence._path_depths
+    first_paths = equivalence._first_paths
 
-    def counted_depths(c):
-        for depth in depths(c):
+    def counted_depths(inc):
+        for depth in first_paths(inc):
             refined.append(depth)
             yield depth
 
-    monkeypatch.setattr(equivalence, "_path_depths", counted_depths)
+    def depths(c):
+        return list(first_paths(incidence(c, _word_levels(c))))
+
+    monkeypatch.setattr(equivalence, "_first_paths", counted_depths)
     rng = random.Random(7)
     x, y = (code_from_words(random_self_dual_words(rng, 28, steps=8), 28) for _ in range(2))
     firsts = [cl.members[0] for cl in neighbour_classes]
@@ -729,7 +788,7 @@ def test_a_comparison_refines_a_no_deeper_than_it_searches(neighbour_classes, mo
         assert signature(a) == signature(b)
         refined.clear()
         assert are_equivalent(a, b).distinct_reason == "exhausted coordinate matching"
-        assert len(refined) == want < len(list(depths(a)))
+        assert len(refined) == want < len(depths(a))
     refined.clear()
     assert are_equivalent(u, permuted_code(u, shuffled_images(rng, u.n))).equivalent
-    assert refined == list(depths(u))
+    assert refined == depths(u)
