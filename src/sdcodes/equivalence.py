@@ -6,7 +6,8 @@ colors of their coordinates), then coordinates by (color, sorted colors of
 their words).  The incidence and the signature's co-occurrence counts come
 from one 0/1 matrix, unpacked in one call from the words `wenum` memoises
 as 64-bit lanes, for one code or for a block of codes with the same word
-counts.  One loop runs every round, on a stack of codes of one incidence
+counts; the co-occurrence counts of a block of codes with the same A_d
+come from one batched product.  One loop runs every round, on a stack of codes of one incidence
 shape, a lone code being a stack of one, in one set of NumPy calls; a code
 leaves the stack when its number of colors stops growing.  Keys are rows
 of one NumPy array, sorted by one flat sort when they are short rows of
@@ -23,40 +24,47 @@ stays ambiguous, one coordinate is individualized and refinement re-run.
 The first code's side depends on it alone: its first path (the root
 refinement, then the first coordinate of the smallest open cell
 individualized at each depth until the colors are discrete) comes from
-the one depth loop over a stack, read a depth at a time when the search
-first reaches it, and `classify` refines its members' paths once each
-through the same loop, stacked in blocks, and holds each in its member's
-memo while comparing it.  The second code keeps in its memo the
-refinement nodes of its paths that ended in a verified leaf, refined
-lazily as a stack of one and replayed by one comparison of their digests
-with the first code's, so the first member of a class is refined once
-while `classify` compares others with it; `classify` drops those nodes
-when it returns, since they are keyed by that member's coordinates and the
-representative it returns is the lexicographically least member.  The
-colors are isomorphism-invariant and give the partitions of a joint
-refinement of both codes, so an exhausted search proves inequivalence and
-the first verified leaf, hence the certificate, is the joint search's.  At
-a leaf the coordinate matching is read off as a permutation and checked
-before being returned: the 0/1 matrix of the first code's generator rows,
-its columns permuted, times the transpose of the second code's parity-check
-matrix must be even in every entry.  That test shares no code with
-refinement, so a positive answer never depends on the refinement being
-correct.  A "distinct" verdict names the first separating invariant, or
-records that the refined search space was exhausted.
+the one depth loop over a stack.  One matcher searches the second code's
+tree for a block of first paths at once, a lone comparison being a block
+of one whose path is read a depth at a time as the search reaches it:
+members whose digests agree at a node share one replay or refinement of
+the second code there, each tries its own candidate coordinates in its
+own order, and so reaches the leaf it would reach alone.  `classify`
+refines its members' paths once each through the same loop, stacked in
+blocks, and matches each block against its classes' first members in
+turn.  The second code keeps in its memo the refinement nodes of its paths
+that ended in a verified leaf, replayed by one comparison of their
+digests, so the first member of a class is refined once while `classify`
+compares others with it; `classify` drops those nodes when it returns,
+since they are keyed by that member's coordinates and the representative
+it returns is the lexicographically least member.  The colors are
+isomorphism-invariant and give the partitions of a joint refinement of
+both codes, so an exhausted search proves inequivalence and the first
+verified leaf, hence the certificate, is the joint search's.  At a leaf
+the coordinate matching is read off as a permutation and checked before
+being returned: the 0/1 matrix of the first code's generator rows, its
+columns permuted, times the transpose of the second code's parity-check
+matrix must be even in every entry.  One stacked product checks a whole
+stack of codes and permutations against one code: the members at a leaf,
+and `classify`'s certificates composed into the representative.  That
+test shares no code with refinement, so a positive answer never depends
+on the refinement being correct.  A "distinct" verdict names the first
+separating invariant, or records that the refined search space was
+exhausted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import groupby, repeat
+from itertools import groupby
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .codes import LinearCode, ParityClass, is_self_dual, parity_class
 from .errors import DomainError, IntegrityError
-from .gf2core import format01, kernel_raw
+from .gf2core import kernel_raw
 from .wenum import (
     _check_dimension,
     _word_levels,
@@ -95,39 +103,62 @@ class InvariantSignature:
 
 
 def signature(c: LinearCode) -> InvariantSignature:
-    cached = c.memo.get("signature")
-    if cached is not None:
-        return cached
+    return _signatures([c])[0]
+
+
+def _signatures(codes: Sequence[LinearCode]) -> List[InvariantSignature]:
+    """The signatures of codes, memoised on each.  The co-occurrence counts
+    of consecutive codes with the same n and A_d come from one batched
+    product, up to BLOCK_ROWS stacked words: G = M^T M for the words x
+    coordinates 0/1 matrix M of each code's weight-d words, where G[i, i]
+    counts words through i and G[i, j] those through i and j."""
+    todo = [c for c in codes if "signature" not in c.memo]
+    for (n, d, words), run in groupby(todo, key=_lowest_class):
+        run = list(run)
+        if d is None:
+            for c in run:
+                c.memo["signature"] = InvariantSignature(n, 0, None, (), None, None, (), ())
+            continue
+        size = max(1, BLOCK_ROWS // words)
+        for lo in range(0, len(run), size):
+            block = run[lo : lo + size]
+            m = _unpacked(np.concatenate([_words(c, d) for c in block]), n).reshape(len(block), words, n)
+            m = m.astype(np.float32)
+            g = np.matmul(m.transpose(0, 2, 1), m)  # entries are at most A_d < 2^24, so exact
+            diagonals = np.sort(np.diagonal(g, axis1=1, axis2=2), axis=1).astype(np.int64).tolist()
+            uppers = np.sort(g[(slice(None), *_upper_triangle(n))], axis=1).astype(np.int64).tolist()
+            for c, diagonal, upper in zip(block, diagonals, uppers):
+                c.memo["signature"] = _signature(c, d, diagonal, upper)
+    return [c.memo["signature"] for c in codes]
+
+
+def _lowest_class(c: LinearCode) -> Tuple[int, Optional[int], int]:
+    """n, the minimum weight d and A_d of a code whose signature is due."""
     _check_dimension(c, "signature")
     w = weight_distribution(c)
     d = w.min_weight
-    if d is None:
-        sig = InvariantSignature(c.n, 0, None, (), None, None, (), ())
-        c.memo["signature"] = sig
-        return sig
-    dist_prefix = tuple(w.counts[d : min(d + 9, c.n + 1)])
+    return c.n, d, 0 if d is None else w.counts[d]
+
+
+def _signature(c: LinearCode, d: int, diagonal: List[int], upper: List[int]) -> InvariantSignature:
+    """A code's signature from its co-occurrence counts, sorted."""
+    counts = weight_distribution(c).counts
     shadow_min = None
     shadow_prefix = None
     if is_self_dual(c) and parity_class(c) is ParityClass.SINGLY_EVEN:
         s = shadow_distribution(c)
         shadow_min = s.min_weight
         shadow_prefix = tuple(s.counts[shadow_min : min(shadow_min + 9, c.n + 1)])
-    # G = M^T M for the words x coordinates 0/1 matrix M of the weight-d
-    # words: G[i, i] counts words through i, G[i, j] those through i and j
-    m = _unpacked(_words(c, d), c.n).astype(np.float64)
-    g = (m.T @ m).astype(np.int64)  # entries are at most A_d, so exact
-    sig = InvariantSignature(
+    return InvariantSignature(
         c.n,
         c.k,
         d,
-        dist_prefix,
+        tuple(counts[d : min(d + 9, c.n + 1)]),
         shadow_min,
         shadow_prefix,
-        tuple(np.sort(np.diag(g)).tolist()),
-        tuple(np.sort(g[_upper_triangle(c.n)]).tolist()),
+        tuple(diagonal),
+        tuple(upper),
     )
-    c.memo["signature"] = sig
-    return sig
 
 
 @cache
@@ -186,23 +217,36 @@ def identity_certificate(n: int) -> EquivalenceCertificate:
 
 def _bits(rows: Sequence[int], n: int) -> np.ndarray:
     """The rows x n 0/1 matrix of packed rows, as float64, unpacked from
-    their little-endian bytes."""
-    size = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), size), axis=1, count=n, bitorder="little").astype(np.float64)
+    their little-endian bytes: rows of n <= 64 converted as one uint64
+    array, longer ones byte by byte."""
+    if n <= 64:
+        packed = np.array(rows, "<u8").view(np.uint8).reshape(len(rows), 8)
+    else:
+        size = (n + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), np.uint8).reshape(len(rows), size)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float64)
 
 
-def _maps_into(a: LinearCode, images: Sequence[int], b: LinearCode) -> bool:
-    """Whether the permutation sends every generator row of a into b: a's
-    rows, coordinate i sent to images[i-1], times the transpose of b's
-    parity-check matrix H, kept in b's memo, must be even in every entry.
-    The entries are integers of at most n <= 128, so float64 products
-    (multiplied through BLAS) are exact."""
-    h = b.memo.get("parity checks")
-    if h is None:
-        h = b.memo["parity checks"] = _bits(kernel_raw(b.rows, b.n), b.n)
-    g = _bits(a.rows, a.n)
-    return not ((g @ h[:, np.asarray(images) - 1].T) % 2).any()
+def _maps_into(gens: np.ndarray, images: np.ndarray, b: LinearCode) -> np.ndarray:
+    """For a stack of 0/1 generator matrices (codes x k x n, float64) and
+    one permutation per code (codes x n, 1-indexed images), whether the
+    permutation sends every generator row of its code into b: the rows,
+    coordinate i sent to images[i-1], times the transpose of b's
+    parity-check matrix H, kept in b's memo as H^T, must be even in every
+    entry.  One stacked product checks the whole stack; its entries are
+    integers of at most n <= 128, so float64 products are exact."""
+    ht = b.memo.get("parity checks")
+    if ht is None:
+        ht = b.memo["parity checks"] = np.ascontiguousarray(_bits(kernel_raw(b.rows, b.n), b.n).T)
+    products = np.matmul(gens, ht[images - 1]).astype(np.int64)
+    return ~(products & 1).any(axis=(1, 2))
+
+
+def _stacked_bits(codes: Sequence[LinearCode]) -> np.ndarray:
+    """The 0/1 generator matrices of codes of one shape, as float64 (codes
+    x k x n)."""
+    n = codes[0].n
+    return _bits([r for c in codes for r in c.rows], n).reshape(len(codes), -1, n)
 
 
 def verify_certificate(a: LinearCode, b: LinearCode, cert: EquivalenceCertificate) -> bool:
@@ -212,7 +256,7 @@ def verify_certificate(a: LinearCode, b: LinearCode, cert: EquivalenceCertificat
         return False
     if sorted(cert.perm) != list(range(1, a.n + 1)):
         return False
-    return _maps_into(a, cert.perm, b)
+    return bool(_maps_into(_stacked_bits([a]), np.array([cert.perm]), b)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -488,36 +532,118 @@ def _lazy_path(c: LinearCode) -> Callable[[int], Depth]:
 
 
 def _match(
-    a_path: Callable[[int], Depth], path: Tuple[int, ...],
-    node: Callable[[Tuple[int, ...], Tuple[bytes, ...]], Optional[List[int]]],
-    verify: Callable[[Tuple[int, ...]], bool],
-) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """First verified leaf below b's node at `path`, as (images, path).
+    paths: Sequence[Callable[[int], Depth]], gens: np.ndarray, b: LinearCode, levels: Tuple[int, ...]
+) -> List[Optional[Tuple[int, ...]]]:
+    """Each member's first verified leaf below b's root, as its images, or
+    None once its search is exhausted, for a block of members' first paths
+    (read a depth at a time) and their generator matrices (members x k x
+    n), all with b's word counts in `levels`.
 
-    a's first path at this depth is shared by every candidate of b; b's
-    node gives its final colors only if its rounds match a's digests, and
-    the first that differs prunes the branch.
+    The members share b's search tree.  At a node, b is replayed from its
+    memo or refined once for all the members there, and its rounds are
+    compared with each distinct digest sequence of theirs at that depth:
+    b's rounds do not depend on the member, so at most one sequence
+    matches, and a round that matches none prunes the node.  Each member
+    tries, in increasing order, the coordinates of b whose color is that
+    of the coordinate its own path individualizes, and stops at its first
+    verified leaf, so a member gets the leaf it would get alone.  At a
+    leaf the images of all its members are read off their colors and b's
+    by indexing, a permutation whatever b's colors, and checked by one
+    stacked `_maps_into`.  Only the nodes on a verified member's path stay
+    in b's memo.
     """
-    a_digests, ca, i = a_path(len(path))
-    cb = node(path, a_digests)
-    if cb is None:
-        return None
-    if i is None:
-        pos_b = {col: j + 1 for j, col in enumerate(cb)}
-        images = tuple(map(pos_b.__getitem__, ca))
-        return (images, path) if verify(images) else None
-    j = -1
-    for _ in range(cb.count(ca[i])):
-        j = cb.index(ca[i], j + 1)
-        got = _match(a_path, path + (j,), node, verify)
-        if got is not None:
-            return got
-    return None
+    n = b.n
+    tree = b.memo.setdefault(("refinement", levels), {})
+    added: List[Tuple[int, ...]] = []
+    inc_b: List[_Incidence] = []  # built when a node is first refined
+    found: List[Optional[Tuple[int, ...]]] = [None] * len(paths)
+    ends: List[Tuple[int, ...]] = []  # b's paths to verified leaves
+
+    def node(
+        path: Tuple[int, ...], wants: Dict[Tuple[bytes, ...], object]
+    ) -> Optional[Tuple[Tuple[bytes, ...], List[int]]]:
+        """b's digests and final colors at `path` if its rounds there give
+        one of the digest sequences `wants`, else None: replayed, or refined
+        from its parent's colors, the last coordinate of the path
+        individualized, and recorded."""
+        if path in tree:
+            return tree[path] if tree[path][0] in wants else None
+        colors = np.zeros((1, n), np.int64)
+        if path:
+            colors[0] = tree[path[:-1]][1]
+            colors[0, path[-1]] = n
+        if not inc_b:
+            inc_b.extend(_incidences([b], levels))
+        got: List[bytes] = []
+        live = list(wants)
+        for _, digests, names, _ in _rounds(inc_b[0], colors):
+            got.append(digests.tobytes())
+            live = [want for want in live if len(want) >= len(got) and want[len(got) - 1] == got[-1]]
+            if not live:
+                return None
+        if tuple(got) not in wants:
+            return None
+        tree[path] = (tuple(got), names[0].tolist())
+        added.append(path)
+        return tree[path]
+
+    def search(path: Tuple[int, ...], live: List[int]) -> None:
+        """Search b's node at `path` for the members `live`, none at a
+        verified leaf yet."""
+        groups: Dict[Tuple[bytes, ...], List[Tuple[int, List[int], Optional[int]]]] = {}
+        for m in live:
+            digests, colors, i = paths[m](len(path))
+            groups.setdefault(digests, []).append((m, colors, i))
+        hit = node(path, groups)
+        if hit is None:
+            return
+        digests, cb = hit
+        targets: Dict[int, List[int]] = {}  # color -> members individualizing a coordinate of it
+        leaves = []
+        for m, ca, i in groups[digests]:
+            if i is None:
+                leaves.append((m, ca))
+            else:
+                targets.setdefault(ca[i], []).append(m)
+        if leaves:
+            at = [m for m, _ in leaves]
+            images = np.argsort(cb)[np.array([ca for _, ca in leaves])] + 1
+            for m, ok, row in zip(at, _maps_into(gens[at], images, b), images.tolist()):
+                if ok:
+                    found[m] = tuple(row)
+                    ends.append(path)
+        for j, color in enumerate(cb):
+            if color in targets:
+                todo = [m for m in targets[color] if found[m] is None]
+                if todo:
+                    search(path + (j,), todo)
+
+    search((), list(range(len(paths))))
+    if added:
+        kept = {end[:depth] for end in ends for depth in range(len(end) + 1)}
+        for path in added:
+            if path not in kept:
+                del tree[path]
+    return found
 
 
-# memo key of a code's whole first path, kept only while `classify`
-# compares that code
-_FIRST_PATH = "first path"
+def _verdicts(
+    members: Sequence[LinearCode], paths: Sequence[Callable[[int], Depth]], b: LinearCode
+) -> List[EquivalenceCertificate]:
+    """Each of a block of codes with the same word counts, against b: the
+    identity for a code equal to b, distinct when b's word counts differ,
+    and otherwise the block matcher's first verified leaf."""
+    levels, counts = _word_counts(members[0])
+    wb = weight_distribution(b).counts
+    if [wb[w] for w in levels] != list(counts):
+        return [EquivalenceCertificate(None, distinct_reason="weight class sizes")] * len(members)
+    out = [identity_certificate(b.n)] * len(members)
+    rest = [m for m, c in enumerate(members) if c.rows != b.rows]
+    if rest:
+        found = _match([paths[m] for m in rest], _stacked_bits([members[m] for m in rest]), b, levels)
+        for m, images in zip(rest, found):
+            out[m] = EquivalenceCertificate(images, None if images else "exhausted coordinate matching")
+    return out
 
 
 def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
@@ -533,54 +659,7 @@ def are_equivalent(a: LinearCode, b: LinearCode) -> EquivalenceCertificate:
         for field in fields(InvariantSignature):  # n and k agree already
             if getattr(sig_a, field.name) != getattr(sig_b, field.name):
                 return EquivalenceCertificate(None, distinct_reason=field.name)
-    if a.rows == b.rows:
-        return identity_certificate(a.n)
-    levels = tuple(_word_levels(a))
-    wa, wb = weight_distribution(a).counts, weight_distribution(b).counts
-    if [wa[w] for w in levels] != [wb[w] for w in levels]:
-        return EquivalenceCertificate(None, distinct_reason="weight class sizes")
-    # b's nodes (round digests, final colors) keyed by the path of
-    # individualized coordinates; only those on verified paths stay
-    tree = b.memo.setdefault(("refinement", levels), {})
-    added: List[Tuple[int, ...]] = []
-    inc_b: List[_Incidence] = []  # built when a node is first refined
-
-    def node(path: Tuple[int, ...], want: Tuple[bytes, ...]) -> Optional[List[int]]:
-        """b's final colors at `path` if its rounds there give the digests
-        `want`, else None: replayed, or refined from its parent's colors,
-        the last coordinate of the path individualized, and recorded."""
-        if path in tree:
-            digests, final = tree[path]
-            return final if digests == want else None
-        colors = np.zeros((1, b.n), np.int64)
-        if path:
-            colors[0] = tree[path[:-1]][1]
-            colors[0, path[-1]] = b.n
-        if not inc_b:
-            inc_b.extend(_incidences([b], levels))
-        k = 0
-        for _, digests, names, _ in _rounds(inc_b[0], colors):
-            if k == len(want) or digests.tobytes() != want[k]:
-                return None
-            k += 1
-        if k < len(want):
-            return None
-        final = names[0].tolist()
-        tree[path] = (want, final)
-        added.append(path)
-        return final
-
-    a_path = a.memo.get(_FIRST_PATH)
-    found = _match(
-        _lazy_path(a) if a_path is None else a_path.__getitem__, (), node,
-        lambda images: _maps_into(a, images, b),
-    )
-    for path in added:
-        if found is None or found[1][: len(path)] != path:
-            del tree[path]
-    if found is None:
-        return EquivalenceCertificate(None, distinct_reason="exhausted coordinate matching")
-    return EquivalenceCertificate(found[0])
+    return _verdicts([a], [_lazy_path(a)], b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +675,16 @@ class EquivalenceClass:
     certificates: Tuple[EquivalenceCertificate, ...]
 
 
-def _serialized(c: LinearCode) -> str:
-    return "\n".join(format01(r, c.n) for r in c.rows)
+# each byte with its bits reversed, so that bytes compare coordinate 1 first
+_REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _lex_key(c: LinearCode) -> bytes:
+    """A key that orders codes of one shape as their 0/1 text does (rows
+    in order, coordinate 1 first): each row's little-endian bytes, every
+    byte's bits reversed."""
+    size = (c.n + 7) // 8
+    return b"".join(r.to_bytes(size, "little") for r in c.rows).translate(_REVERSED_BITS)
 
 
 # Word rows stacked in one block of member paths.  Blocks of up to 64
@@ -607,21 +694,22 @@ def _serialized(c: LinearCode) -> str:
 BLOCK_ROWS = 3328
 
 
-def _member_paths(members: Sequence[LinearCode]) -> Iterator[List[Depth]]:
-    """Each member's first path, in order, refined in blocks of consecutive
+def _member_paths(members: Sequence[LinearCode]) -> Iterator[List[List[Depth]]]:
+    """The members' first paths, in order, a block per item: consecutive
     members with the same number of words in the same levels, up to
-    BLOCK_ROWS stacked word rows; a block's paths are dropped once all are
-    taken."""
+    BLOCK_ROWS stacked word rows, refined together."""
     for (levels, counts), run in groupby(members, key=_word_counts):
         run = list(run)
         size = max(1, BLOCK_ROWS // sum(counts))
         for lo in range(0, len(run), size):
+            block: List[List[Depth]] = []
             for inc in _incidences(run[lo : lo + size], levels):
                 paths: List[List[Depth]] = [[] for _ in range(len(inc.word_coords))]
                 for depth in _first_paths(inc):
                     for code, got in depth:
                         paths[code].append(got)
-                yield from paths
+                block += paths
+            yield block
 
 
 def _word_counts(c: LinearCode) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -633,42 +721,56 @@ def _word_counts(c: LinearCode) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:
     """Partition into equivalence classes; input order never changes the
-    partition, and representatives are the lex-least serialized members."""
+    partition, and representatives are the lex-least serialized members.
+
+    Within a signature bucket, each block of `_member_paths` is matched
+    against the first member of each class in the order the classes were
+    found; the first member left over starts a class, and the rest of the
+    block is matched against it.  Classes are disjoint, so each member
+    joins the class, with the certificate, it would join compared alone."""
     codes = list(codes)
     if not codes:
         return []
-    shape = (codes[0].n, codes[0].k)
+    n, k = codes[0].n, codes[0].k
     for c in codes:
-        if (c.n, c.k) != shape:
+        if (c.n, c.k) != (n, k):
             raise DomainError(
-                f"classification needs uniform parameters; saw [{shape[0]},{shape[1]}] "
+                f"classification needs uniform parameters; saw [{n},{k}] "
                 f"and [{c.n},{c.k}]"
             )
-    buckets: Dict[InvariantSignature, List[int]] = {}
-    for idx, c in enumerate(codes):
-        buckets.setdefault(signature(c), []).append(idx)
+    identity = identity_certificate(n)
+    if not k:  # every code is the zero code
+        return [EquivalenceClass(codes[0], tuple(codes), (identity,) * len(codes))]
+    buckets: Dict[InvariantSignature, List[int]] = {}  # in order of first member
+    for idx, sig in enumerate(_signatures(codes)):
+        buckets.setdefault(sig, []).append(idx)
 
+    # members and their certificates into the class's first member
     classes: List[Tuple[List[int], List[EquivalenceCertificate]]] = []
-    for sig in sorted(buckets, key=lambda s: min(buckets[s])):
-        bucket = buckets[sig]
-        # every member after the first is compared, and refined once
-        paths = _member_paths([codes[idx] for idx in bucket[1:]]) if shape[1] else repeat(None)
-        reps: List[int] = []  # indices into `classes`
-        for idx in bucket:
-            c = codes[idx]
-            if reps:
-                c.memo[_FIRST_PATH] = next(paths)
-            for ci in reps:
-                members, certs = classes[ci]
-                cert = are_equivalent(c, codes[members[0]])
-                if cert:
-                    members.append(idx)
-                    certs.append(cert)
-                    break
-            else:
-                classes.append(([idx], [identity_certificate(c.n)]))
-                reps.append(len(classes) - 1)
-            c.memo.pop(_FIRST_PATH, None)
+    for first, *rest in buckets.values():
+        reps = [len(classes)]  # indices into `classes`
+        classes.append(([first], [identity]))
+        at = 0
+        for paths in _member_paths([codes[idx] for idx in rest]):
+            block = rest[at : at + len(paths)]
+            at += len(paths)
+            left = list(range(len(block)))  # positions in the block not yet placed
+            r = 0
+            while left:
+                if r == len(reps):  # the first member left over starts a class
+                    reps.append(len(classes))
+                    classes.append(([block[left.pop(0)]], [identity]))
+                    continue
+                members, certs = classes[reps[r]]
+                verdicts = _verdicts(
+                    [codes[block[p]] for p in left], [paths[p].__getitem__ for p in left], codes[members[0]]
+                )
+                for p, cert in zip(left, verdicts):
+                    if cert:
+                        members.append(block[p])
+                        certs.append(cert)
+                left = [p for p, cert in zip(left, verdicts) if not cert]
+                r += 1
 
     out = []
     for members, certs_to_first in classes:
@@ -677,22 +779,22 @@ def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:
         memo = codes[members[0]].memo
         for key in [key for key in memo if isinstance(key, tuple) and key[0] == "refinement"]:
             del memo[key]
-        lex = min(members, key=lambda idx: _serialized(codes[idx]))
-        lex_pos = members.index(lex)
-        to_first_inv = certs_to_first[lex_pos].inverse()
-        final_certs = []
-        for idx, cert in zip(members, certs_to_first):
-            final = cert.compose(to_first_inv)
-            if not verify_certificate(codes[idx], codes[lex], final):
-                raise IntegrityError(
-                    "composed certificate failed membership verification"
-                )
-            final_certs.append(final)
-        out.append(
-            EquivalenceClass(codes[lex], tuple(codes[i] for i in members), tuple(final_certs))
-        )
-    out.sort(key=lambda cl: _serialized(cl.representative))
-    return out
+        keys = [_lex_key(codes[idx]) for idx in members]
+        lex = min(range(len(members)), key=keys.__getitem__)
+        inverse = np.zeros(n, np.int64)  # of lex's certificate; a 0 is no image
+        inverse[np.array(certs_to_first[lex].perm) - 1] = np.arange(1, n + 1)
+        rep = codes[members[lex]]
+        size = max(1, BLOCK_ROWS // sum(_word_counts(rep)[1]))
+        certs: List[EquivalenceCertificate] = []
+        for lo in range(0, len(members), size):
+            final = inverse[np.array([cert.perm for cert in certs_to_first[lo : lo + size]]) - 1]
+            gens = _stacked_bits([codes[idx] for idx in members[lo : lo + size]])
+            if not (np.sort(final, axis=1) == np.arange(1, n + 1)).all() or not _maps_into(gens, final, rep).all():
+                raise IntegrityError("composed certificate failed membership verification")
+            certs += map(EquivalenceCertificate, map(tuple, final.tolist()))
+        out.append((keys[lex], EquivalenceClass(rep, tuple(codes[i] for i in members), tuple(certs))))
+    out.sort(key=lambda keyed: keyed[0])
+    return [cl for _, cl in out]
 
 
 def classification_report(classes: Sequence[EquivalenceClass]) -> dict:

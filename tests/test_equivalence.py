@@ -31,9 +31,14 @@ from sdcodes.equivalence import (
     _first_paths,
     _incidences,
     _lazy_path,
+    _maps_into,
+    _member_paths,
     _ranked,
     _rounds,
     _sorted_rows,
+    _stacked_bits,
+    _verdicts,
+    _word_counts,
     _word_levels,
     are_equivalent,
     classification_report,
@@ -255,6 +260,76 @@ def test_certificates_agree_with_the_reduction_oracle():
     assert not verify_certificate(a, b, identity_certificate(100))
 
 
+def test_stacked_membership_checks_agree_with_the_reduction_oracle():
+    # stacks of codes of one shape, each with its own permutation into one
+    # code b: true certificates, random permutations and transpositions
+    rng = random.Random(1622)
+    outcomes = {True: 0, False: 0}
+    for _ in range(40):
+        n = rng.randrange(2, 21)
+        b = LinearCode.from_int_rows(random_matrix_rows(rng, rng.randrange(1, n + 1), n), n)
+        members, perms = [], []
+        for _ in range(rng.randrange(1, 9)):
+            images = shuffled_images(rng, n)
+            if rng.random() < 0.3:
+                members.append(LinearCode.from_int_rows(random_matrix_rows(rng, b.k, n), n))
+            else:
+                members.append(permuted_code(b, [images.index(i) + 1 for i in range(1, n + 1)]))
+            if rng.random() < 0.3:
+                i, j = rng.sample(range(n), 2)
+                images[i], images[j] = images[j], images[i]
+            perms.append(images)
+        kept = [(m, p) for m, p in zip(members, perms) if m.k == b.k] or [(b, perms[0])]
+        members, perms = map(list, zip(*kept))
+        got = _maps_into(_stacked_bits(members), np.array(perms), b).tolist()
+        want = [maps_into_by_reduction(m.rows, p, b.rows, n) for m, p in zip(members, perms)]
+        assert got == want
+        for ok in want:
+            outcomes[ok] += 1
+    assert min(outcomes.values()) > 10
+
+
+def test_a_stacked_membership_check_rejects_only_the_wrong_permutation():
+    rng = random.Random(1623)
+    b = survey_code()
+    members, perms = [], []
+    for _ in range(12):
+        images = shuffled_images(rng, b.n)
+        members.append(permuted_code(b, images))
+        perms.append([images.index(i) + 1 for i in range(1, b.n + 1)])  # back into b
+    for wrong in range(12):
+        stack = [list(p) for p in perms]
+        i, j = rng.sample(range(b.n), 2)
+        stack[wrong][i], stack[wrong][j] = stack[wrong][j], stack[wrong][i]
+        assert not maps_into_by_reduction(members[wrong].rows, stack[wrong], b.rows, b.n)
+        want = [k != wrong for k in range(12)]
+        assert _maps_into(_stacked_bits(members), np.array(stack), b).tolist() == want
+
+
+def test_classify_rejects_a_composed_certificate_that_is_no_permutation(monkeypatch):
+    # a member's certificate into its class's first member with one image
+    # repeated: the composed certificates are no permutations, which is
+    # caught even by a membership check that accepts every stack
+    rng = random.Random(1624)
+    a = code_from_words(random_self_dual_words(rng, 12, steps=6), 12)
+    pool = [a] + [permuted_code(a, shuffled_images(rng, 12)) for _ in range(4)]
+    verdicts_of = equivalence._verdicts
+
+    def broken_verdicts(members, paths, b):
+        got = verdicts_of(members, paths, b)
+        perm = got[-1].perm
+        got[-1] = EquivalenceCertificate((perm[1],) + perm[1:])
+        return got
+
+    assert len(classify(pool)) == 1
+    monkeypatch.setattr(equivalence, "_verdicts", broken_verdicts)
+    with pytest.raises(sdcodes.IntegrityError, match="composed certificate"):
+        classify([LinearCode(c.n, c.rows) for c in pool])
+    monkeypatch.setattr(equivalence, "_maps_into", lambda gens, images, b: np.ones(len(gens), bool))
+    with pytest.raises(sdcodes.IntegrityError, match="composed certificate"):
+        classify([LinearCode(c.n, c.rows) for c in pool])
+
+
 def test_certificate_inverse_carries_code_back():
     rng = random.Random(24)
     words = random_self_dual_words(rng, 10, steps=4)
@@ -294,6 +369,16 @@ def test_classify_picks_lexicographically_least_representative():
     assert len(classes) == 1
     expect = min([a] + variants, key=lambda c: "\n".join(word01(r, 10) for r in c.rows))
     assert classes[0].representative == expect
+
+
+def test_lex_keys_order_codes_as_their_text():
+    rng = random.Random(1625)
+    for n, k in ((3, 2), (10, 4), (26, 13), (70, 9)):
+        pool = [LinearCode.from_int_rows(random_matrix_rows(rng, k, n), n) for _ in range(40)]
+        pool = [c for c in pool if c.k == pool[0].k]
+        pool += [LinearCode(n, c.rows) for c in pool[:3]]
+        text = sorted(pool, key=lambda c: "\n".join(word01(r, n) for r in c.rows))
+        assert sorted(pool, key=equivalence._lex_key) == text
 
 
 def test_classify_rejects_mixed_parameters():
@@ -580,30 +665,35 @@ def verified_path(a, b):
 
 
 def test_memo_keeps_only_paths_that_ended_in_a_verified_leaf(neighbour_classes, monkeypatch):
-    # classify compares each member with its class's first member; while
-    # it runs, that tree is the union of the members' verified paths, and
-    # ends at leaves, and a negative call adds no node to it
+    # classify matches blocks of members against each class's first member;
+    # while it runs, that tree is the union of the members' verified paths,
+    # and ends at leaves, a block adds only the nodes on its positive
+    # members' verified paths, and a block with no positive adds none
     classes = [[LinearCode(m.n, m.rows) for m in cl.members] for cl in neighbour_classes]
     firsts = [members[0] for members in classes]
-    trees, negatives = {}, []
-    compare = equivalence.are_equivalent
+    trees, calls, negatives = {}, [], []
+    verdicts_of = equivalence._verdicts
 
-    def recorded_compare(a, b):
+    def recorded_verdicts(members, paths, b):
         before = dict(refinement_tree(b))
-        cert = compare(a, b)
-        if not cert.equivalent:
-            assert refinement_tree(b) == before
-            negatives.append(cert.distinct_reason)
+        got = verdicts_of(members, paths, b)
         trees[id(b)] = dict(refinement_tree(b))
-        return cert
+        calls.append((b, [m for m, cert in zip(members, got) if cert], before, trees[id(b)]))
+        negatives.extend(cert.distinct_reason for cert in got if not cert)
+        return got
 
-    monkeypatch.setattr(equivalence, "are_equivalent", recorded_compare)
+    monkeypatch.setattr(equivalence, "_verdicts", recorded_verdicts)
     classify([m for members in classes for m in members])
     monkeypatch.undo()
     assert "exhausted coordinate matching" in negatives
+    assert any(len(positives) > 1 for _, positives, _, _ in calls)
+    kept = {id(m): verified_path(m, members[0]) for members in classes for m in members[1:]}
+    for b, positives, before, after in calls:
+        assert set(after) == set(before).union(*(kept[id(m)] for m in positives))
+        assert all(after[path] == node for path, node in before.items())
     for members, first in zip(classes, firsts):
         tree = trees.get(id(first), {})
-        assert set(tree) == set().union(*(verified_path(m, first) for m in members[1:]))
+        assert set(tree) == set().union(*(kept[id(m)] for m in members[1:]))
         for path in tree:
             if not any(q[: len(path)] == path and q != path for q in tree):
                 assert len(set(tree[path][1])) == first.n
@@ -709,10 +799,48 @@ def test_stacked_incidences_pad_each_code_as_alone():
     assert [path for inc in stacks for path in whole_paths(inc)] == [whole_paths(inc)[0] for inc in alone]
 
 
+def verdict_rows(certs):
+    return [(cert.perm, cert.distinct_reason) for cert in certs]
+
+
+def assert_blocks_give_lone_verdicts(neighbour_classes):
+    # each member matched in its block of `_member_paths` and as a block of
+    # one: the same verdicts, reasons and permutations, and the same as
+    # `are_equivalent` where the signatures agree
+    targets = [cl.members[0] for cl in neighbour_classes]
+    bucket = [m for cl in neighbour_classes for m in cl.members[1:] if signature(m) == signature(targets[0])]
+    mixed = mixed_block()
+    cases = [(targets, b) for b in targets] + [(bucket[::3], b) for b in targets] + [(mixed, b) for b in mixed]
+    outcomes = set()
+    for pool, b in cases:
+        members = [LinearCode(c.n, c.rows) for c in pool]
+        at, got = 0, []
+        for paths in _member_paths(members):
+            block = members[at : at + len(paths)]
+            at += len(paths)
+            assert len({_word_counts(c) for c in block}) == 1
+            assert len(block) == 1 or equivalence.BLOCK_ROWS > 1
+            got += _verdicts(block, [path.__getitem__ for path in paths], b)
+        alone = [_verdicts([c], [_lazy_path(c)], LinearCode(b.n, b.rows))[0] for c in members]
+        assert verdict_rows(got) == verdict_rows(alone)
+        for c, cert in zip(members, got):
+            if signature(c) == signature(b):
+                assert verdict_rows([are_equivalent(c, b)]) == verdict_rows([cert])
+            if cert:
+                assert verify_certificate(c, b, cert)
+            outcomes.add(cert.perm is not None and cert.perm != tuple(range(1, b.n + 1)) or cert.distinct_reason)
+    assert {True, "exhausted coordinate matching", "weight class sizes"} <= outcomes
+
+
+def verdict_rows(certs):
+    return [(cert.perm, cert.distinct_reason) for cert in certs]
+
+
 def test_classes_do_not_depend_on_the_block_size(neighbour_classes, monkeypatch):
     # the neighbour survey's codes, whose classification makes negative
-    # calls and backtracks, classified with members refined in blocks and
-    # with every member refined alone
+    # calls and backtracks, classified with members refined and matched in
+    # blocks and with every member alone; and each member's verdict in a
+    # block is the one it gets alone
     codes = [m for cl in neighbour_classes for m in cl.members]
     blocks = []
     first_paths = equivalence._first_paths
@@ -721,38 +849,41 @@ def test_classes_do_not_depend_on_the_block_size(neighbour_classes, monkeypatch)
         blocks.append(len(inc.word_coords))
         yield from first_paths(inc)
 
-    monkeypatch.setattr(equivalence, "_first_paths", counted_first_paths)
     runs = []
     for block_rows in (equivalence.BLOCK_ROWS, 1):
         monkeypatch.setattr(equivalence, "BLOCK_ROWS", block_rows)
-        blocks.clear()
-        classes = classify([LinearCode(c.n, c.rows) for c in codes])
+        with monkeypatch.context() as mp:
+            mp.setattr(equivalence, "_first_paths", counted_first_paths)
+            blocks.clear()
+            classes = classify([LinearCode(c.n, c.rows) for c in codes])
         runs.append([(cl.representative.rows, [m.rows for m in cl.members], cl.certificates) for cl in classes])
         assert max(blocks) > 1 if block_rows > 1 else set(blocks) == {1}
+        assert_blocks_give_lone_verdicts(neighbour_classes)
     assert runs[0] == runs[1]
     assert sum(len(cl.members) for cl in neighbour_classes) == sum(len(members) for _, members, _ in runs[0])
 
 
 def test_classify_refines_each_member_once(neighbour_classes, monkeypatch):
-    # every member but the first of its signature bucket is compared, and
-    # all its comparisons and backtracks share one first path
-    codes = [m for cl in neighbour_classes for m in cl.members]
+    # every member but the first of its signature bucket is matched, and
+    # all its matches and backtracks share one first path
+    codes = [LinearCode(m.n, m.rows) for cl in neighbour_classes for m in cl.members]
     blocks, passed = [], {}
-    first_paths, compare = equivalence._first_paths, equivalence.are_equivalent
+    first_paths, verdicts_of = equivalence._first_paths, equivalence._verdicts
 
     def counted_first_paths(inc):
         blocks.append(len(inc.word_coords))
         yield from first_paths(inc)
 
-    def recorded_compare(a, b):
-        passed.setdefault(id(a), []).append(a.memo[equivalence._FIRST_PATH])
-        return compare(a, b)
+    def recorded_verdicts(members, paths, b):
+        for c, path in zip(members, paths):
+            passed.setdefault(id(c), []).append(path.__self__)
+        return verdicts_of(members, paths, b)
 
     def no_lazy_path(c):
         raise AssertionError("a member's path was refined again")
 
     monkeypatch.setattr(equivalence, "_first_paths", counted_first_paths)
-    monkeypatch.setattr(equivalence, "are_equivalent", recorded_compare)
+    monkeypatch.setattr(equivalence, "_verdicts", recorded_verdicts)
     monkeypatch.setattr(equivalence, "_lazy_path", no_lazy_path)
     classes = classify(codes)
     assert sorted(len(cl.members) for cl in classes) == [1, 7, 7, 10, 20, 70, 140, 255]
@@ -761,7 +892,8 @@ def test_classify_refines_each_member_once(neighbour_classes, monkeypatch):
         assert paths[0] and all(path is paths[0] for path in paths)
     assert sum(len(paths) for paths in passed.values()) > sum(blocks)
     # no member keeps its path once its comparisons are done
-    assert not any(equivalence._FIRST_PATH in c.memo for c in codes)
+    held = {id(paths[0]) for paths in passed.values()}
+    assert not any(id(value) in held for c in codes for value in c.memo.values())
 
 
 def test_a_comparison_refines_a_no_deeper_than_it_searches(neighbour_classes, monkeypatch):

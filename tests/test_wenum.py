@@ -519,6 +519,23 @@ def test_shadow_transform_rejects_inconsistent_distributions():
     assert _shadow_counts(2, (1, 0, 1)) == (0, 2, 0)
 
 
+def test_shadow_transform_runs_once_per_distribution():
+    # codes with one W share one cached transform; a failing transform is
+    # not cached and raises on every call; the cache is bounded
+    c = subtract_coordinates(build_four_circulant(CirculantPair.parse("0001000;1100101")), 11, 24)
+    assert parity_class(c) is ParityClass.SINGLY_EVEN
+    copies = [LinearCode(c.n, c.rows) for _ in range(3)]
+    _shadow_counts.cache_clear()
+    shadows = [shadow_distribution(x) for x in copies]
+    assert len(set(shadows)) == 1
+    info = _shadow_counts.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 2, wenum.SHADOW_CACHE_SIZE)
+    for _ in range(2):
+        with pytest.raises(IntegrityError):
+            _shadow_counts(2, (1, 0, 2))
+    assert _shadow_counts.cache_info().currsize == 1
+
+
 # ---------------------------------------------------------------------------
 # min_weight
 
