@@ -64,7 +64,7 @@ import numpy as np
 
 from .codes import LinearCode, ParityClass, is_self_dual, parity_class
 from .errors import DomainError, IntegrityError
-from .gf2core import kernel_raw
+from .gf2core import format01, kernel_raw
 from .wenum import (
     _check_dimension,
     _word_levels,
@@ -109,9 +109,12 @@ def signature(c: LinearCode) -> InvariantSignature:
 def _signatures(codes: Sequence[LinearCode]) -> List[InvariantSignature]:
     """The signatures of codes, memoised on each.  The co-occurrence counts
     of consecutive codes with the same n and A_d come from one batched
-    product, up to BLOCK_ROWS stacked words: G = M^T M for the words x
-    coordinates 0/1 matrix M of each code's weight-d words, where G[i, i]
-    counts words through i and G[i, j] those through i and j."""
+    product: G = M^T M for the words x coordinates 0/1 matrix M of each
+    code's weight-d words, where G[i, i] counts words through i and G[i, j]
+    those through i and j.  A block holds BLOCK_ROWS // max(A_d, 2n) codes:
+    a code's M has A_d rows of n entries, and its G with the copies of G's
+    upper triangle about 2n, so a small A_d does not make a block of many
+    n x n matrices."""
     todo = [c for c in codes if "signature" not in c.memo]
     for (n, d, words), run in groupby(todo, key=_lowest_class):
         run = list(run)
@@ -119,7 +122,7 @@ def _signatures(codes: Sequence[LinearCode]) -> List[InvariantSignature]:
             for c in run:
                 c.memo["signature"] = InvariantSignature(n, 0, None, (), None, None, (), ())
             continue
-        size = max(1, BLOCK_ROWS // words)
+        size = max(1, BLOCK_ROWS // max(words, 2 * n))
         for lo in range(0, len(run), size):
             block = run[lo : lo + size]
             m = _unpacked(np.concatenate([_words(c, d) for c in block]), n).reshape(len(block), words, n)
@@ -217,14 +220,10 @@ def identity_certificate(n: int) -> EquivalenceCertificate:
 
 def _bits(rows: Sequence[int], n: int) -> np.ndarray:
     """The rows x n 0/1 matrix of packed rows, as float64, unpacked from
-    their little-endian bytes: rows of n <= 64 converted as one uint64
-    array, longer ones byte by byte."""
-    if n <= 64:
-        packed = np.array(rows, "<u8").view(np.uint8).reshape(len(rows), 8)
-    else:
-        size = (n + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), np.uint8).reshape(len(rows), size)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float64)
+    their little-endian bytes."""
+    size = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), size), axis=1, count=n, bitorder="little").astype(np.float64)
 
 
 def _maps_into(gens: np.ndarray, images: np.ndarray, b: LinearCode) -> np.ndarray:
@@ -675,16 +674,8 @@ class EquivalenceClass:
     certificates: Tuple[EquivalenceCertificate, ...]
 
 
-# each byte with its bits reversed, so that bytes compare coordinate 1 first
-_REVERSED_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
-
-
-def _lex_key(c: LinearCode) -> bytes:
-    """A key that orders codes of one shape as their 0/1 text does (rows
-    in order, coordinate 1 first): each row's little-endian bytes, every
-    byte's bits reversed."""
-    size = (c.n + 7) // 8
-    return b"".join(r.to_bytes(size, "little") for r in c.rows).translate(_REVERSED_BITS)
+def _serialized(c: LinearCode) -> str:
+    return "\n".join(format01(r, c.n) for r in c.rows)
 
 
 # Word rows stacked in one block of member paths.  Blocks of up to 64
@@ -779,8 +770,7 @@ def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:
         memo = codes[members[0]].memo
         for key in [key for key in memo if isinstance(key, tuple) and key[0] == "refinement"]:
             del memo[key]
-        keys = [_lex_key(codes[idx]) for idx in members]
-        lex = min(range(len(members)), key=keys.__getitem__)
+        text, lex = min((_serialized(codes[idx]), i) for i, idx in enumerate(members))
         inverse = np.zeros(n, np.int64)  # of lex's certificate; a 0 is no image
         inverse[np.array(certs_to_first[lex].perm) - 1] = np.arange(1, n + 1)
         rep = codes[members[lex]]
@@ -792,7 +782,7 @@ def classify(codes: Sequence[LinearCode]) -> List[EquivalenceClass]:
             if not (np.sort(final, axis=1) == np.arange(1, n + 1)).all() or not _maps_into(gens, final, rep).all():
                 raise IntegrityError("composed certificate failed membership verification")
             certs += map(EquivalenceCertificate, map(tuple, final.tolist()))
-        out.append((keys[lex], EquivalenceClass(rep, tuple(codes[i] for i in members), tuple(certs))))
+        out.append((text, EquivalenceClass(rep, tuple(codes[i] for i in members), tuple(certs))))
     out.sort(key=lambda keyed: keyed[0])
     return [cl for _, cl in out]
 

@@ -323,19 +323,15 @@ def shadow_distribution(c: LinearCode) -> ShadowDistribution:
     return dist
 
 
-# W of distinct codes kept by one transform each; codes classified together
-# usually share one W
-SHADOW_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=SHADOW_CACHE_SIZE)
+@lru_cache(maxsize=256)
 def _shadow_counts(n: int, counts: Tuple[int, ...]) -> Tuple[int, ...]:
     """B_0..B_n from the weight distribution of a self-dual code:
     2^(n/2) B_j = sum_i (-1)^(i/2) A_i K_j(i).
 
     For a doubly even code the transform returns the distribution itself.
-    Results are cached by (n, counts), the latest SHADOW_CACHE_SIZE; a
-    distribution whose transform fails raises on every call.
+    Results are cached by (n, counts), the latest 256, since codes
+    classified together usually share one W; a distribution whose
+    transform fails raises on every call.
     """
     scale = 1 << (n // 2)
     signed = [(-1) ** (i // 2) * a for i, a in enumerate(counts)]

@@ -194,6 +194,26 @@ def test_signature_separates_different_weight_profiles():
     assert signature(a) != signature(b)
 
 
+def test_signature_blocks_are_bounded_by_the_length(monkeypatch):
+    # length-128 codes with a single minimum-weight word: a block of
+    # `_signatures` holds one n x n co-occurrence matrix per code, so it is
+    # bounded by 2n rows a code, not by the one word each code stacks
+    rng = random.Random(1627)
+    a = LinearCode.from_int_rows([1] + random_matrix_rows(rng, 7, 128), 128)
+    assert weight_distribution(a).counts[:2] == (1, 1)
+    codes = [a] + [permuted_code(a, shuffled_images(rng, 128)) for _ in range(29)]
+    stacked = []
+    unpacked = equivalence._unpacked
+    with monkeypatch.context() as mp:
+        mp.setattr(equivalence, "_unpacked", lambda lanes, n: stacked.append(len(lanes)) or unpacked(lanes, n))
+        sigs = equivalence._signatures(codes)
+    size = equivalence.BLOCK_ROWS // 256
+    assert 1 < size < len(codes) and sum(stacked) == len(codes) and max(stacked) == size
+    assert sigs == [signature(LinearCode(c.n, c.rows)) for c in codes]
+    classes = classify(codes)
+    assert len(classes) == 1 and len(classes[0].members) == len(codes)
+
+
 def test_certificate_inverse_and_compose():
     perm = EquivalenceCertificate((3, 1, 2))
     inv = perm.inverse()
@@ -369,16 +389,6 @@ def test_classify_picks_lexicographically_least_representative():
     assert len(classes) == 1
     expect = min([a] + variants, key=lambda c: "\n".join(word01(r, 10) for r in c.rows))
     assert classes[0].representative == expect
-
-
-def test_lex_keys_order_codes_as_their_text():
-    rng = random.Random(1625)
-    for n, k in ((3, 2), (10, 4), (26, 13), (70, 9)):
-        pool = [LinearCode.from_int_rows(random_matrix_rows(rng, k, n), n) for _ in range(40)]
-        pool = [c for c in pool if c.k == pool[0].k]
-        pool += [LinearCode(n, c.rows) for c in pool[:3]]
-        text = sorted(pool, key=lambda c: "\n".join(word01(r, n) for r in c.rows))
-        assert sorted(pool, key=equivalence._lex_key) == text
 
 
 def test_classify_rejects_mixed_parameters():
@@ -830,10 +840,6 @@ def assert_blocks_give_lone_verdicts(neighbour_classes):
                 assert verify_certificate(c, b, cert)
             outcomes.add(cert.perm is not None and cert.perm != tuple(range(1, b.n + 1)) or cert.distinct_reason)
     assert {True, "exhausted coordinate matching", "weight class sizes"} <= outcomes
-
-
-def verdict_rows(certs):
-    return [(cert.perm, cert.distinct_reason) for cert in certs]
 
 
 def test_classes_do_not_depend_on_the_block_size(neighbour_classes, monkeypatch):

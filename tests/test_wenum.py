@@ -529,7 +529,7 @@ def test_shadow_transform_runs_once_per_distribution():
     shadows = [shadow_distribution(x) for x in copies]
     assert len(set(shadows)) == 1
     info = _shadow_counts.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 2, wenum.SHADOW_CACHE_SIZE)
+    assert (info.misses, info.hits) == (1, 2) and info.maxsize is not None
     for _ in range(2):
         with pytest.raises(IntegrityError):
             _shadow_counts(2, (1, 0, 2))
