@@ -9,8 +9,12 @@ search walks one ra per orbit: signature bucketing pairs it with
 compatible rb in one lookup, and row-sum and two-row weight filters run
 vectorized over each bucket.  A survivor is self-dual, so (I | M) and
 (M^T | I) are systematic bases on disjoint information sets, both in
-closed form; the staged minimum-weight scan runs on them without
-building a code.  Each hit is then expanded over its orbit.
+closed form.  The survivors of a part are stacked, their bases built by
+vectorized rotations, and one staged minimum-weight scan decides them
+all without building a code.  Shifting each of the four blocks by one
+sends every row of either basis to the next row of its half, so the scan
+walks one combination of rows per orbit of that shift.  Each hit is then
+expanded over its orbit.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .codes import LinearCode
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import DomainError, IntegrityError, ParseError, ResourceLimitError
 from .gf2core import format01, parse01
 from .parts import run_parts
-from .wenum import _min_weight_staged
+from .wenum import _block_shift, _min_weight_staged
 
 __all__ = [
     "CirculantPair",
@@ -143,21 +147,6 @@ def _generator_ints(block: int, ra: int, rb: int) -> List[int]:
     return rows
 
 
-def _transpose_basis_ints(block: int, ra: int, rb: int) -> List[int]:
-    """Rows of (M^T | I), M^T = [[A^T, B], [B^T, A]]: for a self-dual pair
-    M M^T = I, so this is the systematic basis of the same code on the
-    last 2n coordinates."""
-    n = block
-    rat = _reversed_row(ra, n)
-    rbt = _reversed_row(rb, n)
-    rows = []
-    for i in range(n):
-        rows.append(_rot(rat, i, n) | (_rot(rb, i, n) << n) | (1 << (2 * n + i)))
-    for i in range(n):
-        rows.append(_rot(rbt, i, n) | (_rot(ra, i, n) << n) | (1 << (3 * n + i)))
-    return rows
-
-
 def build_four_circulant(p: CirculantPair, name: Optional[str] = None) -> LinearCode:
     """The [4n, 2n] code generated by (I | [[A, B], [B^T, A^T]])."""
     return LinearCode.from_int_rows(
@@ -265,6 +254,9 @@ class SearchRules:
 
 @lru_cache(maxsize=4)
 def _search_tables(n: int):
+    """Per row v of n bits: its weight, its self-duality signature, the
+    weights of v ^ rot(v, s), its transpose row, and the rows sorted by
+    signature with their signatures."""
     mask = np.uint32((1 << n) - 1)
     v = np.arange(1 << n, dtype=np.uint32)
     wt = np.bitwise_count(v).astype(np.int32)
@@ -279,7 +271,30 @@ def _search_tables(n: int):
     rev = (v & 1).astype(np.uint32)
     for j in range(1, n):
         rev |= ((v >> np.uint32(n - j)) & 1) << np.uint32(j)
-    return v, wt, sig, w2, rev
+    # rb_last_one is not invariant under the group, so every rb is searched
+    pool = np.argsort(sig, kind="stable").astype(np.uint32)
+    return wt, sig, w2, rev, pool, sig[pool]
+
+
+def _stacked_bases(n: int, ras: np.ndarray, rbs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of (I | M) and of (M^T | I), M^T = [[A^T, B], [B^T, A]], for
+    each pair (ras[i], rbs[i]), as two (pairs x 2n) uint64 arrays.  For a
+    self-dual pair M M^T = I, so both are systematic bases of its code,
+    on the first and the last 2n coordinates."""
+    rev = _search_tables(n)[3]
+    i = np.arange(n, dtype=np.uint64)
+    mask = np.uint64((1 << n) - 1)
+
+    def rotations(rows):  # column i holds rot(row, i)
+        rows = rows.astype(np.uint64)[:, None]
+        return ((rows << i) | (rows >> (np.uint64(n) - i))) & mask
+
+    a, b, at, bt = (rotations(r) for r in (ras, rbs, rev[ras], rev[rbs]))
+    unit = np.uint64(1) << np.arange(2 * n, dtype=np.uint64)
+    n1, n2, n3 = (np.uint64(j * n) for j in (1, 2, 3))
+    first = np.hstack([(a << n2) | (b << n3), (bt << n2) | (at << n3)]) | unit
+    second = np.hstack([at | (b << n1), bt | (a << n1)]) | (unit << n2)
+    return first, second
 
 
 def _search_range(
@@ -290,23 +305,21 @@ def _search_range(
     ra_hi: int,
 ) -> List[Tuple[int, int]]:
     """Every hit (r, rb) whose ra = r is an orbit representative in
-    [ra_lo, ra_hi), with rb unrestricted by rb_last_one."""
+    [ra_lo, ra_hi), with rb unrestricted by rb_last_one.
+
+    The filtered candidates of the whole range are stacked, and one staged
+    scan walks them, one row combination per orbit of the block shift."""
     n = block
     mask = np.uint32((1 << n) - 1)
-    v, wt, sig, w2, rev = _search_tables(n)
+    wt, sig, w2, rev, pool, pool_sig = _search_tables(n)
     reps, _ = _orbit_tables(n)
     reps = reps[(reps >= ra_lo) & (reps < ra_hi)].tolist()
-
-    # rb_last_one is not invariant under the group, so every rb is searched
-    order = np.argsort(sig, kind="stable")
-    pool = v[order]
-    pool_sig = sig[pool]
 
     min_sum = max(d_target - 1, rules.weight_bound or 0)
     pair_need = d_target - 2
     cross_need = (d_target - 1) // 2  # ceil((d_target - 2) / 2)
 
-    found: List[Tuple[int, int]] = []
+    ras, rbs = [], []
     for ra in reps:
         want = int(sig[ra]) ^ 1
         lo = int(np.searchsorted(pool_sig, want, side="left"))
@@ -335,14 +348,21 @@ def _search_range(
         for u in range(n):
             ru = ((rbt << np.uint32(u)) | (rbt >> np.uint32(n - u))) & mask
             m &= np.bitwise_count(rau ^ ru) >= cross_need
-        cand = cand[m]
-        # every candidate passed the signature bucket, so it is self-dual
-        # and (M^T | I) is its second systematic basis
-        for rb in cand.tolist():
-            bases = [_generator_ints(n, ra, rb), _transpose_basis_ints(n, ra, rb)]
-            if _min_weight_staged(bases, 4 * n, d_target) >= d_target:
-                found.append((ra, rb))
-    return found
+        ras.append(np.full(int(m.sum()), ra, dtype=np.uint32))
+        rbs.append(cand[m])
+    if not ras:
+        return []
+    # every candidate passed the signature bucket, so it is self-dual
+    ras, rbs = np.concatenate(ras), np.concatenate(rbs)
+    bases = _stacked_bases(n, ras, rbs)
+    # shifting each block by one sends row i of a half to row i + 1 mod n
+    j = np.arange(2 * n)
+    successor = j - j % n + (j + 1) % n
+    for rows in bases:
+        if not np.array_equal(_block_shift(rows, n, 4 * n), rows[:, successor]):
+            raise IntegrityError("the block shift does not send each basis row to the next")
+    keep = _min_weight_staged(bases, 4 * n, d_target, shift=n) >= d_target
+    return list(zip(ras[keep].tolist(), rbs[keep].tolist()))
 
 
 def _expand_hits(
@@ -399,7 +419,10 @@ def search_four_circulant(
         hits.extend(part)
         if progress is not None:
             progress(int(sizes[: cuts[i + 1]].sum()), end)
-    pairs = [CirculantPair(block, ra, rb) for ra, rb in _expand_hits(block, hits, rules)]
-    # both rows have `block` characters, so this is (ra, rb) string order
-    pairs.sort(key=CirculantPair.serialize)
-    return pairs
+    hits = np.array(_expand_hits(block, hits, rules), dtype=np.int64).reshape(-1, 2)
+    # format01 order of a row is the integer order of its bit reversal, the
+    # transpose row rotated down by one
+    rev = _search_tables(block)[3].astype(np.int64)
+    flip = (rev >> 1) | ((rev & 1) << (block - 1))
+    order = np.argsort((flip[hits[:, 0]] << block) | flip[hits[:, 1]])
+    return [CirculantPair(block, ra, rb) for ra, rb in hits[order].tolist()]

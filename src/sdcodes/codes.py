@@ -180,8 +180,15 @@ def _rows_orthogonal(rows: Sequence[int]) -> bool:
 
 
 def parity_class(c: LinearCode) -> ParityClass:
-    """Weight class from the generators plus the mod-4 closure rule."""
-    rows = c.rows
+    """Weight class from the generators plus the mod-4 closure rule; the
+    class is memoised on c."""
+    got = c.memo.get("parity class")
+    if got is None:
+        got = c.memo["parity class"] = _parity_class(c.rows)
+    return got
+
+
+def _parity_class(rows: Sequence[int]) -> ParityClass:
     if any(r.bit_count() & 1 for r in rows):
         return ParityClass.ODD_CONTAINING
     doubly = all(r.bit_count() % 4 == 0 for r in rows) and all(

@@ -2,7 +2,7 @@
 weight-enumerator family arithmetic for lengths 58 and 60.
 
 Weight distributions come from one of two engines.  A self-dual code of
-length n <= 64 and dimension above 22 is never enumerated in full: by
+length n <= 64 and dimension above 16 is never enumerated in full: by
 Gleason's theorem its enumerator is an integer combination of
 (x^2+y^2)^(n/2-4j) * (x^2 y^2 (x^2-y^2)^2)^j, j = 0..n//8, and the
 combination is unit-triangular in A_0, A_2, ..., A_{2(n//8)}.  The shadow
@@ -24,9 +24,14 @@ Low-weight words come from one walk, `_low_weight_words`: XOR
 combinations of a systematic basis level by level, or of two bases on
 disjoint information sets, each word of weight <= top seen exactly once.
 The Gleason counts and words, and the words of any other weight in a
-code of length <= 64 and dimension 16 or more, are read off it; the
-minimum weight uses the same level walk with a stopping bound.  Other
+code of length <= 64 and dimension 16 or more, are read off it.  Other
 codes filter the words of any other weight from the span's lanes.
+
+The minimum weight comes from one staged scan, `_min_weight_staged`, over
+a stack of codes with the same level bound: a lone code takes the level
+walk, and a stack whose rows a shared automorphism permutes in cycles
+(the four-circulant search) walks one row combination per orbit of that
+shift, XORed for the whole stack at once.
 
 The shadow distribution of a singly even self-dual code is the transform
 S(x, y) = W(x+y, i(x-y)) / 2^(n/2) of its weight distribution, and the
@@ -75,6 +80,9 @@ ENUM_DIMENSION_LIMIT = 34
 _INNER_LOG = 16
 # up to this dimension walking the whole span (2^22 words) is cheap
 _FULL_SPAN_MAX_K = 22
+# the most words a level of the staged minimum-weight scan holds at once:
+# a stack of codes is cut to STACK_WORDS // (words per code) codes
+STACK_WORDS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +272,7 @@ def _sorted_rows(lanes: List[np.ndarray]) -> np.ndarray:
 def weight_distribution(c: LinearCode) -> WeightDistribution:
     """Exact A_0..A_n; budget k <= 34.
 
-    Self-dual codes with n <= 64 and k > 22 count their words of weight
+    Self-dual codes with n <= 64 and k > 16 count their words of weight
     <= 2(n//8) - 2 and one shadow coefficient, and take the rest from
     Gleason's theorem; every other code is enumerated in full by the span
     pass.  Both memoise the words of the `_word_levels` classes that their
@@ -274,7 +282,7 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     if cached is not None:
         return cached
     _check_dimension(c, "weight distribution")
-    if c.k > _FULL_SPAN_MAX_K and c.n <= 64 and is_self_dual(c):
+    if c.k > _INNER_LOG and c.n <= 64 and is_self_dual(c):
         counts, shadow, words = _gleason_counts(c)
         if any(counts[2::4]):  # singly even: keep the checked shadow
             c.memo["shadow"] = ShadowDistribution(c.n, shadow)
@@ -596,29 +604,105 @@ def _low_weight_words(bases: Sequence[Sequence[int]], top: int):
 
 
 def _min_weight_staged(
-    bases: Sequence[Sequence[int]], n: int, target: Optional[int]
-) -> int:
-    """Minimum weight of the length-n code spanned by each of the bases:
-    one systematic basis, or two on disjoint information sets."""
-    k = len(bases[0])
-    best = n + 1
+    bases: Sequence[np.ndarray], n: int, target: Optional[int], shift: Optional[int] = None
+) -> np.ndarray:
+    """Minimum weights of a stack of length-n codes, n <= 64, each given by
+    the same row of every array in bases: one systematic basis per code
+    (codes x k uint64 rows), or two on disjoint information sets.
+
+    Level w scans the XORs of w rows of each basis.  A code leaves the
+    stack as soon as it is decided: a word below target rejects it, and
+    once best <= len(bases) * (w + 1) best is exact, since every word not
+    yet seen has more than w ones on each pivot set.  A rejected code's
+    entry is the weight of a word below target; every other one is exact.
+
+    With shift = m, every code of the stack has an automorphism that sends
+    row i of each basis to the next row of its cycle of m rows (cycles
+    i - i % m .. i - i % m + m - 1), so the XOR of a w-subset of rows has
+    the weight of every subset in its orbit, and level w walks one subset
+    per orbit (`_orbit_table`) for the whole stack at once.  The level's
+    minimum over these is its minimum, so the stopping bound still holds.
+    Without a shift the stack is one code, whose levels come from
+    `_level_words`; when its next level would pass STACK_WORDS words, it
+    finishes from its weight distribution.
+    """
+    stacks = [np.asarray(b, dtype=np.uint64) for b in bases]
+    codes, k = stacks[0].shape
+    if shift is None and codes != 1:
+        raise DomainError(f"an unshifted scan takes one code, got {codes}")
+    best = np.full(codes, n + 1, dtype=np.int64)
+    live = np.arange(codes)
     # a walk to k + 2 yields every level 1..k whole
-    walks = zip(*(_level_words(b, k + 2) for b in bases))
-    for w, levels in enumerate(walks, start=1):
-        for vals in levels:
-            best = min(best, int(np.bitwise_count(vals).min()))
-            if target is not None and best < target:
+    walks = [_level_words(b[0].tolist(), k + 2) for b in stacks] if shift is None else None
+    for w in range(1, k + 1):
+        if walks is not None and math.comb(k, w) > STACK_WORDS:
+            code = LinearCode.from_int_rows(stacks[0][0].tolist(), n)
+            return np.minimum(best, weight_distribution(code).min_weight)
+        for i, rows in enumerate(stacks):
+            if walks is None:
+                got = _orbit_minima(rows[live], _orbit_table(k, shift, w))
+            else:
+                got = int(np.bitwise_count(next(walks[i])).min())
+            best[live] = np.minimum(best[live], got)
+            if target is not None:
+                live = live[best[live] >= target]
+            if not live.size:
                 return best
         # anything not yet seen has more than w ones in each pivot set
-        if best <= len(bases) * (w + 1):
-            return best
-        if levels[0].size > (1 << 23):
-            # combination arrays are ballooning; finish with the full histogram
-            code = LinearCode.from_int_rows(bases[0], n)
-            for i, x in enumerate(weight_distribution(code).counts):
-                if i and x:
-                    return min(best, i)
+        live = live[best[live] > len(stacks) * (w + 1)]
+        if not live.size:
+            break
     return best
+
+
+def _orbit_minima(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """For each code (row of rows), the least weight of the XORs of its rows
+    at each column of table (w x representatives).  Stacks of codes and
+    runs of representatives are cut so no array passes STACK_WORDS words."""
+    out = np.empty(len(rows), dtype=np.int64)
+    per = max(1, STACK_WORDS // table.shape[1])
+    step = max(1, STACK_WORDS // per)
+    for lo in range(0, len(rows), per):
+        stack = rows[lo : lo + per]
+        least = []
+        for start in range(0, table.shape[1], step):
+            cols = table[:, start : start + step]
+            words = stack[:, cols[0]]
+            for col in cols[1:]:
+                words ^= stack[:, col]
+            least.append(np.bitwise_count(words).min(axis=1))
+        out[lo : lo + per] = np.min(least, axis=0)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _orbit_table(k: int, m: int, w: int) -> np.ndarray:
+    """The w-subsets of k rows that are the least mask of their orbit under
+    the shift of `_block_shift`, as a read-only (w x subsets) index table.
+
+    The subsets are the level-w words of the unit rows, and a subset is
+    kept when no shift of its mask is smaller."""
+    walk = _level_words([1 << i for i in range(k)], w + 2)
+    for _ in range(w):
+        masks = next(walk)
+    least, moved = masks.copy(), masks
+    for _ in range(m - 1):
+        moved = _block_shift(moved, m, k)
+        np.minimum(least, moved, out=least)
+    reps = masks[least == masks]
+    bits = (reps[:, None] >> np.arange(k, dtype=np.uint64)) & np.uint64(1)
+    table = np.ascontiguousarray(np.nonzero(bits)[1].reshape(-1, w).T)
+    table.flags.writeable = False
+    return table
+
+
+def _block_shift(words: np.ndarray, m: int, width: int) -> np.ndarray:
+    """uint64 words of width bits with each block of m bits, from bit 0 up,
+    rotated up by one: bit i goes to i + 1, or to i - m + 1 from the top
+    of its block."""
+    low = sum(1 << i for i in range(0, width, m))
+    up = np.uint64(((1 << width) - 1) & ~low)
+    return ((words << np.uint64(1)) & up) | ((words >> np.uint64(m - 1)) & np.uint64(low))
 
 
 def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
@@ -641,7 +725,8 @@ def min_weight(c: LinearCode, target: Optional[int] = None) -> int:
     _check_dimension(c, "minimum weight")
     if "weights" in c.memo or c.n > 64:
         return weight_distribution(c).min_weight
-    got = _min_weight_staged(_disjoint_information_bases(c), c.n, target)
+    stack = [np.array([b], dtype=np.uint64) for b in _disjoint_information_bases(c)]
+    got = int(_min_weight_staged(stack, c.n, target)[0])
     if target is None or got >= target:
         c.memo["min_weight"] = got
     return got

@@ -12,6 +12,7 @@ import pytest
 import sdcodes
 from sdcodes import (
     DomainError,
+    IntegrityError,
     LinearCode,
     ParseError,
     ResourceLimitError,
@@ -19,6 +20,7 @@ from sdcodes import (
     is_self_dual,
     min_weight,
 )
+from sdcodes import circulant, wenum
 from sdcodes.circulant import (
     CirculantPair,
     SearchRules,
@@ -34,7 +36,7 @@ from sdcodes.circulant import (
     _generator_ints,
     _orbit_tables,
     _search_range,
-    _transpose_basis_ints,
+    _stacked_bases,
 )
 
 from oracles import circulant_rows, permute_bits, span_set, transposed_rows, word01
@@ -313,6 +315,25 @@ def test_search_matches_the_full_walk_digest(block, d):
     assert hashlib.sha256(text.encode()).hexdigest() == FULL_WALK_DIGESTS[block, d]
 
 
+# (count, sha256 of format_pairs) under default rules, recorded from the
+# search that scanned each candidate on its own; block 15 is P3's search
+SCAN_DIGESTS = {
+    (7, 6): (196, "84efbbb5497963c4d781243b283bf89f875cda4a15f2aa69988feed0a2c6d2ea"),
+    (8, 8): (288, "3d2e37aebfa0cdaf848e7a52b1ab9bc92b4252d4664a4ffaacfa34806d4348b7"),
+    (9, 6): (1944, "c006b912c09cb78f2783c9983813d0ec38860adb72c67cce9fb24a087b22b701"),
+    (10, 8): (4568, "10c1b0edda2aa6e943dcec83814790cf99af8cd8d54e5f391b119c03e1d43b0c"),
+    (11, 8): (26654, "89b6b1feba0e092addf07987edb6c4d148d4a49d4add7c2ec623108b40e5a3b7"),
+    (15, 12): (28380, "da1befc2d4ddd5c51e13d267effb1928eb9ae93791c4e699e398fd0ee902411e"),
+}
+
+
+@pytest.mark.parametrize("block,d", sorted(SCAN_DIGESTS))
+def test_search_matches_the_per_candidate_scan(block, d):
+    pairs = search_four_circulant(block, d)
+    text = format_pairs(pairs)
+    assert (len(pairs), hashlib.sha256(text.encode()).hexdigest()) == SCAN_DIGESTS[block, d]
+
+
 def load_perfbench(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
@@ -375,6 +396,78 @@ def test_search_representative_partition_reassembles():
     assert [pair(block, ra, rb) for ra, rb in _expand_hits(block, parts, rules)] == sorted(
         expect, key=lambda q: (q.ra, q.rb)
     )
+
+
+def test_search_range_does_not_depend_on_the_stack_size(monkeypatch):
+    block, d = 7, 6
+    rules = SearchRules.for_target(d)
+    whole = _search_range(block, d, rules, 0, 1 << block)
+    assert whole
+    seen = []
+    scan = circulant._min_weight_staged
+    monkeypatch.setattr(circulant, "_min_weight_staged", lambda bases, *rest, **kw: seen.append(len(bases[0])) or scan(bases, *rest, **kw))
+    # one code and one representative per stack, then a few codes per stack
+    for words in (1, 100):
+        monkeypatch.setattr(wenum, "STACK_WORDS", words)
+        assert _search_range(block, d, rules, 0, 1 << block) == whole
+    assert seen[0] > 1, "the whole range is one stacked call"
+
+
+def stacked_candidates(monkeypatch, block, d):
+    """Each candidate (ra, rb) the search scans, with the scan's value."""
+    got = []
+    scan = circulant._min_weight_staged
+
+    def record(bases, n, target, shift=None):
+        best = scan(bases, n, target, shift)
+        first = bases[0][:, 0].tolist()  # 1 | ra << 2n | rb << 3n
+        mask = (1 << block) - 1
+        got.extend(((r >> 2 * block) & mask, r >> 3 * block, b) for r, b in zip(first, best.tolist()))
+        return best
+
+    monkeypatch.setattr(circulant, "_min_weight_staged", record)
+    search_four_circulant(block, d)
+    monkeypatch.undo()
+    return got
+
+
+@pytest.mark.parametrize("block,d", [(3, 2), (4, 4), (5, 4), (6, 4), (7, 6), (8, 6), (9, 8)])
+def test_stacked_scan_verdicts_match_full_enumeration(monkeypatch, block, d):
+    """The orbit scan against the span pass, which shares no walk code."""
+    got = stacked_candidates(monkeypatch, block, d)
+    assert got and any(best >= d for _, _, best in got)
+    for ra, rb, best in got:
+        c = build_four_circulant(pair(block, ra, rb))
+        true = next(w for w, x in enumerate(wenum._histogram_words(c.rows, c.n)[0]) if w and x)
+        assert (best >= d) == (true >= d), (ra, rb)
+        # a kept code's value is exact; a rejected one's is a real word's
+        assert best == true if best >= d else true <= best < d, (ra, rb)
+
+
+def test_stacked_bases_rotate_into_their_successors(monkeypatch):
+    rng = random.Random(426)
+    for n in range(1, 17):
+        ras = np.array([rng.getrandbits(n) for _ in range(5)])
+        rbs = np.array([rng.getrandbits(n) for _ in range(5)])
+        first, second = _stacked_bases(n, ras, rbs)
+        j = np.arange(2 * n)
+        successor = j - j % n + (j + 1) % n
+        for rows in (first, second):
+            assert np.array_equal(wenum._block_shift(rows, n, 4 * n), rows[:, successor]), n
+        for ra, rb, row in zip(ras.tolist(), rbs.tolist(), first.tolist()):
+            assert row == _generator_ints(n, ra, rb), n
+    # a corrupted basis row stops the search
+    stacked = circulant._stacked_bases
+
+    def corrupt(n, ras, rbs):
+        first, second = stacked(n, ras, rbs)
+        second = second.copy()
+        second[-1, 3] ^= np.uint64(1 << (4 * n - 1))
+        return first, second
+
+    monkeypatch.setattr(circulant, "_stacked_bases", corrupt)
+    with pytest.raises(IntegrityError):
+        search_four_circulant(7, 6)
 
 
 def test_search_threads_do_not_change_output():
@@ -515,7 +608,7 @@ def test_transpose_basis_spans_the_code(block, d):
     identity = [1 << (2 * n + i) for i in range(2 * n)]
     for p in search_four_circulant(block, d):
         ra, rb = p.ra, p.rb
-        rows = _transpose_basis_ints(n, ra, rb)
+        rows = _stacked_bases(n, np.array([ra]), np.array([rb]))[1][0].tolist()
         assert [r >> (2 * n) for r in rows] == [r >> (2 * n) for r in identity]
         code = LinearCode.from_int_rows(_generator_ints(n, ra, rb), 4 * n)
         assert LinearCode.from_int_rows(rows, 4 * n) == code

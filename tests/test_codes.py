@@ -217,6 +217,18 @@ class TestSelfDualityAndParity:
         assert not is_self_dual(LinearCode.from_strings(["1100"]))
         assert checked == [c.rows]
 
+    def test_parity_class_is_found_once_per_code(self, monkeypatch):
+        # the signature and the shadow each ask; the row scan runs once
+        found = []
+        find = codes._parity_class
+        monkeypatch.setattr(codes, "_parity_class", lambda rows: found.append(rows) or find(rows))
+        c = code_from_words(singly_even_self_dual_words(random.Random(20), 16), 16)
+        signature(c)
+        shadow_distribution(c)
+        assert parity_class(c) is parity_class(c.with_name("again")) is ParityClass.SINGLY_EVEN
+        assert found == [c.rows]
+        assert c.memo["parity class"] is ParityClass.SINGLY_EVEN
+
     def test_random_self_dual_words_really_are(self):
         rng = random.Random(13)
         for n in (8, 10, 12, 14):

@@ -476,7 +476,7 @@ def test_survey_members_keep_only_their_facts(survey_classes):
     for cl in survey_classes[0]:
         targets = {id(cl.members[0]), id(cl.representative)}
         for m in cl.members:
-            facts = {"self dual", "weights", "shadow", "signature", ("words", signature(m).d)}
+            facts = {"self dual", "parity class", "weights", "shadow", "signature", ("words", signature(m).d)}
             if id(m) in targets:
                 facts.add("parity checks")
             assert set(m.memo) == facts

@@ -553,6 +553,12 @@ def test_min_weight_zero_code():
         min_weight(LinearCode(4, ()))
 
 
+def staged_min_weight(c, target=None):
+    """The staged scan of c as a stack of one, with no shift."""
+    stack = [np.array([b], dtype=np.uint64) for b in _disjoint_information_bases(c)]
+    return int(_min_weight_staged(stack, c.n, target)[0])
+
+
 def test_staged_min_weight_matches_histogram():
     """The level-by-level scan must agree with full enumeration."""
     rng = random.Random(410)
@@ -562,7 +568,57 @@ def test_staged_min_weight_matches_histogram():
         if c.k < 20:
             continue
         expect = weight_distribution(c).min_weight
-        assert _min_weight_staged(_disjoint_information_bases(c), c.n, None) == expect
+        assert staged_min_weight(c) == expect
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orbit_table_representatives_cover_each_subset_once(n):
+    k = 2 * n
+
+    def shifted(subset):
+        return frozenset(i - i % n + (i + 1) % n for i in subset)
+
+    for w in range(1, min(4, k) + 1):
+        covered = Counter()
+        for rep in map(frozenset, wenum._orbit_table(k, n, w).T.tolist()):
+            orbit, s = {rep}, rep
+            for _ in range(n):
+                s = shifted(s)
+                orbit.add(s)
+            covered.update(orbit)
+        assert set(covered) == set(map(frozenset, combinations(range(k), w))), (n, w)
+        assert set(covered.values()) == {1}, (n, w)
+
+
+def test_block_shift_rotates_each_block():
+    rng = random.Random(427)
+    for m, width in ((1, 4), (3, 12), (7, 28), (16, 64), (5, 30)):
+        words = [rng.getrandbits(width) for _ in range(20)]
+        got = wenum._block_shift(np.array(words, dtype=np.uint64), m, width).tolist()
+        for v, g in zip(words, got):
+            expect = sum(1 << (i - i % m + (i + 1) % m) for i in range(width) if (v >> i) & 1)
+            assert g == expect, (m, width)
+
+
+def test_unshifted_scan_takes_one_code():
+    rows = np.array([[0b011, 0b110]] * 2, dtype=np.uint64)
+    with pytest.raises(DomainError):
+        _min_weight_staged([rows], 3, None)
+    assert _min_weight_staged([rows[:1]], 3, None).tolist() == [2]
+
+
+def test_lone_code_past_the_word_bound_reads_its_distribution(monkeypatch):
+    rng = random.Random(428)
+    c = LinearCode.from_int_rows(random_matrix_rows(rng, 12, 30), 30)
+    expect = weight_distribution(LinearCode(c.n, c.rows)).min_weight
+    read = []
+    distribution = wenum.weight_distribution
+    monkeypatch.setattr(wenum, "weight_distribution", lambda code: read.append(code.k) or distribution(code))
+    # level 2 holds C(k, 2) > k words, so the scan stops after level 1
+    monkeypatch.setattr(wenum, "STACK_WORDS", c.k)
+    assert expect > 2 * len(_disjoint_information_bases(c))
+    assert staged_min_weight(LinearCode(c.n, c.rows)) == expect
+    assert read == [c.k]
 
 
 def test_level_words_walks_every_combination_once():
@@ -587,7 +643,7 @@ def test_staged_min_weight_on_self_dual_direct_sum():
         rows += [r << (8 * b) for r in e8.rows]
     c = LinearCode.from_int_rows(rows, 48)
     assert c.k == 24
-    assert _min_weight_staged(_disjoint_information_bases(c), c.n, None) == 4
+    assert staged_min_weight(c) == 4
     assert min_weight(c) == 4
 
 
@@ -719,16 +775,28 @@ def pairs_code(pairs, n):
     return LinearCode.from_int_rows(rows, n), rows
 
 
+def test_gleason_and_span_pass_agree_at_dimensions_17_to_22():
+    rng = random.Random(1902)
+    for n in range(34, 46, 2):
+        c = random_self_dual_code(rng, n)
+        assert c.k == n // 2 and is_self_dual(c)
+        counts, shadow, _ = _gleason_counts(c)
+        assert list(counts) == _histogram_words(c.rows, c.n)[0], n
+        # weight_distribution takes the Gleason path from dimension 17 on
+        assert weight_distribution(c).counts == counts and (c.memo.get("shadow") is None) == (not any(counts[2::4]))
+
+
 def test_small_code_builds_its_span_once(monkeypatch):
-    # up to dimension 22, W, the signature's words, the incidence's words
-    # and the words of weight d all come from one span pass, past length 64
-    # and over more than one 2^16-word chunk too
+    # up to dimension 16, and up to 22 for a code that is not self-dual or
+    # is longer than 64, W, the signature's words, the incidence's words and
+    # the words of weight d all come from one span pass, past length 64 and
+    # over more than one 2^16-word chunk too
     passes, walks = [], []
     span, walk = wenum._span_lanes, wenum._low_weight_words
     monkeypatch.setattr(wenum, "_span_lanes", lambda rows, n, offset=0: passes.append(len(rows)) or span(rows, n, offset))
     monkeypatch.setattr(wenum, "_low_weight_words", lambda bases, top: walks.append(top) or walk(bases, top))
     rng = random.Random(1617)
-    codes = [random_self_dual_code(rng, n) for n in (12, 18, 26, 30, 36, 44)]
+    codes = [random_self_dual_code(rng, n) for n in (12, 18, 26, 30)]
     codes += [LinearCode.from_int_rows(independent_rows(rng, k, n), n) for k, n in ((7, 20), (15, 64), (17, 64), (12, 70), (18, 90))]
     # the first chunk, span(rows[:16]), holds levels [2, 4]; the second
     # adds 16 words of weight 2, so the running cap drops to 2 partway
@@ -737,7 +805,7 @@ def test_small_code_builds_its_span_once(monkeypatch):
     assert _levels(gray_weight_histogram(drop.rows[:16], 64), 64) == [2, 4]
     codes.append(drop)
     for c in codes:
-        assert c.k <= 22, (c.n, c.k)
+        assert c.k <= 22 and (c.k <= 16 or c.n > 64 or not is_self_dual(c)), (c.n, c.k)
         passes.clear()
         walks.clear()
         signature(c)
@@ -767,19 +835,20 @@ def test_small_code_builds_its_span_once(monkeypatch):
 
 
 def test_large_self_dual_code_walks_once(monkeypatch):
-    # W, the signature's words, the incidence's words and the words of
-    # weight d all come from one walk to weight 2(n//8) - 2; a level above
-    # that weight (10 in the [46,23] code, whose walk stops at 8) takes one
-    # walk of its own
+    # from dimension 17 on, W, the signature's words, the incidence's words
+    # and the words of weight d all come from one walk to weight
+    # 2(n//8) - 2; a level above that weight (10 in the [46,23] code, whose
+    # walk stops at 8) takes one walk of its own
     walks = []
     walk = wenum._low_weight_words
     monkeypatch.setattr(wenum, "_low_weight_words", lambda bases, top: walks.append(top) or walk(bases, top))
     codes = [named_code(name) for name in ("C58_1", "D60_3")]
     codes.append(random_self_dual_code(random.Random(1900), 46, steps=30))
+    codes += [random_self_dual_code(random.Random(1901), n) for n in (34, 44)]
     for c in codes:
         walks.clear()
         c = LinearCode(c.n, c.rows)
-        assert c.k > 22
+        assert c.k > 16
         top = 2 * (c.n // 8) - 2
         weight_distribution(c)
         levels = _word_levels(c)
@@ -790,8 +859,8 @@ def test_large_self_dual_code_walks_once(monkeypatch):
         next(_incidences([c], levels))
         d = weight_distribution(c).min_weight
         codewords_of_weight(c, d)
-        # only the random [46,23] code has a level above its walk's top
-        assert (c.n == 46) == bool(above), c.n
+        # only the random codes have a level above their walk's top
+        assert (c.n < 58) == bool(above), c.n
         assert walks == [top] + above, c.n
         assert d in levels and d <= top, c.n
         for w in levels:
