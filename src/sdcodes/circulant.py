@@ -348,8 +348,9 @@ def _search_range(
         for u in range(n):
             ru = ((rbt << np.uint32(u)) | (rbt >> np.uint32(n - u))) & mask
             m &= np.bitwise_count(rau ^ ru) >= cross_need
-        ras.append(np.full(int(m.sum()), ra, dtype=np.uint32))
-        rbs.append(cand[m])
+        cand = cand[m]
+        ras.append(np.full(cand.size, ra, dtype=np.uint32))
+        rbs.append(cand)
     if not ras:
         return []
     # every candidate passed the signature bucket, so it is self-dual
@@ -419,10 +420,10 @@ def search_four_circulant(
         hits.extend(part)
         if progress is not None:
             progress(int(sizes[: cuts[i + 1]].sum()), end)
-    hits = np.array(_expand_hits(block, hits, rules), dtype=np.int64).reshape(-1, 2)
+    pairs = np.array(_expand_hits(block, hits, rules), dtype=np.int64).reshape(-1, 2)
     # format01 order of a row is the integer order of its bit reversal, the
     # transpose row rotated down by one
     rev = _search_tables(block)[3].astype(np.int64)
     flip = (rev >> 1) | ((rev & 1) << (block - 1))
-    order = np.argsort((flip[hits[:, 0]] << block) | flip[hits[:, 1]])
-    return [CirculantPair(block, ra, rb) for ra, rb in hits[order].tolist()]
+    order = np.argsort((flip[pairs[:, 0]] << block) | flip[pairs[:, 1]])
+    return [CirculantPair(block, ra, rb) for ra, rb in pairs[order].tolist()]
