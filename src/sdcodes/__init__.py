@@ -21,6 +21,7 @@ from .circulant import (
     load_pairs,
     save_pairs,
     search_four_circulant,
+    search_orbits,
     self_dual_condition,
 )
 from .wenum import (

@@ -13,8 +13,9 @@ closed form.  The survivors of a part are stacked, their bases built by
 vectorized rotations, and one staged minimum-weight scan decides them
 all without building a code.  Shifting each of the four blocks by one
 sends every row of either basis to the next row of its half, so the scan
-walks one combination of rows per orbit of that shift.  Each hit is then
-expanded over its orbit.
+walks one combination of rows per orbit of that shift.  Each orbit of
+hits is then walked once: search_orbits returns one pair per orbit, and
+search_four_circulant every pair that passes the rules.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
     "build_four_circulant",
     "self_dual_condition",
     "search_four_circulant",
-    "orbit_key",
+    "search_orbits",
     "parse_pairs",
     "format_pairs",
     "load_pairs",
@@ -176,16 +177,6 @@ def _affine_positions(n: int) -> np.ndarray:
     return np.array([(u * i + s) % n for u in units for s in range(n)])
 
 
-def _images(vals: Sequence[int], n: int) -> np.ndarray:
-    """g.v for every group element g (rows) and every v in vals (columns)."""
-    vals = np.asarray(vals, dtype=np.int64)
-    pos = _affine_positions(n)
-    out = np.zeros((pos.shape[0], vals.size), dtype=np.int64)
-    for i in range(n):
-        out |= ((vals >> i) & 1)[None, :] << pos[:, i, None]
-    return out
-
-
 @lru_cache(maxsize=4)
 def _orbit_tables(n: int):
     """Sorted orbit representatives (each its orbit's least row) and the
@@ -202,18 +193,6 @@ def _orbit_tables(n: int):
     reps = np.flatnonzero(canon == v)
     sizes = np.bincount(canon, minlength=1 << n)[reps]
     return reps, sizes
-
-
-def orbit_key(p: CirculantPair) -> str:
-    """The least serialize() over the affine orbit of a pair; pairs with
-    the same key give equivalent codes."""
-    n = p.block
-    # format01 order is integer order with coordinate 1 as the top bit
-    weights = np.int64(1) << (n - 1 - _affine_positions(n))
-    i = np.arange(n)
-    a, b = (weights @ ((r >> i) & 1) for r in (p.ra, p.rb))
-    best = int(((a << n) | b).min())
-    return f"{best >> n:0{n}b};{best & ((1 << n) - 1):0{n}b}"
 
 
 # ---------------------------------------------------------------------------
@@ -366,40 +345,21 @@ def _search_range(
     return list(zip(ras[keep].tolist(), rbs[keep].tolist()))
 
 
-def _expand_hits(
-    block: int, hits: Sequence[Tuple[int, int]], rules: SearchRules
-) -> List[Tuple[int, int]]:
-    """The orbits of the representative hits under the group, with
-    rb_last_one applied, each pair once."""
-    n = block
-    keys = set()
-    for ra, group in groupby(hits, key=lambda h: h[0]):
-        rbs = _images([rb for _, rb in group], n)
-        ras = np.broadcast_to(_images([ra], n), rbs.shape)
-        if rules.rb_last_one:
-            last = (rbs >> (n - 1)) & 1 == 1
-            ras, rbs = ras[last], rbs[last]
-        keys.update(((ras << n) | rbs).ravel().tolist())
-    return [(k >> n, k & ((1 << n) - 1)) for k in sorted(keys)]
+def _search_orbits(
+    block: int, d_target: int, rules: Optional[SearchRules], threads: int, progress
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The search's pairs by orbit, as words ra << block | rb: one
+    representative per orbit, the number of pairs in each, and every pair
+    in format01 order.  The ra rows' orbit representatives are cut into
+    _PARTS_PER_WORKER contiguous parts per thread, run in order, so the
+    result is identical for every thread count; progress(done, total)
+    counts ra rows as each part ends.
 
-
-def search_four_circulant(
-    block: int,
-    d_target: int,
-    rules: Optional[SearchRules] = None,
-    threads: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> List[CirculantPair]:
-    """All pairs whose code is self-dual with min weight >= d_target and
-    which pass the normalization rules, in serialization order.
-
-    Every filter, self-duality and the minimum weight are invariant under
-    the affine group acting on both rows, so one ra per orbit is searched
-    and its hits are expanded over the group.  The sorted representatives
-    are cut into _PARTS_PER_WORKER contiguous parts per thread, run in
-    order, so the result is identical for every thread count.
-    progress(done, total) counts ra rows as each part ends.
-    """
+    A hit's ra is the least of its orbit, so the orbit of (ra, rb) meets
+    that ra in the images of rb under the stabiliser of ra; the least of
+    them names it, and that hit's images walk the orbit once.  The orbit's
+    first member passing rb_last_one in format01 order represents it, and
+    orbits come in order of their least member, passing or not."""
     if block < 1:
         raise DomainError(f"block size must be positive, got {block}")
     if block > SEARCH_BLOCK_LIMIT:
@@ -420,10 +380,65 @@ def search_four_circulant(
         hits.extend(part)
         if progress is not None:
             progress(int(sizes[: cuts[i + 1]].sum()), end)
-    pairs = np.array(_expand_hits(block, hits, rules), dtype=np.int64).reshape(-1, 2)
-    # format01 order of a row is the integer order of its bit reversal, the
-    # transpose row rotated down by one
-    rev = _search_tables(block)[3].astype(np.int64)
-    flip = (rev >> 1) | ((rev & 1) << (block - 1))
-    order = np.argsort((flip[pairs[:, 0]] << block) | flip[pairs[:, 1]])
-    return [CirculantPair(block, ra, rb) for ra, rb in pairs[order].tolist()]
+    n = block
+    # format01 order of a row is the integer order of its bit reversal (an
+    # involution), the transpose row rotated down by one
+    rev = _search_tables(n)[3].astype(np.int64)
+    flip = (rev >> 1) | ((rev & 1) << (n - 1))
+    failed = np.int64(1) << (2 * n)  # above every key
+    # an empty orbit list keeps the concatenations defined without hits
+    orbits = [(np.zeros(0, dtype=np.int64),) * 4]
+    pos = _affine_positions(n)
+    for ra, group in groupby(hits, key=lambda h: h[0]):
+        rows = np.array([ra] + [rb for _, rb in group], dtype=np.int64)
+        images = np.zeros((len(pos), rows.size), dtype=np.int64)
+        for i in range(n):
+            images |= ((rows >> i) & 1) << pos[:, i, None]
+        ras, images = images[:, :1], images[:, 1:]
+        images = images[:, rows[1:] == images[ras[:, 0] == ra].min(axis=0)]
+        keys = (flip[ras] << n) | flip[images]
+        least = keys.min(axis=0)
+        if rules.rb_last_one:
+            keys[(images >> (n - 1)) & 1 == 0] = failed
+        keys.sort(axis=0)
+        new = keys < failed
+        new[1:] &= keys[1:] != keys[:-1]
+        orbits.append((least, keys[0], new.sum(axis=0), keys[new]))
+    least, firsts, counts, members = (np.concatenate(c) for c in zip(*orbits))
+    order = np.flatnonzero(firsts < failed)  # an orbit with no passing member is dropped
+    order = order[np.argsort(least[order])]
+    firsts, members = ((flip[k >> n] << n) | flip[k % end] for k in (firsts[order], np.sort(members)))
+    return firsts, counts[order], members
+
+
+def _pairs(block: int, words: np.ndarray) -> List[CirculantPair]:
+    mask = (1 << block) - 1
+    return [CirculantPair(block, w >> block, w & mask) for w in words.tolist()]
+
+
+def search_four_circulant(
+    block: int,
+    d_target: int,
+    rules: Optional[SearchRules] = None,
+    threads: int = 1,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> List[CirculantPair]:
+    """All pairs whose code is self-dual with min weight >= d_target and
+    which pass the normalization rules, in serialization order, identical
+    for every thread count; progress(done, total) counts ra rows."""
+    return _pairs(block, _search_orbits(block, d_target, rules, threads, progress)[2])
+
+
+def search_orbits(
+    block: int,
+    d_target: int,
+    rules: Optional[SearchRules] = None,
+    threads: int = 1,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> Tuple[List[CirculantPair], List[int]]:
+    """One pair per affine orbit of search_four_circulant's pairs, and the
+    number of its pairs in each orbit; one orbit gives equivalent codes.
+    The representative is the orbit's first pair in serialization order,
+    and orbits come in order of their least serialization, rules or not."""
+    reps, sizes, _ = _search_orbits(block, d_target, rules, threads, progress)
+    return _pairs(block, reps), sizes.tolist()

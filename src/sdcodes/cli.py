@@ -29,9 +29,9 @@ from . import tables
 from .circulant import (
     SearchRules,
     build_four_circulant,
-    orbit_key,
     save_pairs,
     search_four_circulant,
+    search_orbits,
 )
 from .codes import LinearCode, ParityClass, is_self_dual, load_code, parity_class, subtract_coordinates
 from .equivalence import classification_report, classify
@@ -68,7 +68,8 @@ _EXIT_CODES = {
 
 TABLE_IDS = ("T1", "T2", "Tnei2", "Td10", "T4", "T5", "T6", "P3", "P5", "C7")
 
-# circulant blocks above this need --extended (the block-15 runs take hours)
+# circulant blocks above this need --extended, the extended-scale contract: at a
+# fixed d the pair list grows as 4^block (block 15, d = 10 lists 324480 pairs)
 SEARCH_BLOCK_EXTENDED = 10
 
 
@@ -483,23 +484,10 @@ def _reproduce_balance() -> int:
 
 def _reproduce_search_classes(table: str, dmin: int, want_classes: int, threads: int) -> int:
     printer = _RowPrinter(table)
-    pairs = search_four_circulant(
-        15,
-        dmin,
-        rules=SearchRules.for_target(dmin),
-        threads=threads,
-        progress=_progress_printer(f"{table} search"),
-    )
-    printer.row("search", bool(pairs), f"{len(pairs)} pairs")
-    reps = {}
-    for pair in pairs:
-        reps.setdefault(orbit_key(pair), pair)
+    reps, sizes = search_orbits(15, dmin, threads=threads, progress=_progress_printer(f"{table} search"))
+    printer.row("search", bool(reps), f"{sum(sizes)} pairs")
     sys.stderr.write(f"{table}: {len(reps)} affine orbits\n")
-    codes = []
-    for key in sorted(reps):
-        code = build_four_circulant(reps[key])
-        if weight_distribution(code).min_weight == dmin:
-            codes.append(code)
+    codes = [c for c in map(build_four_circulant, reps) if weight_distribution(c).min_weight == dmin]
     sys.stderr.write(f"{table}: {len(codes)} orbit representatives at d={dmin}\n")
     classes = classify(codes)
     printer.row(

@@ -97,10 +97,6 @@ class LinearCode:
                 raise DomainError(f"row length {m} does not match n={n}")
         return cls(n, tuple(bits for _, bits in parsed), name)
 
-    def pivot_columns(self) -> Tuple[int, ...]:
-        """1-indexed pivot columns of the canonical generator."""
-        return tuple(p + 1 for p in pivots_of_rref_raw(self.rows))
-
     def with_name(self, name: Optional[str]) -> "LinearCode":
         return LinearCode(self.n, self.rows, name, self.memo)
 

@@ -11,10 +11,12 @@ int at a time.  The neighbour survey's references
 build every neighbour, as the survey did before it filtered syndromes: one
 reads each minimum weight, the other reduces each light vector into each
 neighbour.  The certificate reference permutes each row bit by bit and
-reduces it into the other code.  The Gleason reference solves for the
-weight distribution from the counts A_0..A_{2(n//8)} alone, with no
-shadow coefficient given; it shares the low-weight walk with the code
-under test, which other tests check against whole spans.
+reduces it into the other code.  A four-circulant pair's orbit is named
+by its least serialization over every affine map, one map at a time.
+The Gleason reference solves for the weight distribution from the counts
+A_0..A_{2(n//8)} alone, with no shadow coefficient given; it shares the
+low-weight walk with the code under test, which other tests check
+against whole spans.
 """
 
 from __future__ import annotations
@@ -185,6 +187,18 @@ def circulant_rows(first_row: int, n: int) -> List[int]:
     coordinate moved i places toward higher indices, mod n."""
     support = [j for j in range(n) if (first_row >> j) & 1]
     return [sum(1 << ((j + i) % n) for j in support) for i in range(n)]
+
+
+def orbit_key(pair) -> str:
+    """The least serialization 'ra;rb' of a four-circulant pair over every
+    affine map i -> u*i + s (mod n), u a unit, applied to both rows."""
+    n = pair.block
+
+    def image(v: int, u: int, s: int) -> str:
+        return word01(sum(1 << ((u * i + s) % n) for i in range(n) if (v >> i) & 1), n)
+
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    return min(f"{image(pair.ra, u, s)};{image(pair.rb, u, s)}" for u in units for s in range(n))
 
 
 def transposed_rows(rows: Sequence[int], ncols: int) -> List[int]:

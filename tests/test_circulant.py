@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -27,19 +28,18 @@ from sdcodes.circulant import (
     build_four_circulant,
     format_pairs,
     load_pairs,
-    orbit_key,
     parse_pairs,
     save_pairs,
     search_four_circulant,
+    search_orbits,
     self_dual_condition,
-    _expand_hits,
     _generator_ints,
     _orbit_tables,
     _search_range,
     _stacked_bases,
 )
 
-from oracles import circulant_rows, permute_bits, span_set, transposed_rows, word01
+from oracles import circulant_rows, orbit_key, permute_bits, span_set, transposed_rows, word01
 
 
 def pair(block, ra, rb):
@@ -379,7 +379,7 @@ def test_benchmark_library_calls_resolve():
     assert not missing
 
 
-def test_search_representative_partition_reassembles():
+def test_search_representative_partition_reassembles(monkeypatch):
     block, d = 7, 6
     rules = SearchRules.for_target(d)
     reps, _ = _orbit_tables(block)
@@ -389,13 +389,13 @@ def test_search_representative_partition_reassembles():
     for lo, hi in zip(bounds, bounds[1:]):
         part = _search_range(block, d, rules, lo, hi)
         assert all(lo <= ra < hi and ra in reps for ra, _ in part)
-        parts += part
-    assert parts == whole
+        parts.append(part)
+    assert sum(parts, []) == whole
     assert whole, "the block-7 representatives keep hits"
-    expect = search_four_circulant(block, d, rules)
-    assert [pair(block, ra, rb) for ra, rb in _expand_hits(block, parts, rules)] == sorted(
-        expect, key=lambda q: (q.ra, q.rb)
-    )
+    expect = search_four_circulant(block, d, rules), search_orbits(block, d, rules)
+    # the orbit walk over these three parts gives the same pairs and orbits
+    monkeypatch.setattr(circulant, "run_parts", lambda fn, jobs, threads: parts)
+    assert (search_four_circulant(block, d, rules), search_orbits(block, d, rules)) == expect
 
 
 def test_search_range_does_not_depend_on_the_stack_size(monkeypatch):
@@ -479,6 +479,7 @@ def test_search_threads_do_not_change_output():
 
 def test_search_two_threads_match_one_at_block_nine():
     assert search_four_circulant(9, 8, threads=2) == search_four_circulant(9, 8)
+    assert search_orbits(9, 8, threads=2) == search_orbits(9, 8)
 
 
 def test_search_budget():
@@ -560,21 +561,6 @@ def test_block_fifteen_has_368_orbits():
     assert int(sizes.sum()) == 1 << 15
 
 
-def test_orbit_key_is_constant_on_orbits_and_names_a_member():
-    rng = random.Random(425)
-    for _ in range(20):
-        n = rng.randrange(2, 10)
-        p = pair(n, rng.getrandbits(n), rng.getrandbits(n))
-        orbit = {
-            pair(n, affine_image(p.ra, n, u, s), affine_image(p.rb, n, u, s)).serialize()
-            for u, s in affine_maps(n)
-        }
-        key = orbit_key(p)
-        assert key == min(orbit)
-        for text in orbit:
-            assert orbit_key(CirculantPair.parse(text)) == key
-
-
 def test_multiplied_pair_gives_an_equivalent_code():
     n, u = 7, 3
     for p in search_four_circulant(n, 6)[:5]:
@@ -587,19 +573,58 @@ def test_multiplied_pair_gives_an_equivalent_code():
 
 @pytest.mark.parametrize("block,d", [(6, 4), (9, 8)])
 def test_affine_orbits_give_the_shift_orbit_class_count(block, d):
-    pairs = search_four_circulant(block, d)
-
-    def classes(key):
-        reps = {}
-        for p in pairs:
-            reps.setdefault(key(p), p)
-        codes = [build_four_circulant(reps[k]) for k in sorted(reps)]
+    def classes(reps):
+        codes = [build_four_circulant(p) for p in reps]
         return len(classify([c for c in codes if min_weight(c) == d])), len(reps)
 
-    by_shift = classes(lambda p: min(p.shifted(s).serialize() for s in range(block)))
-    by_affine = classes(orbit_key)
+    by_shift = {}
+    for p in search_four_circulant(block, d):
+        by_shift.setdefault(min(p.shifted(s).serialize() for s in range(block)), p)
+    by_shift = classes([by_shift[k] for k in sorted(by_shift)])
+    by_affine = classes(search_orbits(block, d)[0])
     assert by_affine[0] == by_shift[0]
     assert by_affine[1] < by_shift[1]
+
+
+@pytest.mark.parametrize("block,d", [(5, 4), (6, 4), (7, 6), (8, 6), (9, 8), (10, 8)])
+def test_search_orbits_match_the_orbit_key_oracle(block, d):
+    """One pair per orbit: the first of its pairs in serialization order,
+    orbits in order of the oracle's key, with each orbit's pair count."""
+    pairs = search_four_circulant(block, d)
+    reps, sizes = {}, {}
+    for p in pairs:
+        key = orbit_key(p)
+        reps.setdefault(key, p)
+        sizes[key] = sizes.get(key, 0) + 1
+    got, got_sizes = search_orbits(block, d)
+    assert got == [reps[k] for k in sorted(reps)]
+    assert got_sizes == [sizes[k] for k in sorted(reps)]
+    assert sum(got_sizes) == len(pairs)
+
+
+def test_an_orbit_without_a_passing_pair_is_dropped():
+    # every image of rb = 0 fails rb_last_one, so the hit (31, 0) names no orbit
+    hits = _search_range(6, 4, SearchRules.for_target(4), 0, 1 << 6)
+    assert (31, 0) in hits
+    assert len({orbit_key(pair(6, ra, rb)) for ra, rb in hits}) == 22
+    assert len(search_orbits(6, 4)[0]) == 21
+    every_rb = dataclasses.replace(SearchRules.for_target(4), rb_last_one=False)
+    assert len(search_orbits(6, 4, every_rb)[0]) == 22
+
+
+@pytest.mark.parametrize("block,d,orbits,pairs,digest", [
+    (8, 6, 36, 576, "f48a36a28377c7cc2e2258ac4cc682eda1666e0c3d41a7e3abbc983e4e0a4b05"),
+    (9, 8, 36, 972, "a9bb6475bbb96d20624725bd71fc1346ee5102ae261cc3b97eb48377c0fbc88e"),
+    (10, 8, 248, 4568, "790949234db96ba769878bbe81fcc237ca4f5b83ceb291abc37f6e5073dae72f"),
+    (11, 8, 486, 26654, "51d6fcacc7470085b5568eb22298a0562305e2df3d5deb3afe548c25d3f789eb"),
+    (15, 12, 438, 28380, "c2a68326dbd9db4c1807a071f0b5a54094d1e95aee41e5da203d27c9193412c3"),
+    (15, 10, 5436, 324480, "7badc0798080d946e607704ce7592e2342c1731a474379b71835b7e73f89e1a8"),
+])
+def test_search_orbit_counts_and_representatives_are_pinned(block, d, orbits, pairs, digest):
+    """(15, 12) and (15, 10) are the searches of P3 and P5."""
+    reps, sizes = search_orbits(block, d)
+    assert (len(reps), sum(sizes)) == (orbits, pairs)
+    assert hashlib.sha256(format_pairs(reps).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("block,d", [(7, 6), (8, 6), (9, 8)])

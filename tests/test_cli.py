@@ -283,6 +283,19 @@ def test_reproduce_extended_gate():
     assert main(["reproduce", "P5"]) == EXIT_RESOURCE
 
 
+def test_reproduce_search_table_rows(monkeypatch, capsys):
+    # the P3 path on the block-9 search: 972 pairs in 36 orbits, 2 classes at d = 8
+    search = cli.search_orbits
+    monkeypatch.setattr(cli, "search_orbits", lambda block, d, **kw: search(9, d, **kw))
+    monkeypatch.setitem(cli._SEARCH_TABLES, "P3", (8, 2))
+    assert main(["reproduce", "P3", "--extended", "--threads", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "P3\tsearch\tpass\t972 pairs",
+        "P3\tclasses\tpass\t2 classes, expected 2",
+        "P3\tsummary\t2/2",
+    ]
+
+
 def test_reproduce_balance_rows(capsys):
     assert main(["reproduce", "C7"]) == EXIT_OK
     out = capsys.readouterr().out
