@@ -1,26 +1,29 @@
 """Permutation equivalence of binary codes, with verifiable certificates.
 
 Coordinates are matched through the incidence structure of low-weight
-codewords by color refinement: a round colors words by (class, sorted
-colors of their coordinates), then coordinates by (color, sorted colors of
-their words).  The incidence and the signature's co-occurrence counts come
+codewords by color refinement: a round colors words by the multiset of
+their coordinates' colors, then coordinates by (color, multiset of their
+words' colors).  The incidence and the signature's co-occurrence counts come
 from one 0/1 matrix, unpacked in one call from the words `wenum` memoises
 as 64-bit lanes, for one code or for a block of codes with the same word
 counts; the co-occurrence counts of a block of codes with the same A_d
-come from one batched product.  One loop runs every round, on a stack of codes of one incidence
-shape, a lone code being a stack of one, in one set of NumPy calls; a code
-leaves the stack when its number of colors stops growing.  Keys are rows
-of one NumPy array, sorted by one flat sort when they are short rows of
-one-byte colors and row by row otherwise, and each is named by the rank of
-its bytes among its code's distinct rows.  A row read as big-endian uint64
-lanes orders as its bytes do: a row of one or two lanes is ranked by
-argsorts along each code's rows, a wider one by one lexsort over its lanes
-whose primary key is its code.  Rank names are canonical, so two codes
-compare through one profile digest per round, the sums of a splitmix64
-hash of each word key and of each coordinate key, which no hash seed or
-stack changes, and the first that differs prunes a branch; a digest
-collision could only let a hopeless branch go deeper.  When a color class
-stays ambiguous, one coordinate is individualized and refinement re-run.
+come from one batched product.  One loop runs every round, on a stack of
+codes of one incidence shape, a lone code being a stack of one, in one set
+of NumPy calls; a code leaves the stack when its number of colors stops
+growing.  Each key is a multiset hash: a word's is the sum modulo 2^64 of
+a splitmix64 hash of each of its coordinates' colors, its padding
+included so that its weight class shows, and a coordinate's is its color,
+exact, in the top 8 bits over the top 56 bits of such a sum over its
+words' names.  Each key is named by its rank among its code's keys, and a
+code's profile digest per round is the sums of its mixed word keys and of
+its mixed coordinate keys, so names and digests depend on that code
+alone, not on the hash seed or the stack, and the first digest that
+differs prunes a branch.  A hash collision can keep two different keys
+under one name, but never two old colors, so a partition never coarsens
+and every path ends; a collision can only let a hopeless branch go deeper
+or change which verified leaf is found, never a verdict.  When a color
+class stays ambiguous, one coordinate is individualized and refinement
+re-run.
 The first code's side depends on it alone: its first path (the root
 refinement, then the first coordinate of the smallest open cell
 individualized at each depth until the colors are discrete) comes from
@@ -277,12 +280,10 @@ def _padded(m: np.ndarray) -> Tuple[np.ndarray, List[int]]:
 class _Incidence(NamedTuple):
     """Low-weight words against coordinates of a stack of codes, read-only
     (codes x rows x width): each word's coordinates and the words through
-    each coordinate, and the least signed dtype that holds every color of a
-    round and -1."""
+    each coordinate."""
 
     word_coords: np.ndarray
     coord_words: np.ndarray
-    dtype: np.dtype
 
 
 def _incidences(codes: Sequence[LinearCode], levels: Sequence[int]) -> Iterator[_Incidence]:
@@ -292,13 +293,12 @@ def _incidences(codes: Sequence[LinearCode], levels: Sequence[int]) -> Iterator[
     padded as they are when it is alone, so it refines alike in a stack."""
     n = codes[0].n
     m = _unpacked(np.concatenate([_words(c, w) for c in codes for w in levels]), n).reshape(len(codes), -1, n)
-    dtype = np.min_scalar_type(-1 - max(m.shape[1:]))
     word_coords, word_widths = _padded(m)
     coord_words, coord_widths = _padded(np.ascontiguousarray(m.transpose(0, 2, 1)))
     lo = 0
     for (ww, cw), run in groupby(zip(word_widths, coord_widths)):
         hi = lo + len(list(run))
-        yield _Incidence(word_coords[lo:hi, :, :ww], coord_words[lo:hi, :, :cw], dtype)
+        yield _Incidence(word_coords[lo:hi, :, :ww], coord_words[lo:hi, :, :cw])
         lo = hi
 
 
@@ -316,71 +316,28 @@ def _mixed(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@cache
-def _salts(count: int) -> np.ndarray:
-    """The `_mixed` 1..count, one per lane after the first, as a read-only
-    column."""
-    salts = _mixed(np.arange(1, count + 1, dtype=np.uint64))[:, None, None]
-    salts.flags.writeable = False
-    return salts
+# the salts of the hashes of coordinates' colors in word keys and of words'
+# names in coordinate keys, so that the two keys hash their entries apart
+_WORD_SALT, _COORD_SALT = np.uint64(0x9E3779B97F4A7C15), np.uint64(0x3C6EF372FE94F82A)
 
 
-def _ranked(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """For a stack of key arrays (codes x rows x width), each row's rank
-    among its code's distinct rows, in byte order, and per code a uint64
-    fingerprint of the multiset of its rows.  Both are canonical: they
-    depend on that code's rows alone, whatever else is stacked.
-
-    A row's bytes, zero-padded on the right to whole 8-byte lanes, read as
-    big-endian integers order as the bytes do.  A row of one lane is ranked
-    by its lane, and a row of two by its first lane's rank followed by its
-    second lane, as one lane when the rank fits in the second lane's zero
-    padding and as a pair of ranks otherwise; wider rows are ranked by all
-    their lanes at once.  A row hashes to the `_mixed` sum of its first
-    lane and its other lanes, each XORed with its position's salt and
-    `_mixed`, and a code to the sum of its rows' hashes and the width, all
-    modulo 2^64."""
-    c, r, w = keys.shape
-    width = w * keys.itemsize
-    packed = np.zeros((c, r, -(-width // 8) * 8), np.uint8)
-    packed[:, :, :width] = np.ascontiguousarray(keys).view(np.uint8)
-    lanes = np.ascontiguousarray(packed.view(">u8").transpose(2, 0, 1), dtype=np.uint64)  # lanes x codes x rows
-    if len(lanes) == 1:
-        names = _dense_ranks(lanes[0])
-    elif len(lanes) == 2:
-        first = _dense_ranks(lanes[0])
-        spare = 8 * (16 - width)  # the zero bits that end lane 1
-        if r < 1 << spare:  # lane 0's rank takes their place
-            names = _dense_ranks(first.astype(np.uint64) << np.uint64(64 - spare) | lanes[1] >> np.uint64(spare))
-        else:
-            names = _dense_ranks(first * r + _dense_ranks(lanes[1]))
-    else:
-        names = _dense_ranks(lanes)
-    rows = lanes[0]
-    if len(lanes) > 1:
-        rows = rows + _mixed(lanes[1:] ^ _salts(len(lanes) - 1)).sum(axis=0)
-    return names, _mixed(rows).sum(axis=1) + np.uint64(w)
+def _hashed(values: np.ndarray, salt: np.uint64) -> np.ndarray:
+    """h(v) = `_mixed`(v + salt) of each entry of an int64 array, the sum
+    taken modulo 2^64 on v's two's complement."""
+    return _mixed(values.view(np.uint64) + salt)
 
 
 def _dense_ranks(values: np.ndarray) -> np.ndarray:
-    """Each row's rank among its code's distinct rows (codes x rows).  Rows
-    of one value (values codes x rows) are ordered by an argsort along each
-    code's rows, and rows of several lanes compared in turn (values lanes x
-    codes x rows) by one lexsort whose primary key is the code's index."""
-    c, r = values.shape[-2:]
-    new = np.zeros(c * r, bool)  # whether a row differs from the one before
-    if values.ndim == 2:
-        order = values.argsort(axis=1)
-        order += np.arange(0, c * r, r)[:, None]  # positions in the flat stack
-        order = order.ravel()
-        ordered = values.ravel()[order]
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    else:
-        flat = values.reshape(len(values), c * r)
-        order = np.lexsort((*flat[::-1], np.arange(c).repeat(r)))
-        ordered = flat.take(order, axis=1)
-        np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=new[1:])
-    new[::r] = False  # each code's least row
+    """Each entry's rank among its row's distinct values (codes x rows), by
+    an argsort along each row."""
+    c, r = values.shape
+    order = values.argsort(axis=1)
+    order += np.arange(0, c * r, r)[:, None]  # positions in the flat stack
+    order = order.ravel()
+    ordered = values.ravel()[order]
+    new = np.zeros(c * r, bool)  # whether a value differs from the one before
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    new[::r] = False  # each code's least value
     ranks = np.empty(c * r, np.int64)
     ranks[order] = new.reshape(c, r).cumsum(axis=1).ravel()
     return ranks.reshape(c, r)
@@ -396,47 +353,31 @@ def _shifted(word_coords: np.ndarray, coord_words: np.ndarray) -> Tuple[np.ndarr
     return word_coords + code * (coord_words.shape[1] + 1), coord_words + code * (word_coords.shape[1] + 1)
 
 
-def _pad(colors: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Colors (codes x m) as dtype, with a column of -1 appended."""
-    out = np.empty((len(colors), colors.shape[1] + 1), dtype)
+def _pad(colors: np.ndarray) -> np.ndarray:
+    """Colors (codes x m) as int64, with a column of -1 appended."""
+    out = np.empty((len(colors), colors.shape[1] + 1), np.int64)
     out[:, :-1] = colors
     out[:, -1] = -1
     return out
 
 
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of a stack (codes x rows x width) sorted.  One-byte entries
-    are sorted as int32: rows of at most 8 take one flat sort, each value
-    offset by its row's index times 256 so that rows keep apart and the
-    low byte is the value, and longer rows a sort per row.  The offsets
-    fit below 2^31 for up to 2^23 rows; a code of one-byte colors has at
-    most 127 rows, and a block at most max(1, BLOCK_ROWS // words) codes.
-    Wider entries are sorted per row in place."""
-    if rows.itemsize > 1:
-        rows.sort(axis=2)
-        return rows
-    c, r, w = rows.shape
-    wide = rows.astype(np.int32)
-    if w > 8:
-        wide.sort(axis=2)
-    else:
-        wide += (np.arange(c * r, dtype=np.int32) << 8).reshape(c, r, 1)
-        wide.ravel().sort()
-    return wide.astype(np.int8)
-
-
 def _round(word_index: np.ndarray, coord_index: np.ndarray, current: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """One round on a stack of codes of one incidence shape, from their
-    `_pad`ded coordinate colors (codes x n+1) and `_shifted` indexes: each
-    word is colored by the sorted colors of its coordinates, whose -1
-    padding shows its weight class, then each coordinate by (color, sorted
-    colors of its words), each by the rank of its key row among its
-    code's.  Returns each code's profile digest, the fingerprints of its
-    word and coordinate keys as a row of two uint64, and the new colors."""
-    names, word_prints = _ranked(_sorted_rows(current.ravel()[word_index]))
-    gathered = _sorted_rows(_pad(names, current.dtype).ravel()[coord_index])
-    names, coord_prints = _ranked(np.concatenate((current[:, :-1, None], gathered), axis=2))
-    return np.stack((word_prints, coord_prints), axis=1), names
+    `_pad`ded coordinate colors (codes x n+1, each below 2^8) and `_shifted`
+    indexes: each word is keyed by the sum of the `_WORD_SALT` hashes of
+    its coordinates' colors, whose -1 padding shows its weight class, then
+    each coordinate by its color in the top 8 bits over the top 56 bits of
+    the sum of the `_COORD_SALT` hashes of its words' names, padding
+    included, all modulo 2^64, each named by the rank of its key among its
+    code's.  Returns each code's profile digest, the sums of the `_mixed`
+    word keys and of the `_mixed` coordinate keys as a row of two uint64,
+    and the new colors."""
+    word_keys = _hashed(current, _WORD_SALT).ravel()[word_index].sum(axis=2)
+    names = _dense_ranks(word_keys)
+    sums = _hashed(_pad(names), _COORD_SALT).ravel()[coord_index].sum(axis=2)
+    coord_keys = current[:, :-1].view(np.uint64) << np.uint64(56) | sums >> np.uint64(8)
+    colors = _dense_ranks(coord_keys)
+    return np.stack((_mixed(word_keys).sum(axis=1), _mixed(coord_keys).sum(axis=1)), axis=1), colors
 
 
 # a profile digest as one 16-byte value, read from a row of two uint64
@@ -453,7 +394,7 @@ def _rounds(
     digests and new colors, and which of them stopped."""
     at = np.arange(len(colors))  # positions of the codes still refining
     seen = _dense_ranks(colors).max(axis=1) + 1  # distinct colors of each code
-    current = _pad(colors, inc.dtype)
+    current = _pad(colors)
     word_index, coord_index = _shifted(inc.word_coords, inc.coord_words)
     while len(at):
         digests, names = _round(word_index, coord_index, current)
@@ -463,7 +404,7 @@ def _rounds(
         if done.any():
             at, names, top = at[~done], names[~done], top[~done]
             word_index, coord_index = _shifted(inc.word_coords[at], inc.coord_words[at])
-        seen, current = top, _pad(names, inc.dtype)
+        seen, current = top, _pad(names)
 
 
 # One depth of a first path: the round digests, the final colors, and the
@@ -511,7 +452,7 @@ def _first_paths(inc: _Incidence) -> Iterator[List[Tuple[int, Depth]]]:
                 deeper.append(pos)
         yield depth
         if len(deeper) < len(codes):
-            inc = _Incidence(inc.word_coords[deeper], inc.coord_words[deeper], inc.dtype)
+            inc = _Incidence(inc.word_coords[deeper], inc.coord_words[deeper])
         codes, colors = codes[deeper], final[deeper]
 
 

@@ -5,9 +5,7 @@ sets of ints, membership is tested by exhaustive enumeration, and no code
 under test is reused on the oracle side of a comparison.  The dual,
 neighbor and permutation scans run in numpy blocks, but still visit every
 vector and every permutation.  The color refinement round keys words and
-coordinates by sorted Python tuples; a stack's key rows are sorted one row
-at a time, ranked by one np.unique per code, and fingerprinted one Python
-int at a time.  The neighbour survey's references
+coordinates by sorted Python tuples.  The neighbour survey's references
 build every neighbour, as the survey did before it filtered syndromes: one
 reads each minimum weight, the other reduces each light vector into each
 neighbour.  The certificate reference permutes each row bit by bit and
@@ -294,49 +292,6 @@ def refinement_rounds_by_tuples(
         if len(set(new)) == len(set(colors)):
             return
         colors = new
-
-
-def sorted_by_row(rows: np.ndarray) -> np.ndarray:
-    """A stack of key rows (codes x rows x width), each row sorted alone."""
-    return np.sort(rows, axis=2)
-
-
-def ranked_by_void_rows(keys: np.ndarray) -> np.ndarray:
-    """Each key row's rank among its code's distinct rows in byte order,
-    for a stack (codes x rows x width): one np.unique per code over its
-    rows viewed as void scalars."""
-    names = []
-    for rows in np.ascontiguousarray(keys):
-        void = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        names.append(np.unique(void, return_inverse=True)[1].ravel())
-    return np.array(names).reshape(keys.shape[:2])
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def splitmix64(x: int) -> int:
-    """The splitmix64 finalizer of a 64-bit int."""
-    x ^= x >> 30
-    x = x * 0xBF58476D1CE4E5B9 & _MASK64
-    x ^= x >> 27
-    x = x * 0x94D049BB133111EB & _MASK64
-    return x ^ x >> 31
-
-
-def key_fingerprint(keys: np.ndarray) -> int:
-    """One code's key rows (rows x width) hashed as their definition says:
-    each row's bytes cut into big-endian 8-byte lanes, zero-padded on the
-    right; every lane j > 0 XORed with splitmix64(j) and mixed; a row
-    hashes to the mix of the sum of its first lane and those, and the code
-    to the sum of its rows' hashes and the width, all modulo 2^64."""
-    total = keys.shape[1]
-    for row in keys:
-        data = row.tobytes()
-        data += bytes(-len(data) % 8)
-        first, *rest = [int.from_bytes(data[i : i + 8], "big") for i in range(0, len(data), 8)]
-        total += splitmix64(first + sum(splitmix64(x ^ splitmix64(j)) for j, x in enumerate(rest, start=1)) & _MASK64)
-    return total & _MASK64
 
 
 def random_matrix_rows(rng: random.Random, nrows: int, ncols: int) -> List[int]:

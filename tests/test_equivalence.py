@@ -33,9 +33,7 @@ from sdcodes.equivalence import (
     _lazy_path,
     _maps_into,
     _member_paths,
-    _ranked,
     _rounds,
-    _sorted_rows,
     _stacked_bits,
     _verdicts,
     _word_counts,
@@ -47,18 +45,15 @@ from sdcodes.equivalence import (
     signature,
     verify_certificate,
 )
-from sdcodes.tables import named_code
+from sdcodes.tables import circulant_table, named_code, subtraction_table
 from sdcodes.wenum import codewords_of_weight, min_weight, weight_distribution
 from oracles import (
     equivalent_by_all_permutations,
-    key_fingerprint,
     maps_into_by_reduction,
     permute_bits,
     random_matrix_rows,
     random_self_dual_words,
-    ranked_by_void_rows,
     refinement_rounds_by_tuples,
-    sorted_by_row,
     span_set,
     word01,
 )
@@ -482,6 +477,31 @@ def test_survey_members_keep_only_their_facts(survey_classes):
             assert set(m.memo) == facts
 
 
+# the same for the 18 length-58 codes of T5, and for the 13 length-60
+# codes of T1 each followed by a seeded permuted copy, recorded before
+# refinement keys were named by multiset hashes
+T5_REPORT_DIGEST = "e5f9f494bd0d236a4664fbb8c39bac66a242454d78afaa7a0446a0c2c532afd4"
+T1_PAIRS_REPORT_DIGEST = "2e098dffb2dbf640f78aa895765d196b20390ee4cd65fb912a56ef2e590d9bde"
+
+
+def report_digest(classes):
+    return hashlib.sha256(json.dumps(classification_report(classes), sort_keys=True).encode()).hexdigest()
+
+
+def test_length_58_and_60_classification_reports_are_pinned():
+    classes = classify([named_code(row["name"]) for row in subtraction_table()["codes"]])
+    assert [len(cl.members) for cl in classes] == [12, 6]
+    assert report_digest(classes) == T5_REPORT_DIGEST
+    rng = random.Random(1625)
+    pool = []
+    for row in circulant_table(12):
+        c = named_code(row["name"])
+        pool += [c, permuted_code(c, shuffled_images(rng, c.n), name=row["name"] + "'")]
+    classes = classify(pool)
+    assert [len(cl.members) for cl in classes] == [2] * 13
+    assert report_digest(classes) == T1_PAIRS_REPORT_DIGEST
+
+
 def test_rounds_commute_with_permutations():
     rng = random.Random(27)
     for n in (8, 12, 16, 20):
@@ -501,105 +521,6 @@ def test_rounds_commute_with_permutations():
                 assert [d for d, _ in got_a] == [d for d, _ in got_b]
                 for (_, ca), (_, cb) in zip(got_a, got_b):
                     assert all(cb[img - 1] == ca[i] for i, img in enumerate(images))
-
-
-def ranked_alone(keys):
-    """`_ranked` on a stack of one code: that code's names and digest."""
-    names, digests = _ranked(keys[None])
-    return names[0], digests[0]
-
-
-def ranked_by_definition(keys):
-    """Names and digest of one code's key rows straight from their
-    definition: ranks of the distinct rows in byte order, by one np.unique
-    over void rows, and the fingerprint hashed one Python int at a time."""
-    return ranked_by_void_rows(keys[None])[0], key_fingerprint(keys)
-
-
-def test_ranks_name_key_rows_canonically():
-    keys = np.array([[0, -1, 3], [0, -2, 3], [0, -1, 3], [1, 5, 7]], dtype=np.int16)
-    names = ranked_alone(keys)[0]
-    assert names[0] == names[2] != names[1] != names[3] != names[0]
-    rng = random.Random(29)
-    pool = np.array([[i % 3, i % 5, 9] for i in range(12)], dtype=np.int8)
-    for rows in (keys, pool):
-        order = list(range(len(rows)))
-        rng.shuffle(order)
-        moved_names, moved_digest = ranked_alone(rows[order])
-        names, digest = ranked_alone(rows)
-        assert moved_digest == digest
-        assert moved_names.tolist() == names[order].tolist()
-    # different multisets of rows: other rows, or the same rows counted otherwise
-    assert ranked_alone(keys[:3])[1] != ranked_alone(keys[1:4])[1]
-    assert ranked_alone(keys[[0, 0, 1]])[1] != ranked_alone(keys[[0, 1, 1]])[1]
-
-
-def test_stacked_ranks_equal_each_code_ranked_alone():
-    rng = np.random.default_rng(31)
-    for dtype in (np.int8, np.int16):
-        stack = rng.integers(-1, 3, size=(6, 40, 4)).astype(dtype)
-        stack[1] = stack[0]  # one code twice
-        stack[3, :25] = stack[2, 15:]  # rows that coincide across codes
-        stack[5] = 300 if dtype == np.int16 else 7  # a single distinct row
-        names, digests = _ranked(stack)
-        assert names.shape == stack.shape[:2] and len(digests) == len(stack)
-        for k, keys in enumerate(stack):
-            alone_names, alone_digest = ranked_alone(keys)
-            want_names, want_digest = ranked_by_definition(keys)
-            assert names[k].tolist() == alone_names.tolist() == want_names.tolist()
-            assert digests[k] == alone_digest == want_digest
-        assert digests[0] == digests[1] != digests[2]
-
-
-# one-byte rows of 1, 2 and 3 lanes, straddling the flat sort's 8 entries,
-# and two-byte rows of 1, 2, 3 and 200 lanes, the last as wide as the
-# coordinate keys of the length-58 codes
-KEY_WIDTHS = ((np.int8, (7, 8, 9, 16, 17, 30)), (np.int16, (3, 4, 5, 8, 9, 800)))
-# two-byte values past 255 reorder if a sort or a lane keeps only the low
-# byte; word names of the length-58 codes reach 3707
-KEY_VALUES = {np.int8: (-1, 0, 1, 2, 120), np.int16: (-1, 0, 1, 255, 256, 257, 511, 3707)}
-
-
-def key_stack(rng, dtype, size, width):
-    """A stack of key rows with one code twice and rows only one code has."""
-    stack = rng.choice(KEY_VALUES[dtype], size=(size, 7, width)).astype(dtype)
-    stack[size // 2, :3] = 119  # rows no other code has
-    stack[-1] = stack[0]
-    return stack
-
-
-def test_integer_and_void_ranks_agree_at_every_stack_size():
-    # every key width, stacks of 1, 2, 255, 256 and 257 codes: each code's
-    # names and fingerprint are those it has alone and by definition
-    rng = np.random.default_rng(1616)
-    for dtype, widths in KEY_WIDTHS:
-        for width in widths:
-            for size in (1, 2, 255, 256, 257):
-                stack = key_stack(rng, dtype, size, width)
-                names, digests = _ranked(stack)
-                assert names.shape == stack.shape[:2] and len(digests) == size
-                assert names.tolist() == ranked_by_void_rows(stack).tolist()
-                for k, keys in enumerate(stack):
-                    alone_names, alone_digest = ranked_alone(keys)
-                    want_names, want_digest = ranked_by_definition(keys)
-                    assert names[k].tolist() == alone_names.tolist() == want_names.tolist()
-                    assert digests[k] == alone_digest == want_digest
-                assert digests[0] == digests[-1]
-                assert size < 3 or digests[0] != digests[size // 2]
-
-
-def test_sorted_rows_match_the_row_by_row_oracle():
-    # the flat sort of short one-byte rows, the per-row sorts of the rest,
-    # and the ranks of the sorted rows, against sorting one row at a time
-    rng = np.random.default_rng(1620)
-    for dtype, widths in KEY_WIDTHS:
-        for width in widths:
-            for size in (1, 2, 255, 256, 257):
-                stack = key_stack(rng, dtype, size, width)
-                want = sorted_by_row(stack)
-                got = _sorted_rows(stack.copy())
-                assert got.dtype == stack.dtype and np.array_equal(got, want)
-                assert _ranked(got)[0].tolist() == ranked_by_void_rows(want).tolist()
 
 
 def test_round_digests_do_not_depend_on_the_hash_seed():
@@ -623,6 +544,36 @@ def test_round_digests_do_not_depend_on_the_hash_seed():
     ]
     assert outs[0] == outs[1]
     assert len(outs[0].split()) == 3
+
+
+def test_verdicts_stay_exact_when_every_key_hashes_alike(monkeypatch):
+    # with a constant key hash, refinement splits no cell but the ones
+    # individualizing makes, so nothing prunes the search: every path still
+    # ends with discrete colors, verdicts agree with the all-permutations
+    # oracle, every positive verifies, and the pairs below, with equal word
+    # counts (the length-7 pair also with equal signatures), are told apart
+    # only by exhausting the coordinate matching
+    monkeypatch.setattr(equivalence, "_hashed", lambda values, salt: np.zeros(values.shape, np.uint64))
+    rng = random.Random(1628)
+    pairs = [
+        (LinearCode.from_int_rows([57, 18, 20], 6), LinearCode.from_int_rows([33, 10, 20], 6)),
+        (LinearCode.from_int_rows([9, 122, 44], 7), LinearCode.from_int_rows([49, 10, 116], 7)),
+    ]
+    assert signature(pairs[1][0]) == signature(pairs[1][1])  # so are_equivalent matches them too
+    for _ in range(4):
+        a = code_from_words(random_self_dual_words(rng, 8, steps=3), 8)
+        pairs += [(a, code_from_words(random_self_dual_words(rng, 8, steps=3), 8))]
+        pairs += [(a, permuted_code(a, shuffled_images(rng, 8)))]
+    reasons = []
+    for a, b in pairs:
+        n = a.n
+        path = lazy_whole_path(a)
+        assert len(path) <= n and sorted(path[-1][1]) == list(range(n))
+        cert = _verdicts([a], [_lazy_path(a)], b)[0]
+        assert cert.equivalent == (equivalent_by_all_permutations(span_set(a.rows), span_set(b.rows), n) is not None)
+        assert not cert or verify_certificate(a, b, cert)
+        reasons.append(cert.distinct_reason)
+    assert reasons[:2] == ["exhausted coordinate matching"] * 2 and None in reasons
 
 
 def partition(colors):
@@ -784,6 +735,32 @@ def test_rounds_of_a_mixed_stack_equal_each_code_alone():
         assert partition(rounds[-1][1]) == partition(want)
 
 
+def test_a_length_58_stack_refines_as_each_code_alone():
+    # a length-58 code and a permuted copy, whose coordinate keys gather
+    # hundreds of words each: stacked, each code gets round by round the
+    # digests and colors it gets alone, and the same first path
+    rng = random.Random(1629)
+    a = LinearCode(58, named_code("C58_1").rows)
+    images = shuffled_images(rng, a.n)
+    block = [a, permuted_code(a, images)]
+    levels = _word_levels(a)
+    (stacked,) = _incidences(block, levels)
+    assert stacked.coord_words.shape[2] > 500
+    start = [0] * a.n
+    start[rng.randrange(a.n)] = a.n
+    moved = [0] * a.n
+    for i, img in enumerate(images):
+        moved[img - 1] = start[i]
+    for colors in ([[0] * a.n] * 2, [start, moved]):
+        got = [[] for _ in block]
+        for at, digests, names, _ in _rounds(stacked, np.array(colors)):
+            for pos, digest, row in zip(at.tolist(), digests, names):
+                got[pos].append((digest.tobytes(), row.tolist()))
+        assert got == [rounds_alone(incidence(c, levels), cols) for c, cols in zip(block, colors)]
+        assert [d for d, _ in got[0]] == [d for d, _ in got[1]]
+    assert whole_paths(stacked) == [whole_paths(incidence(c, levels))[0] for c in block]
+
+
 def test_stacked_incidences_pad_each_code_as_alone():
     # random [12,6] codes with the same number of words in each level, but
     # not the same number of words through their busiest coordinate: a
@@ -802,10 +779,9 @@ def test_stacked_incidences_pad_each_code_as_alone():
     assert len(block) == 3 and len(set(widths)) == 2
     stacks = list(_incidences(block, levels))
     assert [len(inc.word_coords) for inc in stacks] == [len(list(run)) for _, run in groupby(widths)]
-    got = [(inc.word_coords[i], inc.coord_words[i], inc.dtype) for inc in stacks for i in range(len(inc.word_coords))]
-    for (word_coords, coord_words, dtype), want in zip(got, alone, strict=True):
+    got = [(inc.word_coords[i], inc.coord_words[i]) for inc in stacks for i in range(len(inc.word_coords))]
+    for (word_coords, coord_words), want in zip(got, alone, strict=True):
         assert np.array_equal(word_coords, want.word_coords[0]) and np.array_equal(coord_words, want.coord_words[0])
-        assert dtype == want.dtype
     assert [path for inc in stacks for path in whole_paths(inc)] == [whole_paths(inc)[0] for inc in alone]
 
 
