@@ -6,10 +6,10 @@ exhaustive search never materializes a matrix.  The affine maps
 i -> u*i + s (mod n), u a unit, applied to both rows permute the code's
 coordinates, and every search filter is invariant under them, so the
 search walks one ra per orbit: signature bucketing pairs it with
-compatible rb in one lookup, and row-sum and two-row weight filters run
-vectorized over each bucket.  A survivor is self-dual, so (I | M) and
-(M^T | I) are systematic bases on disjoint information sets, both in
-closed form.  The survivors of a part are stacked, their bases built by
+compatible rb in one lookup, and the row-sum and two-row weight filters
+run as whole-array passes over every candidate of a part.  A survivor
+is self-dual, so (I | M) and (M^T | I) are systematic bases on disjoint
+information sets, both in closed form.  The survivors of a part are stacked, their bases built by
 vectorized rotations, and one staged minimum-weight scan decides them
 all without building a code.  Shifting each of the four blocks by one
 sends every row of either basis to the next row of its half, so the scan
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +60,13 @@ def _rot(bits: int, s: int, n: int) -> int:
     return ((bits << s) | (bits >> (n - s))) & ((1 << n) - 1)
 
 
+def _rotations(rows: np.ndarray, n: int) -> np.ndarray:
+    """Column s holds rot(row, s) of each row, as uint64."""
+    rows = rows.astype(np.uint64)[:, None]
+    s = np.arange(n, dtype=np.uint64)
+    return ((rows << s) | (rows >> (np.uint64(n) - s))) & np.uint64((1 << n) - 1)
+
+
 def _reversed_row(bits: int, n: int) -> int:
     """First row of the transpose of the circulant with first row ``bits``."""
     out = bits & 1
@@ -79,8 +85,8 @@ class CirculantPair:
     rb: int
 
     def __post_init__(self) -> None:
-        if self.block < 1:
-            raise DomainError(f"block size must be positive, got {self.block}")
+        if not isinstance(self.block, int) or self.block < 1:
+            raise DomainError(f"block size must be a positive int, got {self.block!r}")
         for row in (self.ra, self.rb):
             if not isinstance(row, int) or row < 0 or row >> self.block:
                 raise DomainError(f"first row {row!r} does not fit in {self.block} bits")
@@ -233,20 +239,16 @@ class SearchRules:
 
 @lru_cache(maxsize=4)
 def _search_tables(n: int):
-    """Per row v of n bits: its weight, its self-duality signature, the
-    weights of v ^ rot(v, s), its transpose row, and the rows sorted by
-    signature with their signatures."""
-    mask = np.uint32((1 << n) - 1)
+    """Per row v of n bits: its weight, its self-duality signature (bit s
+    the parity of v & rot(v, s), 0 <= s <= n // 2), the weights of
+    v ^ rot(v, s) for 0 < s <= n // 2 (column s - 1), its transpose row,
+    and the rows sorted by signature with their signatures."""
     v = np.arange(1 << n, dtype=np.uint32)
     wt = np.bitwise_count(v).astype(np.int32)
-    sig = (wt & 1).astype(np.uint32)
-    for s in range(1, n // 2 + 1):
-        r = ((v << np.uint32(s)) | (v >> np.uint32(n - s))) & mask
-        sig |= (np.bitwise_count(v & r).astype(np.uint32) & 1) << np.uint32(s)
-    w2 = np.zeros((1 << n, n // 2 + 1), dtype=np.int32)
-    for s in range(1, n // 2 + 1):
-        r = ((v << np.uint32(s)) | (v >> np.uint32(n - s))) & mask
-        w2[:, s] = np.bitwise_count(v ^ r)
+    r = _rotations(v, n)[:, : n // 2 + 1]
+    odd = (np.bitwise_count(v[:, None] & r) & 1).astype(np.uint32)
+    sig = (odd << np.arange(n // 2 + 1, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
+    w2 = np.bitwise_count(v[:, None] ^ r[:, 1:]).astype(np.int32)
     rev = (v & 1).astype(np.uint32)
     for j in range(1, n):
         rev |= ((v >> np.uint32(n - j)) & 1) << np.uint32(j)
@@ -261,14 +263,7 @@ def _stacked_bases(n: int, ras: np.ndarray, rbs: np.ndarray) -> Tuple[np.ndarray
     self-dual pair M M^T = I, so both are systematic bases of its code,
     on the first and the last 2n coordinates."""
     rev = _search_tables(n)[3]
-    i = np.arange(n, dtype=np.uint64)
-    mask = np.uint64((1 << n) - 1)
-
-    def rotations(rows):  # column i holds rot(row, i)
-        rows = rows.astype(np.uint64)[:, None]
-        return ((rows << i) | (rows >> (np.uint64(n) - i))) & mask
-
-    a, b, at, bt = (rotations(r) for r in (ras, rbs, rev[ras], rev[rbs]))
+    a, b, at, bt = (_rotations(r, n) for r in (ras, rbs, rev[ras], rev[rbs]))
     unit = np.uint64(1) << np.arange(2 * n, dtype=np.uint64)
     n1, n2, n3 = (np.uint64(j * n) for j in (1, 2, 3))
     first = np.hstack([(a << n2) | (b << n3), (bt << n2) | (at << n3)]) | unit
@@ -289,51 +284,29 @@ def _search_range(
     The filtered candidates of the whole range are stacked, and one staged
     scan walks them, one row combination per orbit of the block shift."""
     n = block
-    mask = np.uint32((1 << n) - 1)
     wt, sig, w2, rev, pool, pool_sig = _search_tables(n)
     reps, _ = _orbit_tables(n)
-    reps = reps[(reps >= ra_lo) & (reps < ra_hi)].tolist()
-
-    min_sum = max(d_target - 1, rules.weight_bound or 0)
-    pair_need = d_target - 2
-    cross_need = (d_target - 1) // 2  # ceil((d_target - 2) / 2)
-
-    ras, rbs = [], []
-    for ra in reps:
-        want = int(sig[ra]) ^ 1
-        lo = int(np.searchsorted(pool_sig, want, side="left"))
-        hi = int(np.searchsorted(pool_sig, want, side="right"))
-        if lo == hi:
-            continue
-        cand = pool[lo:hi]
-        sums = wt[cand] + int(wt[ra])
-        keep = sums >= min_sum
-        if rules.congruence is not None:
-            keep &= sums % 4 == rules.congruence % 4
-        cand = cand[keep]
-        if not cand.size:
-            continue
-        # every two rows from the same half combine to weight 2 + w2 terms
-        m = np.ones(cand.shape, dtype=bool)
-        for s in range(1, n // 2 + 1):
-            m &= w2[cand, s] >= pair_need - int(w2[ra, s])
-        cand = cand[m]
-        if not cand.size:
-            continue
-        # a top and a bottom row combine to weight 2 + 2*wt(ra ^ rot(rb^T))
-        rbt = rev[cand]
-        m = np.ones(cand.shape, dtype=bool)
-        rau = np.uint32(ra)
-        for u in range(n):
-            ru = ((rbt << np.uint32(u)) | (rbt >> np.uint32(n - u))) & mask
-            m &= np.bitwise_count(rau ^ ru) >= cross_need
-        cand = cand[m]
-        ras.append(np.full(cand.size, ra, dtype=np.uint32))
-        rbs.append(cand)
-    if not ras:
+    reps = reps[(reps >= ra_lo) & (reps < ra_hi)]
+    # each representative meets every rb of the complementary signature
+    lo, hi = (np.searchsorted(pool_sig, sig[reps] ^ 1, side=side) for side in ("left", "right"))
+    ras = np.repeat(reps, hi - lo)
+    starts = np.cumsum(hi - lo) - (hi - lo)  # of each representative's run in ras
+    rbs = pool[np.arange(ras.size) + np.repeat(lo - starts, hi - lo)]
+    sums = wt[ras] + wt[rbs]
+    keep = sums >= max(d_target - 1, rules.weight_bound or 0)
+    if rules.congruence is not None:
+        keep &= sums % 4 == rules.congruence % 4
+    ras, rbs = ras[keep], rbs[keep]
+    # every two rows from the same half combine to weight 2 + w2 terms
+    keep = (w2[ras] + w2[rbs] >= d_target - 2).all(axis=1)
+    ras, rbs = ras[keep], rbs[keep]
+    # a top and a bottom row combine to weight 2 + 2*wt(ra ^ rot(rb^T))
+    cross = np.bitwise_count(ras.astype(np.uint64)[:, None] ^ _rotations(rev[rbs], n))
+    keep = (cross >= (d_target - 1) // 2).all(axis=1)
+    ras, rbs = ras[keep], rbs[keep]
+    if not ras.size:
         return []
     # every candidate passed the signature bucket, so it is self-dual
-    ras, rbs = np.concatenate(ras), np.concatenate(rbs)
     bases = _stacked_bases(n, ras, rbs)
     # shifting each block by one sends row i of a half to row i + 1 mod n
     j = np.arange(2 * n)
@@ -386,25 +359,24 @@ def _search_orbits(
     rev = _search_tables(n)[3].astype(np.int64)
     flip = (rev >> 1) | ((rev & 1) << (n - 1))
     failed = np.int64(1) << (2 * n)  # above every key
-    # an empty orbit list keeps the concatenations defined without hits
-    orbits = [(np.zeros(0, dtype=np.int64),) * 4]
+    ras, rbs = np.array(hits, dtype=np.int64).reshape(-1, 2).T
     pos = _affine_positions(n)
-    for ra, group in groupby(hits, key=lambda h: h[0]):
-        rows = np.array([ra] + [rb for _, rb in group], dtype=np.int64)
-        images = np.zeros((len(pos), rows.size), dtype=np.int64)
-        for i in range(n):
-            images |= ((rows >> i) & 1) << pos[:, i, None]
-        ras, images = images[:, :1], images[:, 1:]
-        images = images[:, rows[1:] == images[ras[:, 0] == ra].min(axis=0)]
-        keys = (flip[ras] << n) | flip[images]
-        least = keys.min(axis=0)
-        if rules.rb_last_one:
-            keys[(images >> (n - 1)) & 1 == 0] = failed
-        keys.sort(axis=0)
-        new = keys < failed
-        new[1:] &= keys[1:] != keys[:-1]
-        orbits.append((least, keys[0], new.sum(axis=0), keys[new]))
-    least, firsts, counts, members = (np.concatenate(c) for c in zip(*orbits))
+    a = np.zeros((len(pos), ras.size), dtype=np.int64)
+    b = np.zeros_like(a)
+    for i in range(n):
+        a |= ((ras >> i) & 1) << pos[:, i, None]
+        b |= ((rbs >> i) & 1) << pos[:, i, None]
+    # a hit names its orbit when rb is its own least image under ra's stabiliser
+    named = rbs == np.where(a == ras, b, end).min(axis=0)
+    a, b = a[:, named], b[:, named]
+    keys = (flip[a] << n) | flip[b]
+    least = keys.min(axis=0)
+    if rules.rb_last_one:
+        keys[(b >> (n - 1)) & 1 == 0] = failed
+    keys.sort(axis=0)
+    new = keys < failed
+    new[1:] &= keys[1:] != keys[:-1]
+    firsts, counts, members = keys[0], new.sum(axis=0), keys[new]
     order = np.flatnonzero(firsts < failed)  # an orbit with no passing member is dropped
     order = order[np.argsort(least[order])]
     firsts, members = ((flip[k >> n] << n) | flip[k % end] for k in (firsts[order], np.sort(members)))

@@ -10,7 +10,8 @@ build every neighbour, as the survey did before it filtered syndromes: one
 reads each minimum weight, the other reduces each light vector into each
 neighbour.  The certificate reference permutes each row bit by bit and
 reduces it into the other code.  A four-circulant pair's orbit is named
-by its least serialization over every affine map, one map at a time.
+by its least serialization over every affine map, one map at a time,
+and the search filter's conditions are read off its generator rows.
 The Gleason reference solves for the weight distribution from the counts
 A_0..A_{2(n//8)} alone, with no shadow coefficient given; it shares the
 low-weight walk with the code under test, which other tests check
@@ -202,6 +203,26 @@ def orbit_key(pair) -> str:
 def transposed_rows(rows: Sequence[int], ncols: int) -> List[int]:
     """Rows of the transpose of a matrix given by its int rows."""
     return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
+
+
+def passes_search_filter(block: int, ra: int, rb: int, d_target: int, rules) -> bool:
+    """The four-circulant search filter's necessary conditions, read off the
+    generator rows of (I | M): wt(ra) + wt(rb) meets the rules' weight bound
+    and congruence, and every row, and the sum of every two rows, has
+    weight at least d_target."""
+    n = block
+    total = ra.bit_count() + rb.bit_count()
+    if rules.weight_bound is not None and total < rules.weight_bound:
+        return False
+    if rules.congruence is not None and total % 4 != rules.congruence % 4:
+        return False
+    a, b = circulant_rows(ra, n), circulant_rows(rb, n)
+    at, bt = transposed_rows(a, n), transposed_rows(b, n)
+    rows = [(1 << i) | (a[i] << (2 * n)) | (b[i] << (3 * n)) for i in range(n)]
+    rows += [(1 << (n + i)) | (bt[i] << (2 * n)) | (at[i] << (3 * n)) for i in range(n)]
+    return all(r.bit_count() >= d_target for r in rows) and all(
+        (r ^ q).bit_count() >= d_target for r, q in combinations(rows, 2)
+    )
 
 
 def equivalent_by_all_permutations(words_a: Set[int], words_b: Set[int], n: int):

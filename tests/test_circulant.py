@@ -35,11 +35,22 @@ from sdcodes.circulant import (
     self_dual_condition,
     _generator_ints,
     _orbit_tables,
+    _reversed_row,
+    _rot,
     _search_range,
+    _search_tables,
     _stacked_bases,
 )
 
-from oracles import circulant_rows, orbit_key, permute_bits, span_set, transposed_rows, word01
+from oracles import (
+    circulant_rows,
+    orbit_key,
+    passes_search_filter,
+    permute_bits,
+    span_set,
+    transposed_rows,
+    word01,
+)
 
 
 def pair(block, ra, rb):
@@ -198,6 +209,8 @@ def test_pair_validates_lengths():
         CirculantPair(3, "100", 0b110)
     with pytest.raises(DomainError):
         CirculantPair(0, 0, 0)
+    with pytest.raises(DomainError):
+        CirculantPair(2.5, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +273,13 @@ def test_search_block_two_finds_the_weight_four_code():
     assert len(got) == 4
     for p in got:
         assert min_weight(build_four_circulant(p)) == 4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_search_block_one_equals_brute_force(d):
+    """Block 1 has no same-half shift, so the two-row filter has no terms."""
+    rules = SearchRules.unrestricted()
+    assert search_four_circulant(1, d, rules) == brute_force(1, d, rules)
 
 
 def test_search_block_three_with_default_rules():
@@ -398,6 +418,16 @@ def test_search_representative_partition_reassembles(monkeypatch):
     assert (search_four_circulant(block, d, rules), search_orbits(block, d, rules)) == expect
 
 
+def test_search_range_without_a_candidate_is_empty():
+    rules = SearchRules.for_target(8)
+    reps = _orbit_tables(9)[0].tolist()
+    # [4, 7) holds no representative; [3, 4) holds 3, whose weight-2 row
+    # leaves no candidate after the filter
+    assert not set(range(4, 7)) & set(reps) and 3 in reps
+    assert _search_range(9, 8, rules, 4, 7) == []
+    assert _search_range(9, 8, rules, 3, 4) == []
+
+
 def test_search_range_does_not_depend_on_the_stack_size(monkeypatch):
     block, d = 7, 6
     rules = SearchRules.for_target(d)
@@ -413,7 +443,7 @@ def test_search_range_does_not_depend_on_the_stack_size(monkeypatch):
     assert seen[0] > 1, "the whole range is one stacked call"
 
 
-def stacked_candidates(monkeypatch, block, d):
+def stacked_candidates(monkeypatch, block, d, rules=None):
     """Each candidate (ra, rb) the search scans, with the scan's value."""
     got = []
     scan = circulant._min_weight_staged
@@ -426,9 +456,52 @@ def stacked_candidates(monkeypatch, block, d):
         return best
 
     monkeypatch.setattr(circulant, "_min_weight_staged", record)
-    search_four_circulant(block, d)
+    search_four_circulant(block, d, rules)
     monkeypatch.undo()
     return got
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_search_tables_match_scalar_oracles(n):
+    wt, sig, w2, rev, pool, pool_sig = _search_tables(n)
+    shifts = range(1, n // 2 + 1)
+    assert w2.shape == (1 << n, len(shifts))
+    for v, (w, row, t) in enumerate(zip(wt.tolist(), w2.tolist(), rev.tolist())):
+        assert (w, t) == (v.bit_count(), _reversed_row(v, n)), v
+        assert row == [(v ^ _rot(v, s, n)).bit_count() for s in shifts], v
+    assert sorted(pool.tolist()) == list(range(1 << n))
+    assert pool_sig.tolist() == sorted(sig.tolist()) == sig[pool].tolist()
+    if n <= 6:
+        # the signature buckets pair exactly the self-dual rows
+        sig = sig.tolist()
+        for ra in range(1 << n):
+            for rb in range(1 << n):
+                assert (sig[ra] ^ sig[rb] == 1) == self_dual_condition(pair(n, ra, rb)), (ra, rb)
+
+
+@pytest.mark.parametrize("block,d", [(3, 2), (4, 4), (5, 4), (6, 4), (7, 6), (8, 6), (9, 8)])
+def test_search_filter_keeps_the_oracle_candidates(monkeypatch, block, d):
+    """The pairs handed to the scan are the self-dual pairs with ra an orbit
+    representative that pass the oracle's filter, in (ra, rb) order."""
+    reps = _orbit_tables(block)[0].tolist()
+    self_dual = [
+        (ra, rb) for ra in reps for rb in range(1 << block) if self_dual_condition(pair(block, ra, rb))
+    ]
+    bound = SearchRules.for_target(d).weight_bound
+    for rules in (
+        SearchRules.for_target(d),
+        SearchRules.for_target(d, congruence=3),
+        SearchRules(weight_bound=bound + 4),
+        SearchRules.unrestricted(),
+    ):
+        got = [(ra, rb) for ra, rb, _ in stacked_candidates(monkeypatch, block, d, rules)]
+        assert got == [p for p in self_dual if passes_search_filter(block, *p, d, rules)], rules
+
+
+@pytest.mark.parametrize("block,d,count", [(9, 8, 108), (11, 10, 66), (15, 12, 22300)])
+def test_search_filter_candidate_counts_are_pinned(monkeypatch, block, d, count):
+    """A laxer filter changes only the time a search takes, not its pairs."""
+    assert len(stacked_candidates(monkeypatch, block, d)) == count
 
 
 @pytest.mark.parametrize("block,d", [(3, 2), (4, 4), (5, 4), (6, 4), (7, 6), (8, 6), (9, 8)])
